@@ -43,9 +43,9 @@ def main():
     for pid in SETTINGS:
         problem = build_problem(pid, ctx, args.dim)
         points = problem.sample(args.trials, args.seed, ctx)
+        reference, policy = resolve_reference(problem)
         for method in ("dr", "lt", "plt"):
             for k, p0 in enumerate(points):
-                reference, policy = resolve_reference(problem, method, p0, ctx, stop)
                 trace = run(method, problem.operator, p0, stop, reference, ctx,
                             affine=problem.affine)
                 try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from feasikit import analysis, theory
-from feasikit.numerics import Point2, PrecisionContext, SymMatrix
+from feasikit.numerics import FeasikitError, Point2, PrecisionContext, SymMatrix
 from feasikit.sets import (
     CurveGraph,
     DiagOnes,
@@ -34,7 +34,6 @@ from feasikit.solvers import (
     METHODS,
     DrOperator,
     StopRule,
-    iterate_to_fixed_point,
     run,
     trace_to_csv,
 )
@@ -42,6 +41,9 @@ from feasikit.solvers import (
 PROBLEM_IDS = ("circle-line", "graph:<curve-id>", "psd-s1", "psdb-s1", "psdb-s11")
 PROBE_IDS = ("zeta", "denominator", "one-minus-h", "ratio")
 DEFAULT_PRECISION_ENV = "FEASIKIT_PRECISION"
+# nonzero exit codes: unsolved run or failed probe, usage or input error,
+# numerical failure (any FeasikitError)
+EXIT_FAILED, EXIT_USAGE, EXIT_NUMERICAL = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -121,20 +123,12 @@ def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Probl
     raise ValueError(f"unknown problem id: {problem_id!r} (known: {PROBLEM_IDS})")
 
 
-def resolve_reference(problem: Problem, method: str, p0, ctx, stop: StopRule):
-    """Known solution when the catalog has one; otherwise precompute the
-    limit of the same method with a doubled iteration budget."""
+def resolve_reference(problem: Problem):
+    """The reference for ``run`` and its label: the known solution, or None,
+    which makes ``run`` take its own orbit's limit (doubled budget)."""
     if problem.reference is not None:
         return problem.reference, "known-intersection"
-    ref = iterate_to_fixed_point(
-        method,
-        problem.operator,
-        p0,
-        ctx,
-        affine=problem.affine,
-        max_iter=2 * stop.max_iter,
-    )
-    return ref, "auto-fixed-point(same-method,doubled-budget)"
+    return None, "auto-fixed-point(same-method,doubled-budget)"
 
 
 def _make_context(precision: int) -> PrecisionContext:
@@ -152,11 +146,9 @@ def _write(text: str, out: Optional[str]):
 def cmd_run(cfg: RunConfig) -> int:
     ctx = _make_context(cfg.precision)
     problem = build_problem(cfg.problem, ctx, cfg.dim)
-    if cfg.method not in METHODS:
-        raise ValueError(f"unknown method: {cfg.method!r}")
     stop = StopRule(tol=cfg.tol, max_iter=cfg.max_iter)
     p0 = problem.sample(1, cfg.seed, ctx)[0]
-    reference, ref_policy = resolve_reference(problem, cfg.method, p0, ctx, stop)
+    reference, ref_policy = resolve_reference(problem)
     trace = run(
         cfg.method, problem.operator, p0, stop, reference, ctx, affine=problem.affine
     )
@@ -172,7 +164,12 @@ def cmd_run(cfg: RunConfig) -> int:
     if problem.kind == "matrix":
         metadata.insert(4, ("dim", cfg.dim))
     _write(trace_to_csv(trace, ctx, metadata, include_times=cfg.include_times), cfg.out)
-    return 0 if trace.solved else 2
+    floor = ctx.pow10(-(ctx.decimal_digits - 10))
+    if trace.reference_gap is not None and trace.reference_gap > floor:
+        print(f"feasikit: warning: auto reference not converged (successive gap "
+              f"{ctx.mp.nstr(trace.reference_gap, 3)} after {2 * stop.max_iter} steps)",
+              file=sys.stderr)
+    return 0 if trace.solved else EXIT_FAILED
 
 
 def _point_payload(point, ctx) -> tuple:
@@ -197,8 +194,8 @@ def _bench_trial(args) -> tuple:
     problem = build_problem(problem_id, ctx, dim)
     stop = StopRule(tol=tol, max_iter=max_iter)
     p0 = _point_from_payload(payload, ctx)
-    reference, _ = resolve_reference(problem, method, p0, ctx, stop)
-    trace = run(method, problem.operator, p0, stop, reference, ctx, affine=problem.affine)
+    trace = run(method, problem.operator, p0, stop, problem.reference, ctx,
+                affine=problem.affine)
     return trace.iterations, trace.total_seconds, trace.solved
 
 
@@ -298,11 +295,15 @@ def cmd_probe(
     else:
         raise ValueError(f"unknown probe id: {probe_id!r} (known: {PROBE_IDS})")
     _write(report.to_csv(ctx), out)
-    return 0 if passed else 1
+    return 0 if passed else EXIT_FAILED
 
 
 def _default_precision() -> int:
-    return int(os.environ.get(DEFAULT_PRECISION_ENV, "120"))
+    raw = os.environ.get(DEFAULT_PRECISION_ENV, "120")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{DEFAULT_PRECISION_ENV} must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -351,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             cfg = RunConfig(
                 problem=args.problem,
@@ -393,7 +394,10 @@ def main(argv=None) -> int:
             )
     except ValueError as exc:
         print(f"feasikit: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
+    except FeasikitError as exc:
+        print(f"feasikit: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     raise AssertionError("unreachable")
 
 

@@ -39,11 +39,6 @@ class FeasibilitySet(ABC):
         return self.project(p, ctx) * 2 - p
 
 
-def reflect(s: FeasibilitySet, p, ctx: PrecisionContext):
-    """Reflection of p about the set: 2*project(p) - p."""
-    return s.reflect(p, ctx)
-
-
 # ---------------------------------------------------------------------------
 # plane sets
 
@@ -66,16 +61,14 @@ class AnalyticCurve:
     def checked(cls, f, df, ddf, ctx: PrecisionContext, ident: str = "") -> "AnalyticCurve":
         zero = ctx.mp.zero
         f0 = f(zero)
+        a = df(zero)
+        if not (ctx.mp.isfinite(f0) and ctx.mp.isfinite(a)):
+            raise ValueError(f"curve must be finite at the origin, f(0)={f0}, f'(0)={a}")
         if abs(f0) > ctx.pow10(-(ctx.decimal_digits - 5)):
             raise ValueError(f"curve must pass through the origin, f(0)={f0}")
-        a = df(zero)
         if abs(a) <= ctx.col_tol:
             raise ValueError("curve must not be tangent to the x-axis: f'(0) == 0")
         return cls(f=f, df=df, ddf=ddf, a=a, ident=ident)
-
-
-def project_horizontal_line(p: Point2, h) -> Point2:
-    return Point2(p.x, h)
 
 
 def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
@@ -147,7 +140,7 @@ class HorizontalLine(FeasibilitySet):
         return f"hline:{self.height}"
 
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
-        return project_horizontal_line(p, self.height)
+        return Point2(p.x, self.height)
 
 
 class XAxis(HorizontalLine):

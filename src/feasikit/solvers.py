@@ -8,6 +8,7 @@ arithmetic and an inner product (Point2, SymMatrix) works.
 from __future__ import annotations
 
 import enum
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -58,9 +59,6 @@ class DrOperator:
     first: FeasibilitySet
     second: FeasibilitySet
 
-    def step(self, p, ctx: PrecisionContext):
-        return dr_step(self, p, ctx)
-
 
 def dr_step(t: DrOperator, p, ctx: PrecisionContext):
     reflected = t.second.reflect(t.first.reflect(p, ctx), ctx)
@@ -92,8 +90,8 @@ class LtUpdateRecord:
 def lt_step(t: DrOperator, p, ctx: PrecisionContext) -> LtUpdateRecord:
     """One Lyapunov-surrogate update seeded at p."""
     v0 = p
-    v1 = t.step(v0, ctx)
-    v2 = t.step(v1, ctx)
+    v1 = dr_step(t, v0, ctx)
+    v2 = dr_step(t, v1, ctx)
     u1 = v1 - v0
     u2 = v2 - v0
     nsq1 = inner(u1, u1)
@@ -128,13 +126,16 @@ METHODS = ("dr", "lt", "plt")
 @dataclass(frozen=True)
 class Trace:
     """Record of one run: every iterate, the distance to the reference
-    point, and per-step wall time (len(step_times) == len(iterates) - 1)."""
+    point, per-step wall time (len(step_times) == len(iterates) - 1), and
+    for an automatic reference the orbit's last successive-iterate distance
+    (above the arithmetic floor: not converged; None for a given reference)."""
 
     method: str
     iterates: tuple
     errors: tuple
     step_times: tuple
     terminated_by: Termination
+    reference_gap: Optional[object] = None
 
     @property
     def iterations(self) -> int:
@@ -151,12 +152,18 @@ class Trace:
 
 def _advance(method: str, t: DrOperator, affine, p, ctx: PrecisionContext):
     if method == "dr":
-        return t.step(p, ctx)
+        return dr_step(t, p, ctx)
     if method == "lt":
         return lt_step(t, p, ctx).result
-    if method == "plt":
-        return plt_step(t, affine, p, ctx)
-    raise ValueError(f"unknown method: {method!r}")
+    return plt_step(t, affine, p, ctx)
+
+
+def _orbit(method: str, t: DrOperator, affine, p, ctx: PrecisionContext):
+    """Yield (iterate, step seconds) for every successor of p, without end."""
+    while True:
+        t0 = time.perf_counter()
+        p = _advance(method, t, affine, p, ctx)
+        yield p, time.perf_counter() - t0
 
 
 def run(
@@ -170,11 +177,14 @@ def run(
 ) -> Trace:
     """Iterate ``method`` from p0, recording distances to ``reference``.
 
+    ``reference=None`` takes the last iterate of the orbit itself, advanced
+    until successive iterates agree to the arithmetic floor
+    10^-(decimal_digits-10) or for 2*max_iter steps; the trace is its prefix.
+
     Termination: error <= tol (tolerance); error exactly zero, or at the
-    arithmetic floor 10^-(decimal_digits-10) after a one-step cliff that no
-    quadratic sequence could produce (exact_zero); no new error minimum over
-    the stagnation window while at the floor (stagnation); otherwise
-    max_iter.
+    arithmetic floor after a one-step cliff that no quadratic sequence
+    could produce (exact_zero); no new error minimum over the stagnation
+    window while at the floor (stagnation); otherwise max_iter.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
@@ -187,18 +197,29 @@ def run(
     cliff = ctx.pow10(-((ctx.decimal_digits - 10) // 4))
     near_floor = ctx.pow10(-((ctx.decimal_digits - 10) // 2))
 
+    steps = _orbit(method, t, affine, p0, ctx)
+    gap = None
+    if reference is None:
+        kept, last = [], p0
+        for p, seconds in itertools.islice(steps, 2 * stop.max_iter):
+            kept.append((p, seconds))
+            gap, last = dist(p, last, ctx), p
+            if gap <= floor:
+                break
+        reference = kept[-1][0]
+        # the reference is hit at error 0, so the loop below stops there
+        steps = iter(kept)
+
     iterates = [p0]
     errors = [dist(p0, reference, ctx)]
     step_times = []
     if errors[0] <= tol:
-        return Trace(method, tuple(iterates), tuple(errors), (), Termination.TOLERANCE)
+        return Trace(method, tuple(iterates), tuple(errors), (), Termination.TOLERANCE, gap)
 
     terminated = Termination.MAX_ITER
     window = stop.stagnation_window
-    for _ in range(stop.max_iter):
-        t0 = time.perf_counter()
-        p = _advance(method, t, affine, iterates[-1], ctx)
-        step_times.append(time.perf_counter() - t0)
+    for p, seconds in itertools.islice(steps, stop.max_iter):
+        step_times.append(seconds)
         iterates.append(p)
         err = dist(p, reference, ctx)
         errors.append(err)
@@ -213,28 +234,7 @@ def run(
             if min(errors[-window:]) >= min(errors[:-window]):
                 terminated = Termination.STAGNATION
                 break
-    return Trace(method, tuple(iterates), tuple(errors), tuple(step_times), terminated)
-
-
-def iterate_to_fixed_point(
-    method: str,
-    t: DrOperator,
-    p0,
-    ctx: PrecisionContext,
-    affine: FeasibilitySet = None,
-    max_iter: int = 400,
-):
-    """Iterate until successive iterates agree to the arithmetic floor and
-    return the last iterate.  Used to precompute reference points when no
-    closed-form solution is known."""
-    diff_tol = ctx.pow10(-(ctx.decimal_digits - 10))
-    p = p0
-    for _ in range(max_iter):
-        q = _advance(method, t, affine, p, ctx)
-        if dist(q, p, ctx) <= diff_tol:
-            return q
-        p = q
-    return p
+    return Trace(method, tuple(iterates), tuple(errors), tuple(step_times), terminated, gap)
 
 
 def trace_to_csv(

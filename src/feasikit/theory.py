@@ -19,7 +19,7 @@ from feasikit.numerics import (
     solve2x2,
 )
 from feasikit.sets import AnalyticCurve
-from feasikit.solvers import DrOperator
+from feasikit.solvers import DrOperator, dr_step
 
 
 class ZeroDerivativeError(FeasikitError):
@@ -175,7 +175,7 @@ def lt_closed_form(
 ) -> Point2:
     """The LT update computed from the closed form: w = T^2 y, then
     (w_x - h f(w_x)/f'(w_x), w_z - h w_z) with h = h(w)."""
-    w = t.step(t.step(y, ctx), ctx)
+    w = dr_step(t, dr_step(t, y, ctx), ctx)
     if w.x == 0 and w.z == 0:
         return w
     return _lt_from_w(w, curve, ctx)
@@ -472,7 +472,7 @@ def probe_ratio(
     for ri, r in enumerate(grid.radii):
         for theta in grid.angles:
             y = Point2(r * ctx.mp.cos(theta), r * ctx.mp.sin(theta))
-            w = t.step(t.step(y, ctx), ctx)
+            w = dr_step(t, dr_step(t, y, ctx), ctx)
             w_norm_sq = w.x * w.x + w.z * w.z
             try:
                 lt = _lt_from_w(w, curve, ctx)

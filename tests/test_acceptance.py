@@ -13,7 +13,7 @@ from feasikit.analysis import (
     estimate_order,
     performance_profile,
 )
-from feasikit.cli import build_problem, resolve_reference
+from feasikit.cli import build_problem
 from feasikit.numerics import Point2, dist, eig_sym, inner, norm
 from feasikit.sets import (
     CurveGraph,
@@ -183,8 +183,7 @@ def setting2_orders(ctx):
     for method in ("dr", "lt", "plt"):
         qs = []
         for p0 in points:
-            ref, _ = resolve_reference(problem, method, p0, ctx, stop)
-            trace = run(method, problem.operator, p0, stop, ref, ctx,
+            trace = run(method, problem.operator, p0, stop, problem.reference, ctx,
                         affine=problem.affine)
             try:
                 qs.append(estimate_order(trace.errors, ctx).q)
@@ -225,9 +224,8 @@ def test_criterion_7_finite_termination(ctx):
         for method in methods:
             hits = 0
             for p0 in points:
-                ref, _ = resolve_reference(problem, method, p0, ctx, stop)
-                trace = run(method, problem.operator, p0, stop, ref, ctx,
-                            affine=problem.affine)
+                trace = run(method, problem.operator, p0, stop, problem.reference,
+                            ctx, affine=problem.affine)
                 if trace.terminated_by is Termination.EXACT_ZERO:
                     hits += 1
             counts[(pid, method)] = hits

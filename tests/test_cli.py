@@ -4,6 +4,7 @@ import time
 import pytest
 
 from feasikit.cli import build_problem, main
+from feasikit.sets import ProjectionError
 from feasikit.solvers import StopRule, run
 
 
@@ -38,7 +39,7 @@ class TestRunCommand:
             "run", "--problem", "circle-line", "--method", "dr",
             "--max-iter", "5", "--out", str(out),
         ])
-        assert code == 2
+        assert code == 1
         assert "terminated_by: max_iter" in read(out)
 
     def test_byte_identical_without_times(self, tmp_path):
@@ -63,6 +64,44 @@ class TestRunCommand:
         assert main(["run", "--problem", "graph:linear:1", "--method", "lt",
                      "--out", str(out)]) == 0
         assert "# precision: 60" in read(out)
+
+    def test_precision_env_invalid(self, monkeypatch, capsys):
+        monkeypatch.setenv("FEASIKIT_PRECISION", "abc")
+        assert main(["run", "--problem", "circle-line"]) == 2
+        err = capsys.readouterr().err
+        assert "FEASIKIT_PRECISION must be an integer" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_finite_curve_rejected(self, capsys):
+        for pid in ("graph:linear:inf", "graph:linear:nan"):
+            assert main(["run", "--problem", pid, "--method", "lt"]) == 2
+            err = capsys.readouterr().err
+            assert "finite" in err
+            assert len(err.strip().splitlines()) == 1
+
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        def fail(p, curve, ctx):
+            raise ProjectionError("Newton failed from every start")
+
+        monkeypatch.setattr("feasikit.sets.project_graph", fail)
+        assert main(["run", "--problem", "graph:quad", "--method", "lt"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "feasikit: numerical failure: ProjectionError: Newton failed from every start\n"
+        )
+        assert captured.out == ""
+
+    def test_unconverged_auto_reference_warns(self, capsys):
+        # DR on psdb-s1 converges linearly, so 400 steps leave its reference
+        # short of the floor; DR on psd-s1 lands exactly on its fixed point
+        base = ["run", "--method", "dr", "--seed", "1", "--tol", "1e-20", "--no-times"]
+        assert main(base + ["--problem", "psdb-s1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("feasikit: warning: auto reference not converged")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "warning" not in captured.out
+        assert main(base + ["--problem", "psd-s1"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_matrix_problem_auto_reference(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -153,16 +192,13 @@ class TestCatalog:
             assert problem.operator.first is problem.affine or problem.affine is not None
 
     def test_every_problem_runs_every_method_quickly(self, ctx):
-        from feasikit.cli import resolve_reference
-
         start = time.perf_counter()
         stop = StopRule(max_iter=60)
         for pid in ("circle-line", "graph:quad", "psd-s1", "psdb-s1", "psdb-s11"):
             problem = build_problem(pid, ctx, 3)
             p0 = problem.sample(1, 1, ctx)[0]
             for method in ("dr", "lt", "plt"):
-                ref, _ = resolve_reference(problem, method, p0, ctx, stop)
-                trace = run(method, problem.operator, p0, stop, ref, ctx,
-                            affine=problem.affine)
+                trace = run(method, problem.operator, p0, stop, problem.reference,
+                            ctx, affine=problem.affine)
                 assert trace.iterations >= 0
         assert time.perf_counter() - start < 60

@@ -17,10 +17,8 @@ from feasikit.sets import (
     project_diag_ones,
     project_entry11,
     project_graph,
-    project_horizontal_line,
     project_psd,
     project_psd_boundary,
-    reflect,
     set_from_id,
 )
 from feasikit.theory import get_curve
@@ -40,9 +38,10 @@ def assert_mat_close(ctx, got, expected_rows, tol):
 
 class TestPlaneProjections:
     def test_horizontal_line(self, ctx):
-        assert project_horizontal_line(Point2.of(ctx, "0.3", "0.9"), ctx.mpf("0.5")) == Point2.of(ctx, "0.3", "0.5")
-        assert project_horizontal_line(Point2.of(ctx, 7, "0.5"), ctx.mpf("0.5")) == Point2.of(ctx, 7, "0.5")
-        assert project_horizontal_line(Point2.of(ctx, -1, -2), ctx.mpf(0)) == Point2.of(ctx, -1, 0)
+        half, zero = HorizontalLine(ctx.mpf("0.5")), HorizontalLine(ctx.mpf(0))
+        assert half.project(Point2.of(ctx, "0.3", "0.9"), ctx) == Point2.of(ctx, "0.3", "0.5")
+        assert half.project(Point2.of(ctx, 7, "0.5"), ctx) == Point2.of(ctx, 7, "0.5")
+        assert zero.project(Point2.of(ctx, -1, -2), ctx) == Point2.of(ctx, -1, 0)
 
     def test_circle(self, ctx):
         assert project_circle(Point2.of(ctx, 2, 0), ctx) == Point2.of(ctx, 1, 0)
@@ -87,15 +86,15 @@ class TestPlaneProjections:
 
 class TestReflection:
     def test_mirror(self, ctx):
-        assert reflect(XAxis(), Point2.of(ctx, 1, 3), ctx) == Point2.of(ctx, 1, -3)
+        assert XAxis().reflect(Point2.of(ctx, 1, 3), ctx) == Point2.of(ctx, 1, -3)
 
     def test_fixed_on_set(self, ctx):
         line = HorizontalLine(height=ctx.mpf("0.5"))
         p = Point2.of(ctx, "2.5", "0.5")
-        assert reflect(line, p, ctx) == p
+        assert line.reflect(p, ctx) == p
 
     def test_circle_outside(self, ctx):
-        r = reflect(UnitCircle(), Point2.of(ctx, 2, 0), ctx)
+        r = UnitCircle().reflect(Point2.of(ctx, 2, 0), ctx)
         assert abs(r.x) <= ctx.pow10(-110) and abs(r.z) <= ctx.pow10(-110)
 
     def test_involution_on_affine_sets(self, ctx):
@@ -103,7 +102,7 @@ class TestReflection:
         line = HorizontalLine(height=ctx.mpf("0.5"))
         for _ in range(50):
             p = Point2.of(ctx, rng.uniform(-5, 5), rng.uniform(-5, 5))
-            rr = reflect(line, reflect(line, p, ctx), ctx)
+            rr = line.reflect(line.reflect(p, ctx), ctx)
             assert dist(rr, p, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
         for aff in (DiagOnes(), EntryOne()):
             for _ in range(20):

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from feasikit.cli import build_problem
 from feasikit.numerics import Point2, dist, inner, norm, solve2x2
 from feasikit.sets import CurveGraph, DiagOnes, HorizontalLine, PsdCone, UnitCircle, XAxis
 from feasikit.solvers import (
@@ -9,7 +12,6 @@ from feasikit.solvers import (
     StopRule,
     Termination,
     dr_step,
-    iterate_to_fixed_point,
     lt_step,
     plt_step,
     run,
@@ -226,11 +228,77 @@ class TestRun:
         with pytest.raises(ValueError):
             run("newton", circle_line, Point2.of(ctx, 1, 1), StopRule(), Point2.of(ctx, 0, 0), ctx)
 
-    def test_iterate_to_fixed_point_matches_known(self, ctx, circle_line):
+    def test_auto_reference_matches_known(self, ctx, circle_line):
+        # tol below the floor: the trace runs on to its own reference
         p0 = Point2.of(ctx, "0.9", "0.6")
-        fix = iterate_to_fixed_point("lt", circle_line, p0, ctx, affine=circle_line.first)
+        trace = run("lt", circle_line, p0, StopRule(tol="1e-200"), None, ctx,
+                    affine=circle_line.first)
+        assert trace.terminated_by is Termination.EXACT_ZERO
+        assert trace.reference_gap <= ctx.pow10(-(ctx.decimal_digits - 10))
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
-        assert dist(fix, ref, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
+        assert dist(trace.iterates[-1], ref, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
+
+    def test_known_reference_has_no_gap(self, ctx, circle_line):
+        ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
+        trace = run("dr", circle_line, Point2.of(ctx, "0.9", "0.6"), StopRule(max_iter=3), ref, ctx)
+        assert trace.reference_gap is None
+
+
+def two_pass_run(method, problem, p0, stop, ctx):
+    """The former auto-reference algorithm, kept as the oracle for ``run``
+    with ``reference=None``: iterate the method until successive iterates
+    agree to the arithmetic floor (at most 2*max_iter steps), take the last
+    iterate as the reference, then recompute the orbit against it.
+    Returns the trace and the last successive-iterate distance."""
+    t, affine = problem.operator, problem.affine
+    step = {
+        "dr": lambda p: dr_step(t, p, ctx),
+        "lt": lambda p: lt_step(t, p, ctx).result,
+        "plt": lambda p: plt_step(t, affine, p, ctx),
+    }[method]
+    floor = ctx.pow10(-(ctx.decimal_digits - 10))
+    p = p0
+    for _ in range(2 * stop.max_iter):
+        q = step(p)
+        gap = dist(q, p, ctx)
+        p = q
+        if gap <= floor:
+            break
+    return run(method, t, p0, stop, p, ctx, affine=affine), gap
+
+
+class TestAutoReference:
+    @settings(max_examples=30)
+    @given(
+        problem_id=st.sampled_from(("psd-s1", "psdb-s1", "psdb-s11")),
+        method=st.sampled_from(("dr", "lt", "plt")),
+        seed=st.integers(1, 40),
+        max_iter=st.integers(1, 12),
+        tol=st.sampled_from((None, "1e-20", "1e-140")),
+    )
+    def test_one_orbit_matches_two_pass(self, ctx, problem_id, method, seed, max_iter, tol):
+        problem = build_problem(problem_id, ctx, 3)
+        p0 = problem.sample(1, seed, ctx)[0]
+        stop = StopRule(tol=tol, max_iter=max_iter)
+        old, old_gap = two_pass_run(method, problem, p0, stop, ctx)
+        new = run(method, problem.operator, p0, stop, None, ctx, affine=problem.affine)
+        assert new.iterates == old.iterates
+        assert new.errors == old.errors
+        assert new.terminated_by is old.terminated_by
+        assert new.reference_gap == old_gap
+
+    def test_converged_and_unconverged_references(self, ctx):
+        # both branches of the auto reference: psd-s1 DR lands on its fixed
+        # point within the doubled budget, psdb-s1 DR does not
+        floor = ctx.pow10(-(ctx.decimal_digits - 10))
+        stop = StopRule(tol="1e-20", max_iter=30)
+        gaps = {}
+        for problem_id in ("psd-s1", "psdb-s1"):
+            problem = build_problem(problem_id, ctx, 3)
+            p0 = problem.sample(1, 1, ctx)[0]
+            trace = run("dr", problem.operator, p0, stop, None, ctx, affine=problem.affine)
+            gaps[problem_id] = trace.reference_gap
+        assert gaps["psd-s1"] <= floor < gaps["psdb-s1"]
 
 
 class TestTraceCsv:
