@@ -164,31 +164,38 @@ def cmd_run(cfg: RunConfig) -> int:
     if problem.kind == "matrix":
         metadata.insert(4, ("dim", cfg.dim))
     _write(trace_to_csv(trace, ctx, metadata, include_times=cfg.include_times), cfg.out)
-    floor = ctx.pow10(-(ctx.decimal_digits - 10))
-    if trace.reference_gap is not None and trace.reference_gap > floor:
+    if _reference_unconverged(trace, ctx):
         print(f"feasikit: warning: auto reference not converged (successive gap "
               f"{ctx.mp.nstr(trace.reference_gap, 3)} after {2 * stop.max_iter} steps)",
               file=sys.stderr)
     return 0 if trace.solved else EXIT_FAILED
 
 
-def _point_payload(point, ctx) -> tuple:
+def _reference_unconverged(trace, ctx) -> bool:
+    """Whether the run's auto reference stopped above the floor
+    10^-(digits-10) on successive iterates."""
+    floor = ctx.pow10(-(ctx.decimal_digits - 10))
+    return trace.reference_gap is not None and trace.reference_gap > floor
+
+
+def _point_payload(point) -> tuple:
+    """The point as raw ``mpf._mpf_`` tuples: exact and picklable."""
     if isinstance(point, Point2):
-        return ("point2", ctx.to_str(point.x), ctx.to_str(point.z))
-    return ("sym", tuple(tuple(ctx.to_str(v) for v in row) for row in point.entries))
+        return ("point2", point.x._mpf_, point.z._mpf_)
+    return ("sym", tuple(tuple(v._mpf_ for v in row) for row in point.entries))
 
 
 def _point_from_payload(payload, ctx):
+    make = ctx.mp.make_mpf
     if payload[0] == "point2":
-        return Point2(ctx.mpf(payload[1]), ctx.mpf(payload[2]))
-    return SymMatrix.from_rows(
-        [[ctx.mpf(v) for v in row] for row in payload[1]]
-    )
+        return Point2(make(payload[1]), make(payload[2]))
+    return SymMatrix.from_rows([[make(v) for v in row] for row in payload[1]])
 
 
 def _bench_trial(args) -> tuple:
     """Worker: one (method, trial) cell.  Receives only plain picklable
-    data and rebuilds the precision context locally."""
+    data and rebuilds the precision context locally.  Returns (iterations,
+    seconds, solved, reference_unconverged)."""
     problem_id, method, precision, tol, max_iter, dim, payload = args
     ctx = _make_context(precision)
     problem = build_problem(problem_id, ctx, dim)
@@ -196,7 +203,8 @@ def _bench_trial(args) -> tuple:
     p0 = _point_from_payload(payload, ctx)
     trace = run(method, problem.operator, p0, stop, problem.reference, ctx,
                 affine=problem.affine)
-    return trace.iterations, trace.total_seconds, trace.solved
+    return (trace.iterations, trace.total_seconds, trace.solved,
+            _reference_unconverged(trace, ctx))
 
 
 def cmd_bench(cfg: RunConfig) -> int:
@@ -209,11 +217,9 @@ def cmd_bench(cfg: RunConfig) -> int:
             raise ValueError(f"unknown method: {m!r}")
     ctx = _make_context(cfg.precision)
     problem = build_problem(cfg.problem, ctx, cfg.dim)
-    # one shared trial set; points round-trip through decimal strings so
-    # the serial and parallel paths run bit-identical inputs
-    payloads = [
-        _point_payload(p, ctx) for p in problem.sample(cfg.trials, cfg.seed, ctx)
-    ]
+    # one shared trial set, carried as exact mpf tuples so that the serial
+    # and parallel paths both run the sampled points bit for bit
+    payloads = [_point_payload(p) for p in problem.sample(cfg.trials, cfg.seed, ctx)]
     jobs = [
         (cfg.problem, m, cfg.precision, cfg.tol, cfg.max_iter, cfg.dim, payload)
         for m in cfg.methods
@@ -227,10 +233,17 @@ def cmd_bench(cfg: RunConfig) -> int:
 
     iter_costs = {m: [] for m in cfg.methods}
     time_costs = {m: [] for m in cfg.methods}
-    for job, (iters, seconds, solved) in zip(jobs, results):
+    unconverged = {m: 0 for m in cfg.methods}
+    for job, (iters, seconds, solved, ref_unconverged) in zip(jobs, results):
         m = job[1]
         iter_costs[m].append(float(iters) if solved else math.inf)
         time_costs[m].append(seconds if solved else math.inf)
+        unconverged[m] += ref_unconverged
+    for m, count in unconverged.items():
+        if count:
+            print(f"feasikit: warning: {m}: auto reference not converged in "
+                  f"{count} of {cfg.trials} trials (after {2 * cfg.max_iter} steps)",
+                  file=sys.stderr)
 
     stop = StopRule(tol=cfg.tol, max_iter=cfg.max_iter)
     metadata = [

@@ -47,28 +47,33 @@ class FeasibilitySet(ABC):
 class AnalyticCurve:
     """An analytic function t -> f(t) with f(0) = 0 and f'(0) != 0.
 
-    ``f``, ``df`` and ``ddf`` evaluate f, f' and f'' at full precision; ``a``
-    caches f'(0).
+    ``jet(t)`` returns (f(t), f'(t), f''(t)) at full precision; ``f``,
+    ``df`` and ``ddf`` are its components.  ``a`` caches f'(0).
     """
 
-    f: Callable
-    df: Callable
-    ddf: Callable
+    jet: Callable
     a: object
     ident: str = ""
 
+    def f(self, t):
+        return self.jet(t)[0]
+
+    def df(self, t):
+        return self.jet(t)[1]
+
+    def ddf(self, t):
+        return self.jet(t)[2]
+
     @classmethod
-    def checked(cls, f, df, ddf, ctx: PrecisionContext, ident: str = "") -> "AnalyticCurve":
-        zero = ctx.mp.zero
-        f0 = f(zero)
-        a = df(zero)
+    def checked(cls, jet, ctx: PrecisionContext, ident: str = "") -> "AnalyticCurve":
+        f0, a, _ = jet(ctx.mp.zero)
         if not (ctx.mp.isfinite(f0) and ctx.mp.isfinite(a)):
             raise ValueError(f"curve must be finite at the origin, f(0)={f0}, f'(0)={a}")
         if abs(f0) > ctx.pow10(-(ctx.decimal_digits - 5)):
             raise ValueError(f"curve must pass through the origin, f(0)={f0}")
         if abs(a) <= ctx.col_tol:
             raise ValueError("curve must not be tangent to the x-axis: f'(0) == 0")
-        return cls(f=f, df=df, ddf=ddf, a=a, ident=ident)
+        return cls(jet=jet, a=a, ident=ident)
 
 
 def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
@@ -89,7 +94,7 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     roots, the one of least squared distance wins; exact ties break toward
     smaller t.
     """
-    f, df, ddf = curve.f, curve.df, curve.ddf
+    jet = curve.jet
     px, pz = p.x, p.z
     res_tol = ctx.pow10(-(ctx.decimal_digits - 15))
     span = 2 * (1 + abs(pz))
@@ -97,15 +102,17 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     width = 2 * span
     escape = abs(px) + span + 10
 
-    roots = []
+    roots = []  # (t, f(t)) at each converged start
     for k in range(33):
         t = lo + width * k / 32
         for _ in range(200):
-            gt = (t - px) + (f(t) - pz) * df(t)
+            ft, dft, ddft = jet(t)
+            dz = ft - pz
+            gt = (t - px) + dz * dft
             if abs(gt) <= res_tol:
-                roots.append(t)
+                roots.append((t, ft))
                 break
-            slope = 1 + df(t) ** 2 + (f(t) - pz) * ddf(t)
+            slope = 1 + dft ** 2 + dz * ddft
             if slope == 0:
                 break
             t = t - gt / slope
@@ -117,18 +124,18 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
         )
 
     roots.sort()
+    merge_tol = ctx.pow10(-(ctx.decimal_digits - 20))
     merged = [roots[0]]
-    for t in roots[1:]:
-        if abs(t - merged[-1]) > ctx.pow10(-(ctx.decimal_digits - 20)) * (1 + abs(t)):
-            merged.append(t)
+    for t, ft in roots[1:]:
+        if abs(t - merged[-1][0]) > merge_tol * (1 + abs(t)):
+            merged.append((t, ft))
 
-    def objective(t):
-        dx = t - px
-        dz = f(t) - pz
-        return dx * dx + dz * dz
+    def objective_then_t(root):
+        dx = root[0] - px
+        dz = root[1] - pz
+        return dx * dx + dz * dz, root[0]
 
-    best = min(merged, key=lambda t: (objective(t), t))
-    return Point2(best, f(best))
+    return Point2(*min(merged, key=objective_then_t))
 
 
 @dataclass(frozen=True)

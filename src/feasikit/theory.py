@@ -39,43 +39,27 @@ CURVE_IDS = ("linear:<a>", "quad", "cubic", "sin-shift")
 
 def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     """Resolve a curve id: ``linear:<a>`` (slope a), ``quad`` (t + t^2),
-    ``cubic`` (2t + t^3) or ``sin-shift`` (sin(t) + t)."""
+    ``cubic`` (2t + t^3) or ``sin-shift`` (sin(t) + t).  Each curve is one
+    jet t -> (f(t), f'(t), f''(t))."""
     if ident.startswith("linear:"):
         a = ctx.mpf(ident.split(":", 1)[1])
         if a == 0:
             raise ValueError("linear curve needs nonzero slope")
-        return AnalyticCurve.checked(
-            f=lambda t: a * t,
-            df=lambda t: a,
-            ddf=lambda t: ctx.mp.zero,
-            ctx=ctx,
-            ident=ident,
-        )
-    if ident == "quad":
-        return AnalyticCurve.checked(
-            f=lambda t: t + t * t,
-            df=lambda t: 1 + 2 * t,
-            ddf=lambda t: ctx.mpf(2),
-            ctx=ctx,
-            ident=ident,
-        )
-    if ident == "cubic":
-        return AnalyticCurve.checked(
-            f=lambda t: 2 * t + t**3,
-            df=lambda t: 2 + 3 * t * t,
-            ddf=lambda t: 6 * t,
-            ctx=ctx,
-            ident=ident,
-        )
-    if ident == "sin-shift":
-        return AnalyticCurve.checked(
-            f=lambda t: ctx.mp.sin(t) + t,
-            df=lambda t: ctx.mp.cos(t) + 1,
-            ddf=lambda t: -ctx.mp.sin(t),
-            ctx=ctx,
-            ident=ident,
-        )
-    raise ValueError(f"unknown curve id: {ident!r}")
+        jet = lambda t: (a * t, a, ctx.mp.zero)
+    elif ident == "quad":
+        two = ctx.mpf(2)
+        jet = lambda t: (t + t * t, 1 + 2 * t, two)
+    elif ident == "cubic":
+        jet = lambda t: (2 * t + t**3, 2 + 3 * t * t, 6 * t)
+    elif ident == "sin-shift":
+
+        def jet(t):
+            c, s = ctx.mp.cos_sin(t)
+            return s + t, c + 1, -s
+
+    else:
+        raise ValueError(f"unknown curve id: {ident!r}")
+    return AnalyticCurve.checked(jet, ctx, ident)
 
 
 @dataclass(frozen=True)

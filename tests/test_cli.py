@@ -1,9 +1,11 @@
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from feasikit.cli import build_problem, main
+from feasikit.cli import _point_from_payload, _point_payload, build_problem, main
+from feasikit.numerics import Point2, PrecisionContext
 from feasikit.sets import ProjectionError
 from feasikit.solvers import StopRule, run
 
@@ -115,6 +117,17 @@ class TestRunCommand:
         assert "auto-fixed-point" in text
 
 
+def point_bits(point):
+    if isinstance(point, Point2):
+        return (point.x._mpf_, point.z._mpf_)
+    return tuple(tuple(v._mpf_ for v in row) for row in point.entries)
+
+
+def decoded_bits(payload):
+    """Worker side of ``test_trial_points_exact``."""
+    return point_bits(_point_from_payload(payload, PrecisionContext()))
+
+
 class TestBenchCommand:
     def test_smoke_profiles(self, tmp_path):
         out = tmp_path / "bench"
@@ -148,6 +161,31 @@ class TestBenchCommand:
         assert main(base + ["--jobs", "1", "--out", str(a)]) == 0
         assert main(base + ["--jobs", "2", "--out", str(b)]) == 0
         assert read(str(a) + "_iters.csv") == read(str(b) + "_iters.csv")
+
+    def test_trial_points_exact(self, ctx):
+        # the serial path decodes payloads in this process, --jobs 2 decodes
+        # pickled copies in worker processes; both must see the sampled bits
+        for pid in ("circle-line", "graph:quad", "psdb-s1"):
+            points = build_problem(pid, ctx, 3).sample(4, 9, ctx)
+            payloads = [_point_payload(p) for p in points]
+            serial = [point_bits(_point_from_payload(pl, ctx)) for pl in payloads]
+            with ProcessPoolExecutor(max_workers=2) as pool:
+                parallel = list(pool.map(decoded_bits, payloads))
+            assert serial == parallel == [point_bits(p) for p in points]
+
+    def test_unconverged_auto_reference_warns(self, capsys):
+        base = ["bench", "--methods", "dr,lt", "--trials", "2", "--max-iter", "40",
+                "--tol", "1e-20", "--jobs", "1"]
+        assert main(base + ["--problem", "psdb-s1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"feasikit: warning: {m}: auto reference not converged in 2 of 2 "
+            "trials (after 80 steps)"
+            for m in ("dr", "lt")
+        ]
+        assert "warning" not in captured.out
+        assert main(base + ["--problem", "psd-s1"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestProbeCommand:

@@ -2,13 +2,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from feasikit.analysis import sample_disk
 from feasikit.numerics import Point2, SymMatrix, dist, norm
 from feasikit.sets import (
     CurveGraph,
     DiagOnes,
     EntryOne,
     HorizontalLine,
+    ProjectionError,
     PsdBoundary,
     PsdCone,
     UnitCircle,
@@ -83,6 +87,114 @@ class TestPlaneProjections:
         ours = float(q.x) ** 2 + (float(curve.f(q.x)) - 1.0) ** 2
         assert ours <= float(np.min(obj)) + 1e-10
 
+
+def separate_curve(ident, ctx):
+    """The catalog curves as the separate f, f', f'' expressions that each
+    curve's jet replaced; the oracle for ``get_curve``."""
+    if ident.startswith("linear:"):
+        a = ctx.mpf(ident.split(":", 1)[1])
+        return (lambda t: a * t, lambda t: a, lambda t: ctx.mp.zero)
+    return {
+        "quad": (lambda t: t + t * t, lambda t: 1 + 2 * t, lambda t: ctx.mpf(2)),
+        "cubic": (lambda t: 2 * t + t**3, lambda t: 2 + 3 * t * t, lambda t: 6 * t),
+        "sin-shift": (
+            lambda t: ctx.mp.sin(t) + t,
+            lambda t: ctx.mp.cos(t) + 1,
+            lambda t: -ctx.mp.sin(t),
+        ),
+    }[ident]
+
+
+def separate_project_graph(p, f, df, ddf, ctx):
+    """The former graph selector, which evaluated f and f' twice and f''
+    once per Newton step and f again at each merged root; the oracle for
+    ``project_graph``."""
+    px, pz = p.x, p.z
+    res_tol = ctx.pow10(-(ctx.decimal_digits - 15))
+    span = 2 * (1 + abs(pz))
+    lo = px - span
+    width = 2 * span
+    escape = abs(px) + span + 10
+
+    roots = []
+    for k in range(33):
+        t = lo + width * k / 32
+        for _ in range(200):
+            gt = (t - px) + (f(t) - pz) * df(t)
+            if abs(gt) <= res_tol:
+                roots.append(t)
+                break
+            slope = 1 + df(t) ** 2 + (f(t) - pz) * ddf(t)
+            if slope == 0:
+                break
+            t = t - gt / slope
+            if abs(t) > escape:
+                break
+    if not roots:
+        raise ProjectionError("Newton failed from every start")
+
+    roots.sort()
+    merged = [roots[0]]
+    for t in roots[1:]:
+        if abs(t - merged[-1]) > ctx.pow10(-(ctx.decimal_digits - 20)) * (1 + abs(t)):
+            merged.append(t)
+
+    def objective(t):
+        dx = t - px
+        dz = f(t) - pz
+        return dx * dx + dz * dz
+
+    best = min(merged, key=lambda t: (objective(t), t))
+    return Point2(best, f(best))
+
+
+def bits(*values):
+    return tuple(v._mpf_ for v in values)
+
+
+def selector_bits(select):
+    try:
+        q = select()
+    except ProjectionError:
+        return "ProjectionError"
+    return bits(q.x, q.z)
+
+
+JET_CURVES = ("quad", "cubic", "sin-shift", "linear:1", "linear:-2", "linear:0.3")
+
+
+class TestGraphJet:
+    def test_jet_matches_separate_expressions(self, ctx):
+        rng = random.Random(7)
+        half_pi = ctx.mp.pi / 2
+        ts = [ctx.mp.zero, ctx.pow10(-130), -ctx.pow10(-130), ctx.pow10(-40)]
+        ts += [ctx.mpf(rng.uniform(-1e-3, 1e-3)) / 3 for _ in range(20)]
+        for k in (1, 3, 5, 7):  # past each odd multiple of pi/2, both signs
+            ts += [sign * (k * half_pi + d) for sign in (1, -1) for d in (ctx.mpf("1e-9"), ctx.mpf(1) / 7)]
+        ts += [ctx.mpf(rng.uniform(-8, 8)) / 7 * 3 for _ in range(60)]
+        for ident in JET_CURVES:
+            jet = get_curve(ident, ctx).jet
+            separate = separate_curve(ident, ctx)
+            for t in ts:
+                assert bits(*jet(t)) == bits(*(g(t) for g in separate)), (ident, t)
+
+    @pytest.mark.parametrize("ident", JET_CURVES)
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        far=st.none() | st.tuples(*[st.floats(-3, 3)] * 2),
+    )
+    def test_project_graph_matches_separate_selector(self, ctx, ident, seed, far):
+        # points in the 0.05 disk the graph problems sample from, or anywhere
+        # with |x|, |z| <= 3 (scaled by 1 - 1/q for full-length mantissas)
+        if far is None:
+            p = sample_disk(Point2.of(ctx, 0, 0), "0.05", 1, seed, ctx).points[0]
+        else:
+            shrink = 1 - ctx.mpf(1) / 999983
+            p = Point2(ctx.mpf(far[0]) * shrink, ctx.mpf(far[1]) * shrink)
+        curve = get_curve(ident, ctx)
+        old = selector_bits(lambda: separate_project_graph(p, *separate_curve(ident, ctx), ctx))
+        assert selector_bits(lambda: project_graph(p, curve, ctx)) == old
 
 class TestReflection:
     def test_mirror(self, ctx):

@@ -100,7 +100,7 @@ class TestClosedForms:
         from feasikit.sets import AnalyticCurve
 
         curve = AnalyticCurve.checked(
-            f=lambda t: 2 * t + t * t, df=lambda t: 2 + 2 * t, ddf=lambda t: ctx.mpf(2), ctx=ctx
+            lambda t: (2 * t + t * t, 2 + 2 * t, ctx.mpf(2)), ctx=ctx
         )
         got = lyapunov_grad(Point2.of(ctx, "0.1", "0.3"), curve)
         assert abs(got.x - ctx.mpf("0.21") / ctx.mpf("2.2")) <= ctx.pow10(-110)
@@ -271,9 +271,7 @@ class TestProbes:
         from feasikit.sets import AnalyticCurve
 
         curve = AnalyticCurve.checked(
-            f=lambda t: 3 * t + t * t,
-            df=lambda t: 3 + 2 * t,
-            ddf=lambda t: ctx.mpf(2),
+            lambda t: (3 * t + t * t, 3 + 2 * t, ctx.mpf(2)),
             ctx=ctx,
             ident="slope3",
         )
