@@ -9,8 +9,9 @@ Writes trace_<method>.csv, profiles_iters.csv and profiles_time.csv into
 
 import argparse
 import pathlib
+import sys
 
-from feasikit.cli import RunConfig, cmd_bench, cmd_run
+from feasikit import cli
 
 
 def main():
@@ -24,30 +25,25 @@ def main():
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    common = ["--problem", "circle-line", "--precision", str(args.precision),
+              "--seed", str(args.seed)]
 
     for method in ("dr", "lt"):
-        cmd_run(RunConfig(
-            problem="circle-line",
-            method=method,
-            precision=args.precision,
-            seed=args.seed,
-            out=str(outdir / f"trace_{method}.csv"),
-        ))
-        print(f"wrote {outdir / f'trace_{method}.csv'}")
+        path = outdir / f"trace_{method}.csv"
+        # exit 1 (unsolved) is expected: DR is linear and stops at max_iter
+        code = cli.main(["run", "--method", method, "--out", str(path)] + common)
+        if code > cli.EXIT_FAILED:
+            return code
+        print(f"wrote {path}")
 
     # iteration-count and CPU-time profiles; DR needs a reachable tolerance
-    cmd_bench(RunConfig(
-        problem="circle-line",
-        methods=("dr", "lt"),
-        precision=args.precision,
-        tol="1e-30",
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-        out=str(outdir / "profiles"),
-    ))
-    print(f"wrote {outdir / 'profiles_iters.csv'} and {outdir / 'profiles_time.csv'}")
+    code = cli.main(["bench", "--methods", "dr,lt", "--tol", "1e-30",
+                     "--trials", str(args.trials), "--jobs", str(args.jobs),
+                     "--out", str(outdir / "profiles")] + common)
+    if code == 0:
+        print(f"wrote {outdir / 'profiles_iters.csv'} and {outdir / 'profiles_time.csv'}")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,10 +7,9 @@ import argparse
 import pathlib
 import sys
 
-from feasikit.cli import cmd_probe
+from feasikit import cli
 
 CURVES = ("quad", "cubic", "sin-shift", "linear:2")
-PROBES = ("zeta", "denominator", "one-minus-h", "ratio")
 
 
 def main():
@@ -25,10 +24,10 @@ def main():
 
     worst = 0
     for curve in args.curves.split(","):
-        for probe in PROBES:
+        for probe in cli.PROBES:
             name = f"{probe}_{curve.replace(':', '-')}.csv"
-            code = cmd_probe(probe, curve, precision=args.precision,
-                             out=str(outdir / name))
+            code = cli.main(["probe", probe, curve, "--precision", str(args.precision),
+                             "--out", str(outdir / name)])
             print(f"{probe:12s} {curve:10s} -> {'pass' if code == 0 else 'FAIL'}")
             worst = max(worst, code)
     return worst

@@ -1,7 +1,7 @@
 """Feasibility sets with projection selectors and reflections.
 
-Plane sets: the x-axis, horizontal lines, the unit circle and graphs of
-analytic curves.  Matrix sets: the PSD cone, its boundary, and the affine
+Plane sets: horizontal lines (the x-axis is the line at height 0), the
+unit circle and graphs of analytic curves.  Matrix sets: the PSD cone, its boundary, and the affine
 sets fixing the diagonal (all ones) or the (1,1) entry.  Projections are
 single-valued selectors, so ``project(project(p)) == project(p)``;
 reflections are ``R = 2 P - I``.
@@ -28,8 +28,6 @@ class ProjectionError(FeasikitError):
 
 class FeasibilitySet(ABC):
     """Abstract capability: project a point onto the set."""
-
-    ident: str = ""
 
     @abstractmethod
     def project(self, p, ctx: PrecisionContext):
@@ -142,27 +140,11 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
 class HorizontalLine(FeasibilitySet):
     height: object
 
-    @property
-    def ident(self) -> str:
-        return f"hline:{self.height}"
-
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
         return Point2(p.x, self.height)
 
 
-class XAxis(HorizontalLine):
-    ident = "xaxis"
-
-    def __init__(self):
-        super().__init__(height=0)
-
-    def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
-        return Point2(p.x, ctx.mp.zero)
-
-
 class UnitCircle(FeasibilitySet):
-    ident = "circle"
-
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
         return project_circle(p, ctx)
 
@@ -170,10 +152,6 @@ class UnitCircle(FeasibilitySet):
 @dataclass(frozen=True)
 class CurveGraph(FeasibilitySet):
     curve: AnalyticCurve
-
-    @property
-    def ident(self) -> str:
-        return f"graph:{self.curve.ident}"
 
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
         return project_graph(p, self.curve, ctx)
@@ -243,55 +221,21 @@ def project_entry11(x, ctx: PrecisionContext) -> SymMatrix:
 
 
 class PsdCone(FeasibilitySet):
-    ident = "psd"
-
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
         return project_psd(x, ctx)
 
 
 class PsdBoundary(FeasibilitySet):
-    ident = "psd-boundary"
-
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
         return project_psd_boundary(x, ctx)
 
 
 class DiagOnes(FeasibilitySet):
-    ident = "diag-ones"
-
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
         return project_diag_ones(x, ctx)
 
 
 class EntryOne(FeasibilitySet):
-    ident = "entry11"
-
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
         return project_entry11(x, ctx)
 
-
-def set_from_id(ident: str, ctx: PrecisionContext, curve_lookup=None) -> FeasibilitySet:
-    """Resolve a set identifier (as used by the CLI) to a set instance.
-
-    ``curve_lookup`` maps a curve id to an :class:`AnalyticCurve`; it is only
-    needed for ``graph:<curve-id>``.
-    """
-    if ident == "xaxis":
-        return XAxis()
-    if ident.startswith("hline:"):
-        return HorizontalLine(height=ctx.mpf(ident.split(":", 1)[1]))
-    if ident == "circle":
-        return UnitCircle()
-    if ident.startswith("graph:"):
-        if curve_lookup is None:
-            raise ValueError("graph sets need a curve_lookup")
-        return CurveGraph(curve=curve_lookup(ident.split(":", 1)[1]))
-    if ident == "psd":
-        return PsdCone()
-    if ident == "psd-boundary":
-        return PsdBoundary()
-    if ident == "diag-ones":
-        return DiagOnes()
-    if ident == "entry11":
-        return EntryOne()
-    raise ValueError(f"unknown set id: {ident!r}")

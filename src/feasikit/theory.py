@@ -18,7 +18,7 @@ from feasikit.numerics import (
     PrecisionContext,
     solve2x2,
 )
-from feasikit.sets import AnalyticCurve
+from feasikit.sets import AnalyticCurve, CurveGraph, HorizontalLine
 from feasikit.solvers import DrOperator, dr_step
 
 
@@ -33,8 +33,6 @@ class DegenerateDenominatorError(FeasikitError):
 
 # ---------------------------------------------------------------------------
 # reference curves
-
-CURVE_IDS = ("linear:<a>", "quad", "cubic", "sin-shift")
 
 
 def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
@@ -60,6 +58,11 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     else:
         raise ValueError(f"unknown curve id: {ident!r}")
     return AnalyticCurve.checked(jet, ctx, ident)
+
+
+def graph_operator(curve: AnalyticCurve, ctx: PrecisionContext) -> DrOperator:
+    """The DR operator of the x-axis (reflected first) and the curve's graph."""
+    return DrOperator(first=HorizontalLine(ctx.mp.zero), second=CurveGraph(curve))
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,8 @@ class ProbeGrid:
             raise ValueError("radii must be positive")
         if any(b >= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly decreasing")
+        if not self.angles:
+            raise ValueError("the probe grid needs at least one angle")
 
     @classmethod
     def default(
@@ -282,7 +287,7 @@ class RatioRow:
 class RatioReport:
     """Grid evaluation of ||T^2 y||^2 / ||L_T y||_1.
 
-    ``m_est`` is the running minimum over finite ratios; the verdict holds
+    ``m_est`` is the running minimum over finite ratios; ``passed`` holds
     when it is positive and the smallest-radius minimum has not collapsed
     below half the largest-radius minimum.  Points where the LT update is
     zero to working precision (exact one-step solves) are unbounded-good
@@ -293,7 +298,7 @@ class RatioReport:
     rows: tuple
     excluded: tuple
     m_est: object
-    verdict: bool
+    passed: bool
     probe: str = "ratio"
 
     def to_csv(self, ctx: PrecisionContext) -> str:
@@ -302,7 +307,7 @@ class RatioReport:
             [
                 ("probe", self.probe),
                 ("curve", self.curve),
-                ("verdict", "pass" if self.verdict else "fail"),
+                ("verdict", "pass" if self.passed else "fail"),
                 ("m_est", ctx.to_str(self.m_est)),
             ],
             self.excluded,
@@ -444,11 +449,10 @@ def probe_one_minus_h(
     return _banded_probe("one-minus-h", curve, grid, ctx, [(evaluate, target)])
 
 
-def probe_ratio(
-    grid: ProbeGrid, t: DrOperator, curve: AnalyticCurve, ctx: PrecisionContext
-) -> RatioReport:
+def probe_ratio(grid: ProbeGrid, curve: AnalyticCurve, ctx: PrecisionContext) -> RatioReport:
     """Evaluate ||T^2 y||^2 / (|L_T y|_1) for y on the grid, using the
     closed-form LT coordinates, and estimate the lower bound M."""
+    t = graph_operator(curve, ctx)
     rows = []
     excluded = []
     finite = []
@@ -480,7 +484,7 @@ def probe_ratio(
             rows=tuple(rows),
             excluded=tuple(excluded),
             m_est=ctx.mp.inf,
-            verdict=True,
+            passed=True,
         )
     m_est = min(finite)
     order = sorted(minima)
@@ -494,5 +498,5 @@ def probe_ratio(
         rows=tuple(rows),
         excluded=tuple(excluded),
         m_est=m_est,
-        verdict=bool(m_est > 0 and no_trend_to_zero),
+        passed=bool(m_est > 0 and no_trend_to_zero),
     )

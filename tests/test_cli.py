@@ -1,4 +1,4 @@
-import os
+import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -154,6 +154,42 @@ class TestBenchCommand:
         assert code == 2
         assert "at least two methods" in capsys.readouterr().err
 
+    def test_duplicate_methods_rejected_before_sampling(self, monkeypatch, capsys):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the method checks")
+
+        monkeypatch.setattr("feasikit.analysis.sample_disk", no_sampling)
+        assert main(["bench", "--problem", "circle-line", "--methods", "dr,lt,dr",
+                     "--trials", "4", "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "feasikit: duplicate method in --methods: dr,lt,dr\n"
+
+    def test_workers_capped_at_cells(self, monkeypatch, capsys):
+        class Recorder:
+            """Stands in for the pool: records its size, maps in-process."""
+
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr("feasikit.cli.ProcessPoolExecutor", Recorder)
+        base = ["bench", "--problem", "circle-line", "--methods", "dr,lt",
+                "--trials", "2", "--tol", "1e-20"]
+        assert main(base + ["--jobs", "64"]) == 0
+        assert main(base + ["--jobs", "3"]) == 0
+        assert main(base + ["--jobs", "1"]) == 0
+        assert Recorder.sizes == [4, 3]  # 2 methods x 2 trials; --jobs 1 is serial
+
     def test_parallel_matches_serial(self, tmp_path):
         base = ["bench", "--problem", "circle-line", "--methods", "dr,lt",
                 "--trials", "4", "--tol", "1e-20", "--seed", "9"]
@@ -217,6 +253,13 @@ class TestProbeCommand:
         targets = {float(r[3]) for r in rows}
         assert targets == {1.0}  # a and a^3 coincide for the quad curve
 
+    @pytest.mark.parametrize("probe", ["zeta", "ratio"])
+    def test_empty_grid_rejected(self, probe, capsys):
+        assert main(["probe", probe, "quad", "--n-angles", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "feasikit: the probe grid needs at least one angle\n"
+        assert captured.out == ""
+
     def test_unknown_curve(self, capsys):
         assert main(["probe", "zeta", "nonagon"]) == 2
         assert "unknown curve" in capsys.readouterr().err
@@ -240,3 +283,27 @@ class TestCatalog:
                             ctx, affine=problem.affine)
                 assert trace.iterations >= 0
         assert time.perf_counter() - start < 60
+
+
+class TestGoldenOutput:
+    """sha256 of stdout, recorded before the catalog, the set ids and the
+    probe dispatch were consolidated; any change to a reported byte fails."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["run", "--problem", "circle-line", "--method", "lt", "--seed", "4",
+          "--max-iter", "10", "--precision", "120", "--no-times"],
+         "1655ca5dbe94f1a3c6d9c6b6fd9e34630c39fe898798e98f406bb2c7fa5ff56d"),
+        (["run", "--problem", "graph:quad", "--method", "plt", "--seed", "4",
+          "--max-iter", "4", "--precision", "120", "--no-times"],
+         "c3e87384db0dbb612d35d80804fe564a513f8271da3f98e01364f5f60e57c13b"),
+        (["run", "--problem", "psd-s1", "--method", "dr", "--seed", "4",
+          "--max-iter", "10", "--precision", "120", "--no-times"],
+         "481844a86313233182d7ce2e4046b629f11b892ef6f80bfd7920751abefaf46f"),
+        (["probe", "ratio", "quad", "--n-radii", "3", "--n-angles", "4",
+          "--precision", "120"],
+         "eecdbc4b610747d7dd54373169e6b4ba07eb740b94d69b52f16994f25f4dd574"),
+    ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad"])
+    def test_stdout_digest(self, argv, digest, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -16,14 +16,12 @@ from feasikit.sets import (
     PsdBoundary,
     PsdCone,
     UnitCircle,
-    XAxis,
     project_circle,
     project_diag_ones,
     project_entry11,
     project_graph,
     project_psd,
     project_psd_boundary,
-    set_from_id,
 )
 from feasikit.theory import get_curve
 
@@ -198,7 +196,8 @@ class TestGraphJet:
 
 class TestReflection:
     def test_mirror(self, ctx):
-        assert XAxis().reflect(Point2.of(ctx, 1, 3), ctx) == Point2.of(ctx, 1, -3)
+        axis = HorizontalLine(ctx.mp.zero)
+        assert axis.reflect(Point2.of(ctx, 1, 3), ctx) == Point2.of(ctx, 1, -3)
 
     def test_fixed_on_set(self, ctx):
         line = HorizontalLine(height=ctx.mpf("0.5"))
@@ -284,7 +283,7 @@ class TestIdempotenceAndNonexpansiveness:
 
     def make_sets(self, ctx):
         return [
-            (XAxis(), "plane"),
+            (HorizontalLine(ctx.mp.zero), "plane"),
             (HorizontalLine(height=ctx.mpf("0.5")), "plane"),
             (UnitCircle(), "plane"),
             (CurveGraph(get_curve("quad", ctx)), "plane"),
@@ -370,15 +369,3 @@ class TestOptimalityOracle:
                 candidate = self.np_member(target, ours + scale * d)
                 assert np.linalg.norm(candidate - x_np) >= base_dist - 1e-9
 
-
-class TestSetIds:
-    def test_round_trip(self, ctx):
-        lookup = lambda cid: get_curve(cid, ctx)
-        for ident in ("xaxis", "hline:0.5", "circle", "graph:quad", "psd",
-                      "psd-boundary", "diag-ones", "entry11"):
-            s = set_from_id(ident, ctx, curve_lookup=lookup)
-            assert s.ident == ident
-
-    def test_unknown(self, ctx):
-        with pytest.raises(ValueError):
-            set_from_id("torus", ctx)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from feasikit.cli import build_problem
 from feasikit.numerics import Point2, dist, inner, norm, solve2x2
-from feasikit.sets import CurveGraph, DiagOnes, HorizontalLine, PsdCone, UnitCircle, XAxis
+from feasikit.sets import CurveGraph, DiagOnes, HorizontalLine, PsdCone, UnitCircle
 from feasikit.solvers import (
     DrOperator,
     StopRule,
@@ -17,14 +17,14 @@ from feasikit.solvers import (
     run,
     trace_to_csv,
 )
-from feasikit.theory import get_curve
+from feasikit.theory import get_curve, graph_operator
 
 from test_numerics import sym_random
 
 
 @pytest.fixture(scope="module")
 def two_lines(ctx):
-    return DrOperator(first=XAxis(), second=CurveGraph(get_curve("linear:1", ctx)))
+    return graph_operator(get_curve("linear:1", ctx), ctx)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,8 @@ class TestLtStep:
         assert norm(rec.result, ctx) <= ctx.pow10(-100)
 
     def test_collinear_fallback_identity_operator(self, ctx):
-        t = DrOperator(first=XAxis(), second=XAxis())
+        axis = HorizontalLine(ctx.mp.zero)
+        t = DrOperator(first=axis, second=axis)
         p = Point2.of(ctx, "1.3", "-0.2")
         rec = lt_step(t, p, ctx)
         assert rec.collinear
@@ -70,7 +71,7 @@ class TestLtStep:
 
     def test_one_step_on_any_slope(self, ctx):
         for a in ("0.5", "-3", "7"):
-            t = DrOperator(first=XAxis(), second=CurveGraph(get_curve(f"linear:{a}", ctx)))
+            t = graph_operator(get_curve(f"linear:{a}", ctx), ctx)
             rec = lt_step(t, Point2.of(ctx, "0.8", "0.6"), ctx)
             assert norm(rec.result, ctx) <= ctx.pow10(-(ctx.decimal_digits - 20))
 
@@ -152,7 +153,7 @@ class TestPltStep:
 
     def test_plane_composition(self, ctx, two_lines):
         p = Point2.of(ctx, 1, "0.7")
-        got = plt_step(two_lines, XAxis(), p, ctx)
+        got = plt_step(two_lines, HorizontalLine(ctx.mp.zero), p, ctx)
         assert norm(got, ctx) <= ctx.pow10(-100)
 
 

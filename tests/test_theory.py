@@ -4,8 +4,7 @@ import pytest
 
 from feasikit import theory
 from feasikit.numerics import Point2, SingularMatrixError, dist, inner, norm
-from feasikit.sets import CurveGraph, XAxis
-from feasikit.solvers import DrOperator, dr_step, lt_step
+from feasikit.solvers import dr_step, lt_step
 from feasikit.theory import (
     CurveTaylor,
     DegenerateDenominatorError,
@@ -13,6 +12,7 @@ from feasikit.theory import (
     ZeroDerivativeError,
     gamma_system,
     get_curve,
+    graph_operator,
     h_coeff,
     linear_rate,
     lt_closed_form,
@@ -25,10 +25,6 @@ from feasikit.theory import (
     t_inverse,
     zeta_terms,
 )
-
-
-def graph_operator(ctx, curve):
-    return DrOperator(first=XAxis(), second=CurveGraph(curve))
 
 
 class TestCurves:
@@ -81,7 +77,7 @@ class TestClosedForms:
         # two-sided: T(T^-1 w) = w and T^-1(T y) = y near the origin
         for ident in ("quad", "cubic"):
             curve = get_curve(ident, ctx)
-            t = graph_operator(ctx, curve)
+            t = graph_operator(curve, ctx)
             rng = random.Random(61)
             for _ in range(10):
                 w = Point2.of(ctx, rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
@@ -112,7 +108,7 @@ class TestClosedForms:
     def test_lyapunov_descent_along_dr_iterates(self, ctx):
         for ident in ("quad", "cubic"):
             curve = get_curve(ident, ctx)
-            t = graph_operator(ctx, curve)
+            t = graph_operator(curve, ctx)
             w = Point2.of(ctx, "0.01", "0.005")
             for _ in range(10):
                 step = dr_step(t, w, ctx)
@@ -187,13 +183,13 @@ class TestClosedForms:
 class TestLtClosedForm:
     def test_linear_kills_both_coordinates(self, ctx):
         curve = get_curve("linear:2", ctx)
-        t = graph_operator(ctx, curve)
+        t = graph_operator(curve, ctx)
         got = lt_closed_form(Point2.of(ctx, "0.3", "-0.1"), t, curve, ctx)
         assert norm(got, ctx) <= ctx.pow10(-100)
 
     def test_fixed_point(self, ctx):
         curve = get_curve("quad", ctx)
-        t = graph_operator(ctx, curve)
+        t = graph_operator(curve, ctx)
         origin = Point2.of(ctx, 0, 0)
         assert lt_closed_form(origin, t, curve, ctx) == origin
 
@@ -202,7 +198,7 @@ class TestLtClosedForm:
         bound = ctx.pow10(-(ctx.decimal_digits - 25))
         for ident in ("quad", "cubic"):
             curve = get_curve(ident, ctx)
-            t = graph_operator(ctx, curve)
+            t = graph_operator(curve, ctx)
             for _ in range(10):
                 y = Point2.of(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.02, 0.02))
                 geometric = lt_step(t, y, ctx).result
@@ -318,15 +314,15 @@ class TestProbes:
     def test_ratio_probe_quad(self, ctx):
         curve = get_curve("quad", ctx)
         grid = ProbeGrid.default(ctx, n_radii=5, n_angles=6, log10_r_max=-2, log10_r_min=-8)
-        report = probe_ratio(grid, graph_operator(ctx, curve), curve, ctx)
-        assert report.verdict
+        report = probe_ratio(grid, curve, ctx)
+        assert report.passed
         assert report.m_est > 0
 
     def test_ratio_probe_linear_unbounded_good(self, ctx):
         curve = get_curve("linear:1", ctx)
         grid = ProbeGrid.default(ctx, n_radii=4, n_angles=4, log10_r_max=-2, log10_r_min=-6)
-        report = probe_ratio(grid, graph_operator(ctx, curve), curve, ctx)
-        assert report.verdict
+        report = probe_ratio(grid, curve, ctx)
+        assert report.passed
         assert all(row.unbounded for row in report.rows)
         assert report.m_est == ctx.mp.inf
 
@@ -334,7 +330,7 @@ class TestProbes:
         # hand-assembled ratio from the polar LT coordinate expressions
         curve = get_curve("quad", ctx)
         taylor = CurveTaylor.of(curve, ctx)
-        t = graph_operator(ctx, curve)
+        t = graph_operator(curve, ctx)
         y = Point2.of(ctx, "0.001", "0.0004")
         w = dr_step(t, dr_step(t, y, ctx), ctx)
         r_w, theta_w = w.polar(ctx)
