@@ -10,6 +10,7 @@ output).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -265,7 +266,11 @@ def _default_precision() -> int:
         raise ValueError(f"{DEFAULT_PRECISION_ENV} must be an integer, got {raw!r}") from None
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  ``--precision``
+    defaults to None, which ``main`` resolves from the environment on
+    every call."""
     parser = argparse.ArgumentParser(
         prog="feasikit",
         description="Projection-method feasibility experiments and probes",
@@ -273,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--precision", type=int, default=_default_precision(),
+        p.add_argument("--precision", type=int, default=None,
                        help="working decimal digits (env FEASIKIT_PRECISION)")
         p.add_argument("--tol", default=None,
                        help="stop tolerance (default 10^-(precision-20))")
@@ -307,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probe_p.add_argument("--n-angles", type=int, default=16)
     probe_p.add_argument("--log10-r-max", type=int, default=-1)
     probe_p.add_argument("--log10-r-min", type=int, default=-10)
-    probe_p.add_argument("--precision", type=int, default=_default_precision())
+    probe_p.add_argument("--precision", type=int, default=None)
     probe_p.add_argument("--out", default=None)
     probe_p.set_defaults(handler=cmd_probe)
     return parser
@@ -316,6 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.precision is None:
+            args.precision = _default_precision()
         return args.handler(args)
     except ValueError as exc:
         print(f"feasikit: {exc}", file=sys.stderr)

@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+    mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
+)
 
 
 class FeasikitError(Exception):
@@ -199,14 +203,26 @@ class Spectrum:
         return len(self.eigenvalues)
 
     def reconstruct(self) -> SymMatrix:
-        """Q diag(lambda) Q^T, computed on the upper triangle and mirrored."""
+        """Q diag(lambda) Q^T, computed on the upper triangle and mirrored.
+
+        Runs on raw ``mpf._mpf_`` tuples at the precision of the basis
+        entries' context, one ``libmp`` call per ``mpf`` operation of
+        ``sum(q[i][k] * lam[k] * q[j][k] for k)``, so the entries are bit
+        for bit those of that expression.
+        """
         n = self.n
+        if not n:
+            return SymMatrix(())
+        mp = self.basis[0][0].context
+        prec, rnd = mp.prec, round_nearest
+        lam = [x._mpf_ for x in self.eigenvalues]
+        q = [[x._mpf_ for x in row] for row in self.basis]
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
+            scaled = [mpf_mul(q[i][k], lam[k], prec, rnd) for k in range(n)]
             for j in range(i, n):
-                acc = sum(
-                    self.basis[i][k] * self.eigenvalues[k] * self.basis[j][k]
-                    for k in range(n)
+                acc = mp.make_mpf(
+                    _raw_sum((mpf_mul(scaled[k], q[j][k], prec, rnd) for k in range(n)), prec)
                 )
                 rows[i][j] = acc
                 rows[j][i] = acc
@@ -233,8 +249,31 @@ def dist(a, b, ctx: PrecisionContext):
     return norm(a - b, ctx)
 
 
-def _sign(x) -> int:
-    return -1 if x < 0 else 1
+def _raw_sum(terms, prec, rnd=round_nearest):
+    """``sum(terms)`` on raw mpf tuples: from zero, left to right."""
+    acc = fzero
+    for term in terms:
+        acc = mpf_add(acc, term, prec, rnd)
+    return acc
+
+
+def _off_diagonal_sq(a, n, prec, rnd=round_nearest):
+    """``2 * sum(a[p][q] * a[p][q] for p < q)``, raw."""
+    squares = (mpf_mul(a[p][q], a[p][q], prec, rnd) for p in range(n) for q in range(p + 1, n))
+    return mpf_mul_int(_raw_sum(squares, prec), 2, prec, rnd)
+
+
+def _sqrt_one_plus_sq(x, prec, rnd=round_nearest):
+    """``sqrt(1 + x * x)``, raw."""
+    return mpf_sqrt(mpf_add(mpf_mul(x, x, prec, rnd), fone, prec, rnd), prec, rnd)
+
+
+def _rotate(c, s, x, y, prec, rnd=round_nearest):
+    """``(c * x - s * y, s * x + c * y)``, raw."""
+    return (
+        mpf_sub(mpf_mul(c, x, prec, rnd), mpf_mul(s, y, prec, rnd), prec, rnd),
+        mpf_add(mpf_mul(s, x, prec, rnd), mpf_mul(c, y, prec, rnd), prec, rnd),
+    )
 
 
 def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
@@ -245,52 +284,63 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     by making each column's first largest-magnitude component positive.
     Raises :class:`NonConvergenceError` if the sweep budget (30*n^2) is
     exhausted, which for well-posed symmetric input does not happen.
+
+    The sweeps run on raw ``mpf._mpf_`` tuples through ``mpmath.libmp`` at
+    the context's precision, rounding to nearest; each call is the one the
+    ``mpf`` operators would make, so the result is bit for bit that of the
+    same algorithm written with ``mpf`` objects (pinned by a differential
+    test against that version).
     """
     n = X.n
-    one, zero = ctx.mp.one, ctx.mp.zero
-    a = [list(row) for row in X.entries]
-    v = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    prec, rnd = ctx.mp.prec, round_nearest
+    a = [[x._mpf_ for x in row] for row in X.entries]
+    v = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
 
-    norm_x = ctx.mp.sqrt(sum(x * x for row in X.entries for x in row))
-    if n == 1 or norm_x == 0:
-        return _sorted_spectrum([a[i][i] for i in range(n)], v, n)
+    norm_x = mpf_sqrt(
+        _raw_sum((mpf_mul(x, x, prec, rnd) for row in a for x in row), prec), prec, rnd
+    )
+    if n == 1 or norm_x == fzero:
+        return _wrapped_spectrum(a, v, n, ctx)
 
     # stop when the off-diagonal Frobenius mass is negligible relative to X
-    off_goal_sq = (ctx.eig_tol * norm_x) ** 2
+    off_goal_sq = mpf_pow_int(mpf_mul(ctx.eig_tol._mpf_, norm_x, prec, rnd), 2, prec, rnd)
     max_sweeps = 30 * n * n
     for _ in range(max_sweeps):
-        off_sq = 2 * sum(
-            a[p][q] * a[p][q] for p in range(n) for q in range(p + 1, n)
-        )
-        if off_sq <= off_goal_sq:
-            return _sorted_spectrum([a[i][i] for i in range(n)], v, n)
+        if mpf_le(_off_diagonal_sq(a, n, prec), off_goal_sq):
+            return _wrapped_spectrum(a, v, n, ctx)
         for p in range(n):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                if apq == 0:
+                if apq == fzero:
                     continue
-                tau = (a[q][q] - a[p][p]) / (2 * apq)
-                t = _sign(tau) / (abs(tau) + ctx.mp.sqrt(1 + tau * tau))
-                c = 1 / ctx.mp.sqrt(1 + t * t)
-                s = t * c
-                a[p][p] = a[p][p] - t * apq
-                a[q][q] = a[q][q] + t * apq
-                a[p][q] = a[q][p] = zero
+                diff = mpf_sub(a[q][q], a[p][p], prec, rnd)
+                tau = mpf_div(diff, mpf_mul_int(apq, 2, prec, rnd), prec, rnd)
+                sign = -1 if mpf_lt(tau, fzero) else 1
+                denom = mpf_add(mpf_abs(tau, prec, rnd), _sqrt_one_plus_sq(tau, prec), prec, rnd)
+                t = mpf_rdiv_int(sign, denom, prec, rnd)
+                c = mpf_rdiv_int(1, _sqrt_one_plus_sq(t, prec), prec, rnd)
+                s = mpf_mul(t, c, prec, rnd)
+                t_apq = mpf_mul(t, apq, prec, rnd)
+                a[p][p] = mpf_sub(a[p][p], t_apq, prec, rnd)
+                a[q][q] = mpf_add(a[q][q], t_apq, prec, rnd)
+                a[p][q] = a[q][p] = fzero
                 for i in range(n):
                     if i == p or i == q:
                         continue
-                    aip, aiq = a[i][p], a[i][q]
-                    a[i][p] = a[p][i] = c * aip - s * aiq
-                    a[i][q] = a[q][i] = s * aip + c * aiq
-                for i in range(n):
-                    vip, viq = v[i][p], v[i][q]
-                    v[i][p] = c * vip - s * viq
-                    v[i][q] = s * vip + c * viq
-    off = ctx.mp.sqrt(
-        2 * sum(a[p][q] * a[p][q] for p in range(n) for q in range(p + 1, n))
-    )
+                    a[i][p], a[i][q] = _rotate(c, s, a[i][p], a[i][q], prec)
+                    a[p][i], a[q][i] = a[i][p], a[i][q]
+                for row in v:
+                    row[p], row[q] = _rotate(c, s, row[p], row[q], prec)
+    off = ctx.mp.make_mpf(mpf_sqrt(_off_diagonal_sq(a, n, prec), prec, rnd))
     raise NonConvergenceError(
         f"Jacobi sweeps exhausted ({max_sweeps}) with off-diagonal residual {off}"
+    )
+
+
+def _wrapped_spectrum(a, v, n, ctx: PrecisionContext) -> Spectrum:
+    make = ctx.mp.make_mpf
+    return _sorted_spectrum(
+        [make(a[i][i]) for i in range(n)], [[make(x) for x in row] for row in v], n
     )
 
 

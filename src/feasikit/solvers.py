@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from mpmath.libmp import fhalf
+
 from feasikit.numerics import (
     PrecisionContext,
     SingularMatrixError,
@@ -62,7 +64,8 @@ class DrOperator:
 
 def dr_step(t: DrOperator, p, ctx: PrecisionContext):
     reflected = t.second.reflect(t.first.reflect(p, ctx), ctx)
-    return (p + reflected) * ctx.mpf("0.5")
+    # halving is exact, so the unparsed raw 1/2 gives the same bits
+    return (p + reflected) * ctx.mp.make_mpf(fhalf)
 
 
 @dataclass(frozen=True)

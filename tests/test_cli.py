@@ -74,6 +74,19 @@ class TestRunCommand:
         assert "FEASIKIT_PRECISION must be an integer" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_precision_env_read_on_each_call(self, tmp_path, monkeypatch):
+        # the parser is built once per process; the env is read per call,
+        # and only when --precision is not given
+        out = tmp_path / "trace.csv"
+        args = ["run", "--problem", "graph:linear:1", "--method", "lt", "--out", str(out)]
+        for digits in ("60", "50"):
+            monkeypatch.setenv("FEASIKIT_PRECISION", digits)
+            assert main(args) == 0
+            assert f"# precision: {digits}\n" in read(out)
+        monkeypatch.setenv("FEASIKIT_PRECISION", "abc")
+        assert main(args + ["--precision", "40"]) == 0
+        assert "# precision: 40\n" in read(out)
+
     def test_non_finite_curve_rejected(self, capsys):
         for pid in ("graph:linear:inf", "graph:linear:nan"):
             assert main(["run", "--problem", pid, "--method", "lt"]) == 2

@@ -1,13 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from feasikit.numerics import (
+    NonConvergenceError,
     Point2,
     PrecisionContext,
     SingularMatrixError,
+    Spectrum,
     SymMatrix,
+    _sorted_spectrum,
     eig_sym,
     inner,
     norm,
@@ -142,6 +145,125 @@ class TestEig:
         s2 = eig_sym(x, ctx)
         assert s1.eigenvalues == s2.eigenvalues
         assert s1.basis == s2.basis
+
+
+def mpf_eig_sym(X, ctx):
+    """The Jacobi kernel written with ``mpf`` objects and operators; the
+    oracle for the raw-tuple ``eig_sym``."""
+    n = X.n
+    one, zero = ctx.mp.one, ctx.mp.zero
+    a = [list(row) for row in X.entries]
+    v = [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+    norm_x = ctx.mp.sqrt(sum(x * x for row in X.entries for x in row))
+    if n == 1 or norm_x == 0:
+        return _sorted_spectrum([a[i][i] for i in range(n)], v, n)
+
+    off_goal_sq = (ctx.eig_tol * norm_x) ** 2
+    max_sweeps = 30 * n * n
+    for _ in range(max_sweeps):
+        off_sq = 2 * sum(
+            a[p][q] * a[p][q] for p in range(n) for q in range(p + 1, n)
+        )
+        if off_sq <= off_goal_sq:
+            return _sorted_spectrum([a[i][i] for i in range(n)], v, n)
+        for p in range(n):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0:
+                    continue
+                tau = (a[q][q] - a[p][p]) / (2 * apq)
+                sign = -1 if tau < 0 else 1
+                t = sign / (abs(tau) + ctx.mp.sqrt(1 + tau * tau))
+                c = 1 / ctx.mp.sqrt(1 + t * t)
+                s = t * c
+                a[p][p] = a[p][p] - t * apq
+                a[q][q] = a[q][q] + t * apq
+                a[p][q] = a[q][p] = zero
+                for i in range(n):
+                    if i == p or i == q:
+                        continue
+                    aip, aiq = a[i][p], a[i][q]
+                    a[i][p] = a[p][i] = c * aip - s * aiq
+                    a[i][q] = a[q][i] = s * aip + c * aiq
+                for i in range(n):
+                    vip, viq = v[i][p], v[i][q]
+                    v[i][p] = c * vip - s * viq
+                    v[i][q] = s * vip + c * viq
+    raise NonConvergenceError("Jacobi sweeps exhausted")
+
+
+def mpf_reconstruct(spectrum):
+    """``Spectrum.reconstruct`` written with ``mpf`` operators; its oracle."""
+    n = spectrum.n
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = sum(
+                spectrum.basis[i][k] * spectrum.eigenvalues[k] * spectrum.basis[j][k]
+                for k in range(n)
+            )
+            rows[i][j] = acc
+            rows[j][i] = acc
+    return SymMatrix(tuple(tuple(row) for row in rows))
+
+
+def raw(rows):
+    return tuple(tuple(x._mpf_ for x in row) for row in rows)
+
+
+def spectrum_bits(s):
+    return tuple(x._mpf_ for x in s.eigenvalues), raw(s.basis)
+
+
+def differential_matrix(kind, n, seed, scale_exp, ctx):
+    """A symmetric matrix of the given kind with entries drawn from
+    ``seed`` and scaled by 10^scale_exp; they carry full-length mantissas,
+    so that every rounding in the kernel matters."""
+    rng = random.Random(seed)
+    shrink = (1 - ctx.mpf(1) / 999983) * ctx.pow10(scale_exp)
+    vals = [ctx.mpf(rng.uniform(-1.0, 1.0)) * shrink for _ in range(n * n + 1)]
+    if kind == "zero":
+        return SymMatrix.diag([0] * n, ctx)
+    if kind == "diagonal":
+        return SymMatrix.diag(vals[:n], ctx)
+    if kind == "repeated":
+        # c I + u u^T: eigenvalue c with multiplicity n - 1
+        c, u = vals[0], vals[1:n + 1]
+        return SymMatrix.from_rows(
+            [[(c if i == j else 0) + u[i] * u[j] for j in range(n)] for i in range(n)]
+        )
+    rows = [[vals[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    if kind == "sparse":  # zero off-diagonal entries take the skip path
+        rows = [[x if i == j or (i + j) % 2 else 0 * x for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return SymMatrix.from_rows(rows)
+
+
+class TestRawKernelsMatchMpf:
+    @given(
+        n=st.sampled_from((3, 5, 2, 4, 1)),
+        kind=st.sampled_from(("random", "sparse", "repeated", "diagonal", "zero")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from((120, 40, 200)),
+        eig_tol=st.sampled_from((None, "1e-25")),
+    )
+    @settings(max_examples=200)
+    def test_eig_sym_and_reconstruct(self, n, kind, seed, scale_exp, digits, eig_tol):
+        ctx = PrecisionContext(decimal_digits=digits, eig_tol=eig_tol)
+        x = differential_matrix(kind, n, seed, scale_exp, ctx)
+        got = eig_sym(x, ctx)
+        assert spectrum_bits(got) == spectrum_bits(mpf_eig_sym(x, ctx))
+        zero = ctx.mp.zero
+        # the eigenvalue maps of project_psd and project_psd_boundary
+        clipped = tuple(lam if lam > 0 else zero for lam in got.eigenvalues)
+        for mu in (got.eigenvalues, clipped, (zero,) + got.eigenvalues[1:]):
+            s = got.with_eigenvalues(mu)
+            assert raw(s.reconstruct().entries) == raw(mpf_reconstruct(s).entries)
+
+    def test_empty_reconstruct(self):
+        assert Spectrum((), ()).reconstruct() == SymMatrix(())
 
 
 class TestSolve2x2:
