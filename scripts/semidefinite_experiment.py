@@ -5,21 +5,21 @@
   setting 2: PSD boundary with diag(X) = 1  (psdb-s1)
   setting 3: PSD boundary with X_11 = 1     (psdb-s11)
 
-Runs DR, LT and PLT on shared seeded trials, writes one trace CSV per
-(setting, method) for the first trial, and a JSON file of per-trial order
-estimates and termination kinds.
+Runs DR, LT and PLT through ``feasikit bench`` on shared seeded trials and
+writes, per setting, <pid>_trials.csv (per-trial iterations, termination
+kind and fitted order) next to the profiles <pid>_iters.csv and
+<pid>_time.csv.  ``feasikit run`` from the first trial's start writes one
+trace CSV per (setting, method), trace_<pid>_<method>.csv.
 """
 
 import argparse
-import json
 import pathlib
+import sys
 
-from feasikit.analysis import InsufficientDataError, estimate_order, order_record
-from feasikit.cli import build_problem, resolve_reference
-from feasikit.numerics import PrecisionContext
-from feasikit.solvers import StopRule, run, trace_to_csv
+from feasikit import cli
 
 SETTINGS = ("psd-s1", "psdb-s1", "psdb-s11")
+METHODS = ("dr", "lt", "plt")
 
 
 def main():
@@ -36,43 +36,26 @@ def main():
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ctx = PrecisionContext(decimal_digits=args.precision)
-    stop = StopRule(tol=args.tol, max_iter=args.max_iter)
-
-    records = []
     for pid in SETTINGS:
-        problem = build_problem(pid, ctx, args.dim)
-        points = problem.sample(args.trials, args.seed, ctx)
-        reference, policy = resolve_reference(problem)
-        for method in ("dr", "lt", "plt"):
-            for k, p0 in enumerate(points):
-                trace = run(method, problem.operator, p0, stop, reference, ctx,
-                            affine=problem.affine)
-                try:
-                    rec = order_record(
-                        estimate_order(trace.errors, ctx), method, pid, ctx
-                    )
-                except InsufficientDataError:
-                    rec = {"method": method, "problem": pid, "q": None}
-                rec.update(trial=k, terminated_by=trace.terminated_by.value,
-                           iterations=trace.iterations)
-                records.append(rec)
-                if k == 0:
-                    path = outdir / f"trace_{pid}_{method}.csv"
-                    path.write_text(trace_to_csv(trace, ctx, [
-                        ("method", method), ("problem", pid),
-                        ("precision", args.precision), ("dim", args.dim),
-                        ("seed", args.seed),
-                        ("tol", ctx.to_str(stop.resolved_tol(ctx))),
-                        ("reference", policy),
-                    ]))
-            done = [r for r in records if r["problem"] == pid and r["method"] == method]
-            kinds = {r["terminated_by"] for r in done}
-            print(f"{pid} {method}: {len(done)} trials, terminations {sorted(kinds)}")
-
-    (outdir / "order_estimates.json").write_text(json.dumps(records, indent=2))
-    print(f"wrote {outdir / 'order_estimates.json'}")
+        common = ["--problem", pid, "--precision", str(args.precision),
+                  "--dim", str(args.dim), "--seed", str(args.seed),
+                  "--max-iter", str(args.max_iter)]
+        if args.tol is not None:
+            common += ["--tol", args.tol]
+        code = cli.main(["bench", "--methods", ",".join(METHODS),
+                         "--trials", str(args.trials), "--out", str(outdir / pid)] + common)
+        if code > cli.EXIT_FAILED:
+            return code
+        print(f"wrote {outdir / pid}_trials.csv, _iters.csv and _time.csv")
+        for method in METHODS:
+            path = outdir / f"trace_{pid}_{method}.csv"
+            # exit 1 (unsolved) is expected: DR is linear on psdb-s1
+            code = cli.main(["run", "--method", method, "--out", str(path)] + common)
+            if code > cli.EXIT_FAILED:
+                return code
+            print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

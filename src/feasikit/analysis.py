@@ -73,21 +73,6 @@ def estimate_order(errors, ctx: PrecisionContext, window_pairs: int = 4) -> Orde
     )
 
 
-def order_record(
-    est: OrderEstimate, method: str, problem: str, ctx: PrecisionContext
-) -> dict:
-    """JSON-ready record of an order estimate; numeric fields as decimal
-    strings."""
-    return {
-        "method": method,
-        "problem": problem,
-        "q": ctx.to_str(est.q),
-        "c": ctx.to_str(est.c),
-        "residual": ctx.to_str(est.residual),
-        "window": list(est.window),
-    }
-
-
 def estimate_linear_rate(errors, ctx: PrecisionContext):
     """Geometric mean of e_{n+1}/e_n over the usable tail (its last half,
     at least two pairs), which drops the pre-asymptotic transient."""
@@ -201,18 +186,9 @@ def profile_to_csv(result: ProfileResult, metadata: Sequence = ()) -> str:
 # trial generation
 
 
-@dataclass(frozen=True)
-class TrialSet:
-    """Seed-reproducible initial points for a batch of runs."""
-
-    seed: int
-    problem: str
-    points: tuple
-
-
 def sample_disk(
     center: Point2, radius, n: int, seed: int, ctx: PrecisionContext
-) -> TrialSet:
+) -> tuple:
     """n points uniform on the disk (polar sampling with the area-correct
     sqrt-radius transform), reproducible from the seed."""
     radius = ctx.mpf(radius)
@@ -225,10 +201,10 @@ def sample_disk(
         r = radius * ctx.mp.sqrt(ctx.mpf(rng.random()))
         phi = two_pi * ctx.mpf(rng.random())
         points.append(center + Point2(r * ctx.mp.cos(phi), r * ctx.mp.sin(phi)))
-    return TrialSet(seed=seed, problem="disk", points=tuple(points))
+    return tuple(points)
 
 
-def sample_sym(n_dim: int, count: int, seed: int, ctx: PrecisionContext) -> TrialSet:
+def sample_sym(n_dim: int, count: int, seed: int, ctx: PrecisionContext) -> tuple:
     """Symmetric matrices (U + U^T)/2 with U entrywise uniform on [-1, 1]."""
     if n_dim < 2:
         raise ValueError("n_dim must be >= 2")
@@ -240,4 +216,4 @@ def sample_sym(n_dim: int, count: int, seed: int, ctx: PrecisionContext) -> Tria
             [(u[i][j] + u[j][i]) / 2 for j in range(n_dim)] for i in range(n_dim)
         ]
         points.append(SymMatrix.from_rows(rows))
-    return TrialSet(seed=seed, problem="sym", points=tuple(points))
+    return tuple(points)

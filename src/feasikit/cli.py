@@ -66,8 +66,8 @@ class Problem:
 
     def sample(self, n: int, seed: int, ctx: PrecisionContext):
         if self.dim:
-            return analysis.sample_sym(self.dim, n, seed, ctx).points
-        return analysis.sample_disk(self.center, self.radius, n, seed, ctx).points
+            return analysis.sample_sym(self.dim, n, seed, ctx)
+        return analysis.sample_disk(self.center, self.radius, n, seed, ctx)
 
 
 def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Problem:
@@ -160,7 +160,10 @@ def _point_from_payload(payload, ctx):
 def _bench_trial(args) -> tuple:
     """Worker: one (method, trial) cell.  Receives only plain picklable
     data and rebuilds the precision context locally.  Returns (iterations,
-    seconds, solved, reference_unconverged)."""
+    seconds, solved, reference_unconverged, terminated_by, q, c, residual,
+    window_first, window_last): the last five are ``estimate_order``'s fit
+    as decimal strings and ints, or empty strings where the trace is too
+    short to fit."""
     problem_id, method, precision, tol, max_iter, dim, payload = args
     ctx = PrecisionContext(decimal_digits=precision)
     problem = build_problem(problem_id, ctx, dim)
@@ -168,8 +171,13 @@ def _bench_trial(args) -> tuple:
     p0 = _point_from_payload(payload, ctx)
     trace = run(method, problem.operator, p0, stop, problem.reference, ctx,
                 affine=problem.affine)
+    try:
+        est = analysis.estimate_order(trace.errors, ctx)
+        fit = (ctx.to_str(est.q), ctx.to_str(est.c), ctx.to_str(est.residual), *est.window)
+    except analysis.InsufficientDataError:
+        fit = ("",) * 5
     return (trace.iterations, trace.total_seconds, trace.solved,
-            _reference_unconverged(trace, ctx))
+            _reference_unconverged(trace, ctx), trace.terminated_by.value, *fit)
 
 
 def cmd_bench(args) -> int:
@@ -204,11 +212,17 @@ def cmd_bench(args) -> int:
     iter_costs = {m: [] for m in methods}
     time_costs = {m: [] for m in methods}
     unconverged = {m: 0 for m in methods}
-    for cell, (iters, seconds, solved, ref_unconverged) in zip(cells, results):
+    trial_rows = ["method,trial,iterations,terminated_by,q,c,residual,"
+                  "window_first,window_last"]
+    for k, (cell, result) in enumerate(zip(cells, results)):
         m = cell[1]
+        iters, seconds, solved, ref_unconverged, *termination_and_fit = result
         iter_costs[m].append(float(iters) if solved else math.inf)
         time_costs[m].append(seconds if solved else math.inf)
         unconverged[m] += ref_unconverged
+        trial_rows.append(",".join(
+            map(str, (m, k % args.trials, iters, *termination_and_fit))
+        ))
     for m, count in unconverged.items():
         if count:
             print(f"feasikit: warning: {m}: auto reference not converged in "
@@ -233,13 +247,15 @@ def cmd_bench(args) -> int:
         analysis.performance_profile(time_costs, metric="seconds"),
         metadata + [("metric", "seconds")],
     )
+    trials_csv = "\n".join([f"# {key}: {value}" for key, value in metadata]
+                           + trial_rows) + "\n"
+    outputs = {"iters": iters_csv, "time": time_csv, "trials": trials_csv}
     if args.out is None:
-        sys.stdout.write(iters_csv)
-        sys.stdout.write(time_csv)
+        sys.stdout.write("".join(outputs.values()))
     else:
         base = args.out[:-4] if args.out.endswith(".csv") else args.out
-        _write(iters_csv, f"{base}_iters.csv")
-        _write(time_csv, f"{base}_time.csv")
+        for suffix, text in outputs.items():
+            _write(text, f"{base}_{suffix}.csv")
     return 0
 
 

@@ -103,17 +103,6 @@ class Point2:
     def __neg__(self) -> "Point2":
         return Point2(-self.x, -self.z)
 
-    def polar(self, ctx: PrecisionContext):
-        """Polar coordinates (R, theta) with R >= 0 and theta in [0, 2*pi)."""
-        r = ctx.mp.sqrt(self.x * self.x + self.z * self.z)
-        theta = ctx.mp.atan2(self.z, self.x)
-        two_pi = 2 * ctx.mp.pi
-        if theta < 0:
-            theta = theta + two_pi
-        if theta >= two_pi:  # wraparound rounds up for tiny negative angles
-            theta = ctx.mp.zero
-        return r, theta
-
     @staticmethod
     def of(ctx: PrecisionContext, x, z) -> "Point2":
         return Point2(ctx.mpf(x), ctx.mpf(z))
@@ -156,10 +145,6 @@ class SymMatrix:
                 for i in range(len(vals))
             )
         )
-
-    @staticmethod
-    def identity(n: int, ctx: PrecisionContext) -> "SymMatrix":
-        return SymMatrix.diag([1] * n, ctx)
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         return SymMatrix(

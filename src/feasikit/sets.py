@@ -45,22 +45,13 @@ class FeasibilitySet(ABC):
 class AnalyticCurve:
     """An analytic function t -> f(t) with f(0) = 0 and f'(0) != 0.
 
-    ``jet(t)`` returns (f(t), f'(t), f''(t)) at full precision; ``f``,
-    ``df`` and ``ddf`` are its components.  ``a`` caches f'(0).
+    ``jet(t)`` returns (f(t), f'(t), f''(t)) at full precision.  ``a``
+    caches f'(0).
     """
 
     jet: Callable
     a: object
     ident: str = ""
-
-    def f(self, t):
-        return self.jet(t)[0]
-
-    def df(self, t):
-        return self.jet(t)[1]
-
-    def ddf(self, t):
-        return self.jet(t)[2]
 
     @classmethod
     def checked(cls, jet, ctx: PrecisionContext, ident: str = "") -> "AnalyticCurve":

@@ -84,54 +84,64 @@ class CurveTaylor:
     def of(cls, curve: AnalyticCurve, ctx: PrecisionContext) -> "CurveTaylor":
         switch = ctx.pow10(-(ctx.decimal_digits // 2))
         half = ctx.mpf("0.5")
+        ddf0 = curve.jet(ctx.mp.zero)[2]
 
         def b(t):
             if abs(t) < switch:
-                return curve.ddf(ctx.mp.zero) * half
-            return (curve.f(t) - curve.a * t) / (t * t)
+                return ddf0 * half
+            return (curve.jet(t)[0] - curve.a * t) / (t * t)
 
         def c(t):
             if abs(t) < switch:
-                return curve.ddf(ctx.mp.zero)
-            return (curve.df(t) - curve.a) / t
+                return ddf0
+            return (curve.jet(t)[1] - curve.a) / t
 
         return cls(curve=curve, a=curve.a, b=b, c=c)
 
 
 # ---------------------------------------------------------------------------
-# closed forms at w = T^2 y = (x, z)
+# closed forms at w = T^2 y = (x, z); each calls the curve's jet once per
+# abscissa
 
 
 def t_inverse(w: Point2, curve: AnalyticCurve) -> Point2:
     """Local inverse of the DR operator: (x + z f'(x), z - f(x))."""
-    return Point2(w.x + w.z * curve.df(w.x), w.z - curve.f(w.x))
+    fx, dfx, _ = curve.jet(w.x)
+    return Point2(w.x + w.z * dfx, w.z - fx)
 
 
 def lyapunov_grad(w: Point2, curve: AnalyticCurve) -> Point2:
     """Gradient (f(x)/f'(x), z) of the Lyapunov function of the DR dynamics."""
-    d = curve.df(w.x)
+    fx, d, _ = curve.jet(w.x)
     if d == 0:
         raise ZeroDerivativeError(f"f'({w.x}) = 0")
-    return Point2(curve.f(w.x) / d, w.z)
+    return Point2(fx / d, w.z)
 
 
-def _h_parts(w: Point2, curve: AnalyticCurve):
-    x, z = w.x, w.z
-    fx = curve.f(x)
-    dfx = curve.df(x)
+def _jets(x, z, curve: AnalyticCurve):
+    """f and f' at x and at x1 = x + z f'(x): (f(x), f'(x), x1, f(x1), f'(x1))."""
+    fx, dfx, _ = curve.jet(x)
+    x1 = x + z * dfx
+    fx1, dfx1, _ = curve.jet(x1)
+    return fx, dfx, x1, fx1, dfx1
+
+
+def _h_parts(x, z, curve: AnalyticCurve):
+    """``_jets`` without x1, for the closed forms that divide by f'(x) and
+    f'(x1): raises ZeroDerivativeError where either vanishes."""
+    fx, dfx, x1, fx1, dfx1 = _jets(x, z, curve)
     if dfx == 0:
         raise ZeroDerivativeError(f"f'({x}) = 0")
-    x1 = x + z * dfx
-    dfx1 = curve.df(x1)
     if dfx1 == 0:
         raise ZeroDerivativeError(f"f'({x1}) = 0")
-    ratio1 = curve.f(x1) / dfx1
-    return x, z, fx, dfx, ratio1
+    return fx, dfx, fx1, dfx1
 
 
-def h_coeff(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
-    """The coefficient h(x, z) with L_T y = w - h(x,z) * (f(x)/f'(x), z)."""
-    x, z, fx, dfx, ratio1 = _h_parts(w, curve)
+def _h_with_parts(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
+    """h(x, z), with the f(x) and f'(x) it was built from."""
+    z = w.z
+    fx, dfx, fx1, dfx1 = _h_parts(w.x, z, curve)
+    ratio1 = fx1 / dfx1
     num = (z - fx) * z * dfx + fx * ratio1
     d1 = -(fx * (z - fx)) / dfx
     d2 = z * ratio1
@@ -139,22 +149,27 @@ def h_coeff(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
     scale = abs(d1) + abs(d2)
     if scale == 0 or abs(den) <= ctx.col_tol * scale:
         raise DegenerateDenominatorError(f"denominator {den} cancels at {w}")
-    return num / den
+    return num / den, fx, dfx
+
+
+def h_coeff(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
+    """The coefficient h(x, z) with L_T y = w - h(x,z) * (f(x)/f'(x), z)."""
+    return _h_with_parts(w, curve, ctx)[0]
 
 
 def gamma_system(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
     """Solve the 2x2 system tying the two expressions for the LT update;
     returns (gamma1, gamma2) with gamma1 = h(x, z)."""
-    x, z, fx, dfx, ratio1 = _h_parts(w, curve)
-    a_mat = ((-fx / dfx, ratio1), (-z, z - fx))
+    z = w.z
+    fx, dfx, fx1, dfx1 = _h_parts(w.x, z, curve)
+    a_mat = ((-fx / dfx, fx1 / dfx1), (-z, z - fx))
     rhs = (z * dfx, -fx)
     return solve2x2(a_mat, rhs, ctx)
 
 
 def _lt_from_w(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2:
-    h = h_coeff(w, curve, ctx)
-    dfx = curve.df(w.x)
-    return Point2(w.x - h * curve.f(w.x) / dfx, w.z - h * w.z)
+    h, fx, dfx = _h_with_parts(w, curve, ctx)
+    return Point2(w.x - h * fx / dfx, w.z - h * w.z)
 
 
 def lt_closed_form(
@@ -181,16 +196,9 @@ def nu(theta, taylor: CurveTaylor, ctx: PrecisionContext):
 def zeta_terms(r, theta, curve: AnalyticCurve, ctx: PrecisionContext):
     """(zeta1, zeta2, zeta3) at (x, z) = (R cos(theta), R sin(theta)):
     f(x+zf'(x)) f'(x),  z f'(x)^2 f'(x+zf'(x)),  f(x) f'(x+zf'(x))."""
-    x = r * ctx.mp.cos(theta)
     z = r * ctx.mp.sin(theta)
-    dfx = curve.df(x)
-    x1 = x + z * dfx
-    dfx1 = curve.df(x1)
-    return (
-        curve.f(x1) * dfx,
-        z * dfx * dfx * dfx1,
-        curve.f(x) * dfx1,
-    )
+    fx, dfx, _, fx1, dfx1 = _jets(r * ctx.mp.cos(theta), z, curve)
+    return fx1 * dfx, z * dfx * dfx * dfx1, fx * dfx1
 
 
 def linear_rate(curve: AnalyticCurve, ctx: PrecisionContext):
@@ -242,96 +250,61 @@ class ProbeGrid:
 
 @dataclass(frozen=True)
 class ProbeRow:
+    """One grid point.  Banded probes fill ``target`` and ``abs_err``; the
+    ratio probe leaves them None, and ``value`` None marks an unbounded
+    ratio."""
+
     r: object
     theta: object
-    value: object
-    target: object
-    abs_err: object
+    value: Optional[object]
+    target: Optional[object] = None
+    abs_err: Optional[object] = None
 
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """A probe's rows, the grid points it skipped and its verdict.
+
+    Banded probes summarise by ``max_violation``, the worst excess over
+    the O(R) band.  The ratio probe, a grid evaluation of
+    ||T^2 y||^2 / ||L_T y||_1, summarises by ``m_est``, the minimum over
+    finite ratios; it passes when that is positive and the
+    smallest-radius minimum has not collapsed below half the
+    largest-radius minimum.  Points where the LT update is zero to working
+    precision (exact one-step solves) are unbounded-good and excluded from
+    the minimum.
+    """
+
     probe: str
     curve: str
     rows: tuple
     excluded: tuple
-    max_violation: object
     passed: bool
+    max_violation: object = None
+    m_est: object = None
 
     def to_csv(self, ctx: PrecisionContext) -> str:
-        return _report_csv(
-            ctx,
-            [
-                ("probe", self.probe),
-                ("curve", self.curve),
-                ("verdict", "pass" if self.passed else "fail"),
-                ("max_violation", ctx.to_str(self.max_violation)),
-            ],
-            self.excluded,
-            [
-                (row.r, row.theta, ctx.to_str(row.value), ctx.to_str(row.target), ctx.to_str(row.abs_err))
-                for row in self.rows
-            ],
-        )
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    r: object
-    theta: object
-    ratio: Optional[object]
-    unbounded: bool
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Grid evaluation of ||T^2 y||^2 / ||L_T y||_1.
-
-    ``m_est`` is the running minimum over finite ratios; ``passed`` holds
-    when it is positive and the smallest-radius minimum has not collapsed
-    below half the largest-radius minimum.  Points where the LT update is
-    zero to working precision (exact one-step solves) are unbounded-good
-    and excluded from the minimum.
-    """
-
-    curve: str
-    rows: tuple
-    excluded: tuple
-    m_est: object
-    passed: bool
-    probe: str = "ratio"
-
-    def to_csv(self, ctx: PrecisionContext) -> str:
-        return _report_csv(
-            ctx,
-            [
-                ("probe", self.probe),
-                ("curve", self.curve),
-                ("verdict", "pass" if self.passed else "fail"),
-                ("m_est", ctx.to_str(self.m_est)),
-            ],
-            self.excluded,
-            [
-                (
-                    row.r,
-                    row.theta,
-                    "inf" if row.unbounded else ctx.to_str(row.ratio),
-                    "",
-                    "",
-                )
-                for row in self.rows
-            ],
-        )
-
-
-def _report_csv(ctx, meta, excluded, rows) -> str:
-    lines = [f"# {key}: {value}" for key, value in meta]
-    for r, theta, reason in excluded:
-        lines.append(f"# excluded: R={ctx.to_str(r)} theta={ctx.to_str(theta)} ({reason})")
-    lines.append("R,theta,value,target,abs_err")
-    for r, theta, value, target, abs_err in rows:
-        lines.append(f"{ctx.to_str(r)},{ctx.to_str(theta)},{value},{target},{abs_err}")
-    return "\n".join(lines) + "\n"
+        if self.m_est is None:
+            summary = ("max_violation", self.max_violation)
+        else:
+            summary = ("m_est", self.m_est)
+        lines = [
+            f"# probe: {self.probe}",
+            f"# curve: {self.curve}",
+            f"# verdict: {'pass' if self.passed else 'fail'}",
+            f"# {summary[0]}: {ctx.to_str(summary[1])}",
+        ]
+        for r, theta, reason in self.excluded:
+            lines.append(f"# excluded: R={ctx.to_str(r)} theta={ctx.to_str(theta)} ({reason})")
+        lines.append("R,theta,value,target,abs_err")
+        for row in self.rows:
+            value = "inf" if row.value is None else ctx.to_str(row.value)
+            target, abs_err = (
+                ("", "") if row.target is None
+                else (ctx.to_str(row.target), ctx.to_str(row.abs_err))
+            )
+            lines.append(f"{ctx.to_str(row.r)},{ctx.to_str(row.theta)},{value},{target},{abs_err}")
+        return "\n".join(lines) + "\n"
 
 
 def _banded_probe(probe_id, curve, grid, ctx, families) -> ProbeReport:
@@ -402,23 +375,15 @@ def probe_denominator_limit(
     a = curve.a
 
     def denominator(r, theta):
-        x = r * ctx.mp.cos(theta)
         z = r * ctx.mp.sin(theta)
-        fx = curve.f(x)
-        dfx = curve.df(x)
-        if dfx == 0:
-            raise ZeroDerivativeError(f"f'({x}) = 0")
-        x1 = x + z * dfx
-        dfx1 = curve.df(x1)
-        if dfx1 == 0:
-            raise ZeroDerivativeError(f"f'({x1}) = 0")
-        return (z * curve.f(x1) / dfx1 - fx * (z - fx) / dfx) / (r * r)
+        fx, dfx, fx1, dfx1 = _h_parts(r * ctx.mp.cos(theta), z, curve)
+        return (z * fx1 / dfx1 - fx * (z - fx) / dfx) / (r * r)
 
     def numerator(r, theta):
-        x = r * ctx.mp.cos(theta)
         z = r * ctx.mp.sin(theta)
-        z1, _, z3 = zeta_terms(r, theta, curve, ctx)
-        return (z * z1 - (z - curve.f(x)) * z3) / (r * r)
+        fx, dfx, _, fx1, dfx1 = _jets(r * ctx.mp.cos(theta), z, curve)
+        z1, z3 = fx1 * dfx, fx * dfx1  # zeta1, zeta3
+        return (z * z1 - (z - fx) * z3) / (r * r)
 
     return _banded_probe(
         "denominator",
@@ -449,7 +414,7 @@ def probe_one_minus_h(
     return _banded_probe("one-minus-h", curve, grid, ctx, [(evaluate, target)])
 
 
-def probe_ratio(grid: ProbeGrid, curve: AnalyticCurve, ctx: PrecisionContext) -> RatioReport:
+def probe_ratio(grid: ProbeGrid, curve: AnalyticCurve, ctx: PrecisionContext) -> ProbeReport:
     """Evaluate ||T^2 y||^2 / (|L_T y|_1) for y on the grid, using the
     closed-form LT coordinates, and estimate the lower bound M."""
     t = graph_operator(curve, ctx)
@@ -471,32 +436,23 @@ def probe_ratio(grid: ProbeGrid, curve: AnalyticCurve, ctx: PrecisionContext) ->
             # an LT update that is zero to working precision solved exactly
             noise = ctx.mp.sqrt(w_norm_sq) * ctx.pow10(-(ctx.decimal_digits - 20))
             if one_norm <= noise:
-                rows.append(RatioRow(r, theta, None, True))
+                rows.append(ProbeRow(r, theta, None))
                 continue
             ratio = w_norm_sq / one_norm
-            rows.append(RatioRow(r, theta, ratio, False))
+            rows.append(ProbeRow(r, theta, ratio))
             finite.append(ratio)
             if ri not in minima or ratio < minima[ri]:
                 minima[ri] = ratio
-    if not finite:
-        return RatioReport(
-            curve=curve.ident,
-            rows=tuple(rows),
-            excluded=tuple(excluded),
-            m_est=ctx.mp.inf,
-            passed=True,
-        )
-    m_est = min(finite)
-    order = sorted(minima)
-    no_trend_to_zero = True
-    if len(order) >= 2:
-        first_min = minima[order[0]]
-        last_min = minima[order[-1]]
-        no_trend_to_zero = last_min >= first_min / 2
-    return RatioReport(
-        curve=curve.ident,
-        rows=tuple(rows),
-        excluded=tuple(excluded),
-        m_est=m_est,
-        passed=bool(m_est > 0 and no_trend_to_zero),
-    )
+    if finite:
+        m_est = min(finite)
+        order = sorted(minima)
+        no_trend_to_zero = True
+        if len(order) >= 2:
+            first_min = minima[order[0]]
+            last_min = minima[order[-1]]
+            no_trend_to_zero = last_min >= first_min / 2
+        passed = bool(m_est > 0 and no_trend_to_zero)
+    else:
+        m_est, passed = ctx.mp.inf, True
+    return ProbeReport("ratio", curve.ident, tuple(rows), tuple(excluded), passed,
+                       m_est=m_est)

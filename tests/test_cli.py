@@ -4,6 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from feasikit.analysis import estimate_order
 from feasikit.cli import _point_from_payload, _point_payload, build_problem, main
 from feasikit.numerics import Point2, PrecisionContext
 from feasikit.sets import ProjectionError
@@ -141,6 +142,31 @@ def decoded_bits(payload):
     return point_bits(_point_from_payload(payload, PrecisionContext()))
 
 
+TRIALS_HEADER = "method,trial,iterations,terminated_by,q,c,residual,window_first,window_last"
+
+
+def trials_table(text):
+    """The rows of bench's trials table, the last block of its stdout or the
+    whole of ``<base>_trials.csv``, as dicts keyed by column."""
+    lines = text.splitlines()
+    columns = TRIALS_HEADER.split(",")
+    return [dict(zip(columns, line.split(",")))
+            for line in lines[lines.index(TRIALS_HEADER) + 1:]]
+
+
+# psdb-s1 at seed 2026: DR converges linearly and LT falls back to linear,
+# so every trace is long enough to fit
+PSDB_BENCH = ["bench", "--problem", "psdb-s1", "--methods", "dr,lt", "--trials", "2",
+              "--seed", "2026", "--max-iter", "40", "--tol", "1e-20", "--jobs", "1"]
+
+
+@pytest.fixture(scope="module")
+def psdb_trials(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bench") / "psdb"
+    assert main(PSDB_BENCH + ["--out", str(out)]) == 0
+    return trials_table(read(str(out) + "_trials.csv"))
+
+
 class TestBenchCommand:
     def test_smoke_profiles(self, tmp_path):
         out = tmp_path / "bench"
@@ -209,7 +235,52 @@ class TestBenchCommand:
         a, b = tmp_path / "serial", tmp_path / "par"
         assert main(base + ["--jobs", "1", "--out", str(a)]) == 0
         assert main(base + ["--jobs", "2", "--out", str(b)]) == 0
-        assert read(str(a) + "_iters.csv") == read(str(b) + "_iters.csv")
+        for suffix in ("_iters.csv", "_trials.csv"):
+            assert read(str(a) + suffix) == read(str(b) + suffix)
+
+    def test_trials_table_in_cell_order(self, psdb_trials):
+        assert [(r["method"], r["trial"]) for r in psdb_trials] == [
+            ("dr", "0"), ("dr", "1"), ("lt", "0"), ("lt", "1")
+        ]
+
+    def test_trials_fit_matches_direct_run(self, ctx, psdb_trials):
+        problem = build_problem("psdb-s1", ctx, 3)
+        points = problem.sample(2, 2026, ctx)
+        stop = StopRule(tol="1e-20", max_iter=40)
+        for row in psdb_trials:
+            trace = run(row["method"], problem.operator, points[int(row["trial"])], stop,
+                        problem.reference, ctx, affine=problem.affine)
+            est = estimate_order(trace.errors, ctx)
+            assert row["q"] == ctx.to_str(est.q)
+            assert row["c"] == ctx.to_str(est.c)
+            assert row["residual"] == ctx.to_str(est.residual)
+            assert (row["window_first"], row["window_last"]) == tuple(map(str, est.window))
+            assert row["iterations"] == str(trace.iterations)
+            assert row["terminated_by"] == trace.terminated_by.value
+
+    def test_trial_zero_matches_run(self, tmp_path, psdb_trials):
+        # bench trial 0 and run --seed s start from the same point
+        for row in psdb_trials[::2]:
+            out = tmp_path / f"{row['method']}.csv"
+            code = main(["run", "--problem", "psdb-s1", "--method", row["method"],
+                         "--seed", "2026", "--max-iter", "40", "--tol", "1e-20",
+                         "--out", str(out)])
+            assert code == (1 if row["terminated_by"] == "max_iter" else 0)
+            lines = read(out).splitlines()
+            assert f"# terminated_by: {row['terminated_by']}" in lines
+            data = [l for l in lines if not l.startswith("#")][1:]
+            assert row["iterations"] == str(len(data) - 1)
+
+    def test_short_trace_has_empty_fit(self, capsys):
+        # DR on psd-s1 from trial 0 at seed 2026 lands on its fixed point
+        # in one step: too few error pairs to fit an order
+        assert main(["bench", "--problem", "psd-s1", "--methods", "dr,lt", "--trials", "2",
+                     "--seed", "2026", "--jobs", "1"]) == 0
+        rows = trials_table(capsys.readouterr().out)
+        assert rows[0] == {
+            "method": "dr", "trial": "0", "iterations": "1", "terminated_by": "exact_zero",
+            "q": "", "c": "", "residual": "", "window_first": "", "window_last": "",
+        }
 
     def test_trial_points_exact(self, ctx):
         # the serial path decodes payloads in this process, --jobs 2 decodes
