@@ -19,10 +19,9 @@ class InsufficientDataError(FeasikitError):
 
 def _usable_pairs(errors, ctx: PrecisionContext):
     """Consecutive (e_n, e_{n+1}) pairs with both entries positive and above
-    the precision floor 10^-(decimal_digits-10); below it, traces flatline
-    and corrupt the fit."""
-    floor = ctx.pow10(-(ctx.decimal_digits - 10))
-    usable = [e is not None and e > floor for e in errors]
+    the arithmetic floor ``ctx.floor``; below it, traces flatline and
+    corrupt the fit."""
+    usable = [e is not None and e > ctx.floor for e in errors]
     return [
         (errors[i], errors[i + 1])
         for i in range(len(errors) - 1)
@@ -40,20 +39,18 @@ class OrderEstimate:
     residual: object
 
 
-def estimate_order(errors, ctx: PrecisionContext, window_pairs: int = 4) -> OrderEstimate:
+def estimate_order(errors, ctx: PrecisionContext) -> OrderEstimate:
     """Estimate the convergence order from an error sequence.
 
     Least-squares slope of log e_{n+1} against log e_n over the last
-    ``window_pairs`` usable pairs (at least 4).
+    4 usable pairs.
     """
-    if window_pairs < 4:
-        raise ValueError("window_pairs must be >= 4")
     pairs = _usable_pairs(errors, ctx)
     if len(pairs) < 4:
         raise InsufficientDataError(
             f"need >= 4 usable error pairs above the precision floor, got {len(pairs)}"
         )
-    used = pairs[-window_pairs:]
+    used = pairs[-4:]
     xs = [ctx.mp.log(a) for a, _ in used]
     ys = [ctx.mp.log(b) for _, b in used]
     n = len(used)

@@ -103,9 +103,12 @@ def resolve_reference(problem: Problem):
 def _write(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def cmd_run(args) -> int:
@@ -137,10 +140,9 @@ def cmd_run(args) -> int:
 
 
 def _reference_unconverged(trace, ctx) -> bool:
-    """Whether the run's auto reference stopped above the floor
-    10^-(digits-10) on successive iterates."""
-    floor = ctx.pow10(-(ctx.decimal_digits - 10))
-    return trace.reference_gap is not None and trace.reference_gap > floor
+    """Whether the run's auto reference stopped above the arithmetic floor
+    on successive iterates."""
+    return trace.reference_gap is not None and trace.reference_gap > ctx.floor
 
 
 def _point_payload(point) -> tuple:
@@ -339,6 +341,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.precision is None:
             args.precision = _default_precision()
+        # every command writes into --out's directory (bench as <base>_*.csv)
+        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"output directory does not exist: {os.path.dirname(args.out)}")
         return args.handler(args)
     except ValueError as exc:
         print(f"feasikit: {exc}", file=sys.stderr)

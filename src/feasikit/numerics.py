@@ -28,7 +28,7 @@ class NonConvergenceError(FeasikitError):
 
 
 class SingularMatrixError(FeasikitError):
-    """2x2 system is singular relative to the collinearity tolerance."""
+    """2x2 system is singular relative to the arithmetic floor."""
 
     def __init__(self, determinant):
         self.determinant = determinant
@@ -37,18 +37,18 @@ class SingularMatrixError(FeasikitError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision plus the tolerances derived from it.
+    """Working precision plus the arithmetic floor derived from it.
 
-    ``eig_tol`` bounds the relative off-diagonal residual at which the
-    eigensolver stops; ``col_tol`` is the relative threshold below which
-    determinants / denominators are treated as degenerate (collinear).
-    Both default to 10^-(decimal_digits - 10).
+    ``floor`` = 10^-(decimal_digits - 10) is the relative tolerance the
+    kernels share: the off-diagonal residual at which the eigensolver
+    stops, the threshold below which determinants / denominators count as
+    degenerate (collinear), and the level below which errors and
+    successive-iterate gaps are arithmetic noise.
     """
 
     decimal_digits: int = 120
-    eig_tol: object = None
-    col_tol: object = None
-    mp: MPContext = field(default=None, repr=False, compare=False)
+    mp: MPContext = field(default=None, init=False, repr=False, compare=False)
+    floor: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.decimal_digits < 30:
@@ -56,19 +56,7 @@ class PrecisionContext:
         mp = MPContext()
         mp.dps = self.decimal_digits
         object.__setattr__(self, "mp", mp)
-        default_tol = mp.mpf(10) ** (-(self.decimal_digits - 10))
-        if self.eig_tol is None:
-            object.__setattr__(self, "eig_tol", default_tol)
-        else:
-            object.__setattr__(self, "eig_tol", mp.mpf(self.eig_tol))
-        if self.col_tol is None:
-            object.__setattr__(self, "col_tol", default_tol)
-        else:
-            object.__setattr__(self, "col_tol", mp.mpf(self.col_tol))
-        if not self.eig_tol > 0:
-            raise ValueError("eig_tol must be positive")
-        if not self.col_tol > 0:
-            raise ValueError("col_tol must be positive")
+        object.__setattr__(self, "floor", mp.mpf(10) ** (-(self.decimal_digits - 10)))
 
     def mpf(self, value):
         """Convert ``value`` (int, float, str or mpf) to a scalar of this context."""
@@ -288,7 +276,7 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
         return _wrapped_spectrum(a, v, n, ctx)
 
     # stop when the off-diagonal Frobenius mass is negligible relative to X
-    off_goal_sq = mpf_pow_int(mpf_mul(ctx.eig_tol._mpf_, norm_x, prec, rnd), 2, prec, rnd)
+    off_goal_sq = mpf_pow_int(mpf_mul(ctx.floor._mpf_, norm_x, prec, rnd), 2, prec, rnd)
     max_sweeps = 30 * n * n
     for _ in range(max_sweeps):
         if mpf_le(_off_diagonal_sq(a, n, prec), off_goal_sq):
@@ -348,13 +336,13 @@ def _sorted_spectrum(diag, v, n) -> Spectrum:
 def solve2x2(A: Sequence[Sequence], b: Sequence, ctx: PrecisionContext):
     """Solve a 2x2 linear system by Cramer's rule.
 
-    Raises :class:`SingularMatrixError` when |det A| <= col_tol * ||A||_F^2
+    Raises :class:`SingularMatrixError` when |det A| <= floor * ||A||_F^2
     (the determinant scales like the norm squared).
     """
     (a00, a01), (a10, a11) = A[0], A[1]
     b0, b1 = b[0], b[1]
     det = a00 * a11 - a01 * a10
     scale = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
-    if abs(det) <= ctx.col_tol * scale:
+    if abs(det) <= ctx.floor * scale:
         raise SingularMatrixError(det)
     return (b0 * a11 - b1 * a01) / det, (a00 * b1 - a10 * b0) / det

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from feasikit.numerics import (
     FeasikitError,
@@ -60,7 +60,7 @@ class AnalyticCurve:
             raise ValueError(f"curve must be finite at the origin, f(0)={f0}, f'(0)={a}")
         if abs(f0) > ctx.pow10(-(ctx.decimal_digits - 5)):
             raise ValueError(f"curve must pass through the origin, f(0)={f0}")
-        if abs(a) <= ctx.col_tol:
+        if abs(a) <= ctx.floor:
             raise ValueError("curve must not be tangent to the x-axis: f'(0) == 0")
         return cls(jet=jet, a=a, ident=ident)
 
@@ -152,10 +152,6 @@ class CurveGraph(FeasibilitySet):
 # matrix sets
 
 
-def _rows(x) -> Sequence[Sequence]:
-    return x.entries if isinstance(x, SymMatrix) else x
-
-
 def project_psd(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     """Eigenvalue-thresholding projection onto the PSD cone."""
     spectrum = eig_sym(x, ctx)
@@ -179,36 +175,19 @@ def project_psd_boundary(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     return spectrum.with_eigenvalues(mu).reconstruct()
 
 
-def project_diag_ones(x, ctx: PrecisionContext) -> SymMatrix:
-    """Fix the diagonal to 1 and symmetrize off-diagonal pairs by averaging.
-
-    Asymmetric raw input is legal; the averaging makes the output symmetric.
-    """
-    rows = _rows(x)
-    n = len(rows)
-    one = ctx.mp.one
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = one
-        for j in range(i + 1, n):
-            avg = (rows[i][j] + rows[j][i]) / 2
-            out[i][j] = out[j][i] = avg
-    return SymMatrix.from_rows(out)
+def project_diag_ones(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
+    """Fix the diagonal to 1; keep the off-diagonal entries."""
+    rows = [list(row) for row in x.entries]
+    for i in range(x.n):
+        rows[i][i] = ctx.mp.one
+    return SymMatrix.from_rows(rows)
 
 
-def project_entry11(x, ctx: PrecisionContext) -> SymMatrix:
-    """Fix the (1,1) entry to 1; symmetrize off-diagonals; keep the rest."""
-    rows = _rows(x)
-    n = len(rows)
-    out = [[None] * n for _ in range(n)]
-    out[0][0] = ctx.mp.one
-    for i in range(n):
-        if i > 0:
-            out[i][i] = rows[i][i]
-        for j in range(i + 1, n):
-            avg = (rows[i][j] + rows[j][i]) / 2
-            out[i][j] = out[j][i] = avg
-    return SymMatrix.from_rows(out)
+def project_entry11(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
+    """Fix the (1,1) entry to 1; keep the rest."""
+    rows = [list(row) for row in x.entries]
+    rows[0][0] = ctx.mp.one
+    return SymMatrix.from_rows(rows)
 
 
 class PsdCone(FeasibilitySet):

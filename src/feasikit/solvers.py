@@ -39,7 +39,6 @@ class StopRule:
 
     tol: object = None
     max_iter: int = 200
-    stagnation_window: int = 5
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -106,7 +105,7 @@ def lt_step(t: DrOperator, p, ctx: PrecisionContext) -> LtUpdateRecord:
         return LtUpdateRecord(v0, v1, v2, u1, u2, eta, None, None, v1, True)
 
     # relative collinearity test; eta == 0 exactly only in exact arithmetic
-    if eta <= ctx.col_tol * nsq1 * nsq2:
+    if eta <= ctx.floor * nsq1 * nsq2:
         return fallback()
     try:
         mu1, mu2 = solve2x2(
@@ -124,6 +123,8 @@ def plt_step(t: DrOperator, affine: FeasibilitySet, p, ctx: PrecisionContext):
 
 
 METHODS = ("dr", "lt", "plt")
+# steps without a new error minimum, near the floor, that count as stagnation
+STAGNATION_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,8 @@ def run(
     """Iterate ``method`` from p0, recording distances to ``reference``.
 
     ``reference=None`` takes the last iterate of the orbit itself, advanced
-    until successive iterates agree to the arithmetic floor
-    10^-(decimal_digits-10) or for 2*max_iter steps; the trace is its prefix.
+    until successive iterates agree to the arithmetic floor ``ctx.floor``
+    or for 2*max_iter steps; the trace is its prefix.
 
     Termination: error <= tol (tolerance); error exactly zero, or at the
     arithmetic floor after a one-step cliff that no quadratic sequence
@@ -195,7 +196,6 @@ def run(
         raise ValueError("plt requires the affine set of the pair")
 
     tol = stop.resolved_tol(ctx)
-    floor = ctx.pow10(-(ctx.decimal_digits - 10))
     # a drop from above this level to the floor is faster than quadratic
     cliff = ctx.pow10(-((ctx.decimal_digits - 10) // 4))
     near_floor = ctx.pow10(-((ctx.decimal_digits - 10) // 2))
@@ -207,7 +207,7 @@ def run(
         for p, seconds in itertools.islice(steps, 2 * stop.max_iter):
             kept.append((p, seconds))
             gap, last = dist(p, last, ctx), p
-            if gap <= floor:
+            if gap <= ctx.floor:
                 break
         reference = kept[-1][0]
         # the reference is hit at error 0, so the loop below stops there
@@ -220,21 +220,20 @@ def run(
         return Trace(method, tuple(iterates), tuple(errors), (), Termination.TOLERANCE, gap)
 
     terminated = Termination.MAX_ITER
-    window = stop.stagnation_window
     for p, seconds in itertools.islice(steps, stop.max_iter):
         step_times.append(seconds)
         iterates.append(p)
         err = dist(p, reference, ctx)
         errors.append(err)
         prev = errors[-2]
-        if err == 0 or (err <= floor and prev > cliff):
+        if err == 0 or (err <= ctx.floor and prev > cliff):
             terminated = Termination.EXACT_ZERO
             break
         if err <= tol:
             terminated = Termination.TOLERANCE
             break
-        if len(errors) > window and errors[-1] <= near_floor:
-            if min(errors[-window:]) >= min(errors[:-window]):
+        if len(errors) > STAGNATION_WINDOW and errors[-1] <= near_floor:
+            if min(errors[-STAGNATION_WINDOW:]) >= min(errors[:-STAGNATION_WINDOW]):
                 terminated = Termination.STAGNATION
                 break
     return Trace(method, tuple(iterates), tuple(errors), tuple(step_times), terminated, gap)

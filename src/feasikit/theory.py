@@ -10,14 +10,9 @@ universal constants are assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from feasikit.numerics import (
-    FeasikitError,
-    Point2,
-    PrecisionContext,
-    solve2x2,
-)
+from feasikit.numerics import FeasikitError, Point2, PrecisionContext
 from feasikit.sets import AnalyticCurve, CurveGraph, HorizontalLine
 from feasikit.solvers import DrOperator, dr_step
 
@@ -65,57 +60,9 @@ def graph_operator(curve: AnalyticCurve, ctx: PrecisionContext) -> DrOperator:
     return DrOperator(first=HorizontalLine(ctx.mp.zero), second=CurveGraph(curve))
 
 
-@dataclass(frozen=True)
-class CurveTaylor:
-    """Tail functions of the expansions f(t) = a t + t^2 b(t) and
-    f'(t) = a + t c(t).
-
-    Near t = 0 the division formulas cancel catastrophically, so below
-    10^-(decimal_digits/2) the tails switch to their second-derivative
-    limits b(0) = f''(0)/2 and c(0) = f''(0).
-    """
-
-    curve: AnalyticCurve
-    a: object
-    b: Callable
-    c: Callable
-
-    @classmethod
-    def of(cls, curve: AnalyticCurve, ctx: PrecisionContext) -> "CurveTaylor":
-        switch = ctx.pow10(-(ctx.decimal_digits // 2))
-        half = ctx.mpf("0.5")
-        ddf0 = curve.jet(ctx.mp.zero)[2]
-
-        def b(t):
-            if abs(t) < switch:
-                return ddf0 * half
-            return (curve.jet(t)[0] - curve.a * t) / (t * t)
-
-        def c(t):
-            if abs(t) < switch:
-                return ddf0
-            return (curve.jet(t)[1] - curve.a) / t
-
-        return cls(curve=curve, a=curve.a, b=b, c=c)
-
-
 # ---------------------------------------------------------------------------
 # closed forms at w = T^2 y = (x, z); each calls the curve's jet once per
 # abscissa
-
-
-def t_inverse(w: Point2, curve: AnalyticCurve) -> Point2:
-    """Local inverse of the DR operator: (x + z f'(x), z - f(x))."""
-    fx, dfx, _ = curve.jet(w.x)
-    return Point2(w.x + w.z * dfx, w.z - fx)
-
-
-def lyapunov_grad(w: Point2, curve: AnalyticCurve) -> Point2:
-    """Gradient (f(x)/f'(x), z) of the Lyapunov function of the DR dynamics."""
-    fx, d, _ = curve.jet(w.x)
-    if d == 0:
-        raise ZeroDerivativeError(f"f'({w.x}) = 0")
-    return Point2(fx / d, w.z)
 
 
 def _jets(x, z, curve: AnalyticCurve):
@@ -147,7 +94,7 @@ def _h_with_parts(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
     d2 = z * ratio1
     den = d1 + d2
     scale = abs(d1) + abs(d2)
-    if scale == 0 or abs(den) <= ctx.col_tol * scale:
+    if scale == 0 or abs(den) <= ctx.floor * scale:
         raise DegenerateDenominatorError(f"denominator {den} cancels at {w}")
     return num / den, fx, dfx
 
@@ -155,16 +102,6 @@ def _h_with_parts(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
 def h_coeff(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
     """The coefficient h(x, z) with L_T y = w - h(x,z) * (f(x)/f'(x), z)."""
     return _h_with_parts(w, curve, ctx)[0]
-
-
-def gamma_system(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext):
-    """Solve the 2x2 system tying the two expressions for the LT update;
-    returns (gamma1, gamma2) with gamma1 = h(x, z)."""
-    z = w.z
-    fx, dfx, fx1, dfx1 = _h_parts(w.x, z, curve)
-    a_mat = ((-fx / dfx, fx1 / dfx1), (-z, z - fx))
-    rhs = (z * dfx, -fx)
-    return solve2x2(a_mat, rhs, ctx)
 
 
 def _lt_from_w(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2:
@@ -183,12 +120,14 @@ def lt_closed_form(
     return _lt_from_w(w, curve, ctx)
 
 
-def nu(theta, taylor: CurveTaylor, ctx: PrecisionContext):
+def nu(theta, curve: AnalyticCurve, ctx: PrecisionContext):
     """The angular coefficient of the R^2 term of zeta1 - zeta2 - zeta3:
-    a^2 sin(theta) (b(0) - c(0)) (a sin(theta) + 2 cos(theta))."""
-    a = taylor.a
-    b0 = taylor.b(ctx.mp.zero)
-    c0 = taylor.c(ctx.mp.zero)
+    a^2 sin(theta) (b(0) - c(0)) (a sin(theta) + 2 cos(theta)), where
+    b(0) = f''(0)/2 and c(0) = f''(0) are the limits at 0 of the tails of
+    f(t) = a t + t^2 b(t) and f'(t) = a + t c(t)."""
+    a = curve.a
+    c0 = curve.jet(ctx.mp.zero)[2]
+    b0 = c0 * ctx.mpf("0.5")
     s = ctx.mp.sin(theta)
     return a * a * s * (b0 - c0) * (a * s + 2 * ctx.mp.cos(theta))
 
@@ -356,14 +295,12 @@ def probe_zeta_limit(
     grid: ProbeGrid, curve: AnalyticCurve, ctx: PrecisionContext
 ) -> ProbeReport:
     """Check (zeta1 - zeta2 - zeta3)/R^2 -> nu(theta) with an O(R) band."""
-    taylor = CurveTaylor.of(curve, ctx)
-
     def evaluate(r, theta):
         z1, z2, z3 = zeta_terms(r, theta, curve, ctx)
         return (z1 - z2 - z3) / (r * r)
 
     return _banded_probe(
-        "zeta", curve, grid, ctx, [(evaluate, lambda theta: nu(theta, taylor, ctx))]
+        "zeta", curve, grid, ctx, [(evaluate, lambda theta: nu(theta, curve, ctx))]
     )
 
 
@@ -400,7 +337,6 @@ def probe_one_minus_h(
     """Check (1 - h(x,z))/R -> (sin(theta) - a cos(theta)) nu(theta) / a^3
     pointwise in theta; the uniform bound is the supremum of this over
     theta."""
-    taylor = CurveTaylor.of(curve, ctx)
     a = curve.a
 
     def evaluate(r, theta):
@@ -409,7 +345,7 @@ def probe_one_minus_h(
 
     def target(theta):
         s = ctx.mp.sin(theta)
-        return (s - a * ctx.mp.cos(theta)) * nu(theta, taylor, ctx) / a**3
+        return (s - a * ctx.mp.cos(theta)) * nu(theta, curve, ctx) / a**3
 
     return _banded_probe("one-minus-h", curve, grid, ctx, [(evaluate, target)])
 

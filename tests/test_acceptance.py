@@ -321,7 +321,7 @@ def test_criterion_9_property_suites(ctx):
             break
 
     # eigensolver residuals
-    eig_tol = 10 * ctx.eig_tol
+    eig_tol = 10 * ctx.floor
     for _ in range(1000):
         n = rng.randint(2, 5)
         x = sym_random(n, rng, ctx)

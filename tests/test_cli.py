@@ -55,6 +55,24 @@ class TestRunCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert read(a) == read(b)
 
+    def test_missing_out_directory(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code = main(["run", "--problem", "circle-line", "--max-iter", "3",
+                     "--out", str(missing / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"feasikit: output directory does not exist: {missing}\n"
+        assert captured.out == ""
+
+    def test_failed_write_is_one_line(self, tmp_path, capsys):
+        # --out names an existing directory, so only the write itself fails
+        code = main(["run", "--problem", "circle-line", "--max-iter", "3",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"feasikit: cannot write {tmp_path}: ")
+        assert err.count("\n") == 1
+
     def test_unknown_problem_and_method(self, capsys):
         assert main(["run", "--problem", "torus"]) == 2
         assert "unknown problem" in capsys.readouterr().err
@@ -203,6 +221,19 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err == "feasikit: duplicate method in --methods: dr,lt,dr\n"
 
+    def test_missing_out_directory_rejected_before_sampling(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the output directory check")
+
+        monkeypatch.setattr("feasikit.analysis.sample_disk", no_sampling)
+        missing = tmp_path / "missing"
+        assert main(["bench", "--problem", "circle-line", "--trials", "4",
+                     "--jobs", "1", "--out", str(missing / "b.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"feasikit: output directory does not exist: {missing}\n"
+
     def test_workers_capped_at_cells(self, monkeypatch, capsys):
         class Recorder:
             """Stands in for the pool: records its size, maps in-process."""
@@ -344,6 +375,14 @@ class TestProbeCommand:
         assert captured.err == "feasikit: the probe grid needs at least one angle\n"
         assert captured.out == ""
 
+    def test_missing_out_directory(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["probe", "ratio", "quad", "--n-radii", "3", "--n-angles", "4",
+                     "--out", str(missing / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"feasikit: output directory does not exist: {missing}\n"
+        assert captured.out == ""
+
     def test_unknown_curve(self, capsys):
         assert main(["probe", "zeta", "nonagon"]) == 2
         assert "unknown curve" in capsys.readouterr().err
@@ -386,7 +425,20 @@ class TestGoldenOutput:
         (["probe", "ratio", "quad", "--n-radii", "3", "--n-angles", "4",
           "--precision", "120"],
          "eecdbc4b610747d7dd54373169e6b4ba07eb740b94d69b52f16994f25f4dd574"),
-    ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad"])
+        # recorded before the arithmetic floor moved into PrecisionContext and
+        # nu read f''(0) from the jet: nu, the floor in lt_step, solve2x2,
+        # eig_sym and the auto reference
+        (["probe", "zeta", "quad", "--n-radii", "3", "--n-angles", "4",
+          "--precision", "120"],
+         "fe7e63801c20ece0f5c001f5385539f914e347710ca912a87ae0926621dd84c7"),
+        (["probe", "one-minus-h", "sin-shift", "--n-radii", "3", "--n-angles", "4",
+          "--precision", "120"],
+         "2c47588e35a07ba4e61bed4d6f1af640e53f949003b393993c9d2849a52ac914"),
+        (["run", "--problem", "psdb-s11", "--method", "lt", "--seed", "4",
+          "--max-iter", "40", "--tol", "1e-30", "--precision", "120", "--no-times"],
+         "ce6003c0a4d74982f65b0a3608ce8c1e10ae4efbb064fa2e6de0f94ccb45f653"),
+    ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad",
+            "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out

@@ -28,8 +28,12 @@ def sym_random(n, rng, ctx):
 class TestPrecisionContext:
     def test_defaults(self, ctx):
         assert ctx.decimal_digits == 120
-        assert ctx.eig_tol == ctx.pow10(-110)
-        assert ctx.col_tol == ctx.pow10(-110)
+        assert ctx.floor == ctx.pow10(-110)
+
+    def test_only_the_precision_is_settable(self):
+        for derived in ("mp", "floor", "eig_tol", "col_tol"):
+            with pytest.raises(TypeError):
+                PrecisionContext(decimal_digits=40, **{derived: None})
 
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):
@@ -87,7 +91,7 @@ class TestEig:
         # with eigenvectors (1,-1)/sqrt(2) and (1,1)/sqrt(2)
         x = SymMatrix.from_rows([[ctx.mpf(0), ctx.mpf(1)], [ctx.mpf(1), ctx.mpf(0)]])
         s = eig_sym(x, ctx)
-        tol = 10 * ctx.eig_tol
+        tol = 10 * ctx.floor
         assert abs(s.eigenvalues[0] + 1) <= tol
         assert abs(s.eigenvalues[1] - 1) <= tol
         inv_sqrt2 = 1 / ctx.mp.sqrt(ctx.mpf(2))
@@ -104,7 +108,7 @@ class TestEig:
 
     def test_residuals_random(self, ctx):
         rng = random.Random(5)
-        tol = 10 * ctx.eig_tol
+        tol = 10 * ctx.floor
         for trial in range(30):
             n = rng.randint(1, 6)
             x = sym_random(n, rng, ctx)
@@ -146,7 +150,7 @@ def mpf_eig_sym(X, ctx):
     if n == 1 or norm_x == 0:
         return _sorted_spectrum([a[i][i] for i in range(n)], v, n)
 
-    off_goal_sq = (ctx.eig_tol * norm_x) ** 2
+    off_goal_sq = (ctx.floor * norm_x) ** 2
     max_sweeps = 30 * n * n
     for _ in range(max_sweeps):
         off_sq = 2 * sum(
@@ -234,11 +238,10 @@ class TestRawKernelsMatchMpf:
         seed=st.integers(0, 2**32 - 1),
         scale_exp=st.sampled_from((0, -100, 20)),
         digits=st.sampled_from((120, 40, 200)),
-        eig_tol=st.sampled_from((None, "1e-25")),
     )
     @settings(max_examples=200)
-    def test_eig_sym_and_reconstruct(self, n, kind, seed, scale_exp, digits, eig_tol):
-        ctx = PrecisionContext(decimal_digits=digits, eig_tol=eig_tol)
+    def test_eig_sym_and_reconstruct(self, n, kind, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
         x = differential_matrix(kind, n, seed, scale_exp, ctx)
         got = eig_sym(x, ctx)
         assert spectrum_bits(got) == spectrum_bits(mpf_eig_sym(x, ctx))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feasikit.analysis import sample_disk
-from feasikit.numerics import Point2, SymMatrix, dist, norm
+from feasikit.numerics import Point2, PrecisionContext, SymMatrix, dist, norm
 from feasikit.sets import (
     CurveGraph,
     DiagOnes,
@@ -25,7 +25,7 @@ from feasikit.sets import (
 )
 from feasikit.theory import get_curve
 
-from test_numerics import sym_random
+from test_numerics import raw, sym_random
 
 
 def mat(ctx, rows):
@@ -225,7 +225,7 @@ class TestReflection:
 class TestMatrixProjections:
     def test_psd_diagonal_clip(self, ctx):
         got = project_psd(SymMatrix.diag([1, -2], ctx), ctx)
-        assert_mat_close(ctx, got, [[1, 0], [0, 0]], 10 * ctx.eig_tol)
+        assert_mat_close(ctx, got, [[1, 0], [0, 0]], 10 * ctx.floor)
 
     def test_psd_identity_on_cone(self, ctx):
         x = mat(ctx, [[2, 1], [1, 2]])
@@ -234,15 +234,15 @@ class TestMatrixProjections:
     def test_psd_hand_eigenpair(self, ctx):
         # eigenpair (-1, 1); the negative part is clipped
         got = project_psd(mat(ctx, [[0, 1], [1, 0]]), ctx)
-        assert_mat_close(ctx, got, [["0.5", "0.5"], ["0.5", "0.5"]], 10 * ctx.eig_tol)
+        assert_mat_close(ctx, got, [["0.5", "0.5"], ["0.5", "0.5"]], 10 * ctx.floor)
 
     def test_boundary_positive_branch(self, ctx):
         got = project_psd_boundary(SymMatrix.diag([3, 1], ctx), ctx)
-        assert_mat_close(ctx, got, [[3, 0], [0, 0]], 10 * ctx.eig_tol)
+        assert_mat_close(ctx, got, [[3, 0], [0, 0]], 10 * ctx.floor)
 
     def test_boundary_cone_branch(self, ctx):
         got = project_psd_boundary(SymMatrix.diag([-1, 2], ctx), ctx)
-        assert_mat_close(ctx, got, [[0, 0], [0, 2]], 10 * ctx.eig_tol)
+        assert_mat_close(ctx, got, [[0, 0], [0, 2]], 10 * ctx.floor)
 
     def test_boundary_tie_zeroes_first_index(self, ctx):
         from feasikit.numerics import eig_sym
@@ -260,22 +260,69 @@ class TestMatrixProjections:
         for _ in range(20):
             got = project_psd_boundary(sym_random(3, rng, ctx), ctx)
             lam_min = eig_sym(got, ctx).eigenvalues[0]
-            assert abs(lam_min) <= 10 * ctx.eig_tol
+            assert abs(lam_min) <= 10 * ctx.floor
 
     def test_diag_ones_examples(self, ctx):
         got = project_diag_ones(mat(ctx, [[0, 2], [2, 0]]), ctx)
         assert got == mat(ctx, [[1, 2], [2, 1]])
         member = mat(ctx, [[1, "0.3"], ["0.3", 1]])
         assert project_diag_ones(member, ctx) == member
-        # asymmetric raw input is symmetrized by the averaging rule
-        raw = [[ctx.mpf(1), ctx.mpf(3)], [ctx.mpf(1), ctx.mpf(1)]]
-        assert project_diag_ones(raw, ctx) == mat(ctx, [[1, 2], [2, 1]])
 
     def test_entry11_examples(self, ctx):
         assert project_entry11(mat(ctx, [[0, 2], [2, 5]]), ctx) == mat(ctx, [[1, 2], [2, 5]])
         member = mat(ctx, [[1, "0.2"], ["0.2", 9]])
         assert project_entry11(member, ctx) == member
         assert project_entry11(SymMatrix.diag([4, 7], ctx), ctx) == SymMatrix.diag([1, 7], ctx)
+
+
+def averaging_diag_ones(x, ctx):
+    """``project_diag_ones`` as it was, averaging each off-diagonal pair;
+    the oracle for the version that keeps the entries."""
+    rows = x.entries
+    n = len(rows)
+    one = ctx.mp.one
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = one
+        for j in range(i + 1, n):
+            avg = (rows[i][j] + rows[j][i]) / 2
+            out[i][j] = out[j][i] = avg
+    return SymMatrix.from_rows(out)
+
+
+def averaging_entry11(x, ctx):
+    """``project_entry11`` as it was, averaging each off-diagonal pair."""
+    rows = x.entries
+    n = len(rows)
+    out = [[None] * n for _ in range(n)]
+    out[0][0] = ctx.mp.one
+    for i in range(n):
+        if i > 0:
+            out[i][i] = rows[i][i]
+        for j in range(i + 1, n):
+            avg = (rows[i][j] + rows[j][i]) / 2
+            out[i][j] = out[j][i] = avg
+    return SymMatrix.from_rows(out)
+
+
+class TestAffineProjectionsMatchAveraging:
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from((120, 40, 200)),
+    )
+    @settings(max_examples=100)
+    def test_same_bits(self, n, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        assert ctx.floor._mpf_ == ctx.pow10(-(digits - 10))._mpf_
+        # scaled by 1 - 1/q so that the entries carry full-length mantissas
+        x = sym_random(n, random.Random(seed), ctx) * (
+            (1 - ctx.mpf(1) / 999983) * ctx.pow10(scale_exp)
+        )
+        for new, old in ((project_diag_ones, averaging_diag_ones),
+                         (project_entry11, averaging_entry11)):
+            assert raw(new(x, ctx).entries) == raw(old(x, ctx).entries)
 
 
 class TestIdempotenceAndNonexpansiveness:

@@ -67,7 +67,7 @@ class TestLtStep:
         assert rec.collinear
         assert rec.result == rec.v1
         # T is the x-axis projection composed with itself through the half sum
-        assert rec.eta <= ctx.col_tol
+        assert rec.eta <= ctx.floor
 
     def test_one_step_on_any_slope(self, ctx):
         for a in ("0.5", "-3", "7"):

@@ -3,26 +3,21 @@ import random
 import pytest
 
 from feasikit import theory
-from feasikit.numerics import Point2, SingularMatrixError, dist, inner, norm
+from feasikit.numerics import Point2, dist, inner, norm, solve2x2
 from feasikit.solvers import dr_step, lt_step
 from feasikit.theory import (
-    CurveTaylor,
     DegenerateDenominatorError,
     ProbeGrid,
-    ZeroDerivativeError,
-    gamma_system,
     get_curve,
     graph_operator,
     h_coeff,
     linear_rate,
     lt_closed_form,
-    lyapunov_grad,
     nu,
     probe_denominator_limit,
     probe_one_minus_h,
     probe_ratio,
     probe_zeta_limit,
-    t_inverse,
     zeta_terms,
 )
 
@@ -41,80 +36,42 @@ class TestCurves:
         with pytest.raises(ValueError):
             get_curve("linear:0", ctx)
 
-    def test_taylor_tails(self, ctx):
-        tol = ctx.pow10(-100)
-        for ident in ("quad", "cubic", "sin-shift"):
-            curve = get_curve(ident, ctx)
-            taylor = CurveTaylor.of(curve, ctx)
-            for k in range(1, 11):
-                for sign in (1, -1):
-                    t = sign * ctx.pow10(-k)
-                    ft, dft, _ = curve.jet(t)
-                    assert abs(taylor.b(t) * t * t + curve.a * t - ft) <= tol
-                    assert abs(taylor.c(t) * t + curve.a - dft) <= tol
-            # the removable singularity comes from the second derivative
-            ddf0 = curve.jet(ctx.mp.zero)[2]
-            assert taylor.b(ctx.mp.zero) == ddf0 / 2
-            assert taylor.c(ctx.mp.zero) == ddf0
-
-    def test_taylor_quad_values(self, ctx):
-        taylor = CurveTaylor.of(get_curve("quad", ctx), ctx)
-        assert taylor.b(ctx.mp.zero) == 1
-        assert taylor.c(ctx.mp.zero) == 2
-
 
 class TestClosedForms:
-    def test_t_inverse_linear(self, ctx):
-        curve = get_curve("linear:1", ctx)
-        w = Point2.of(ctx, "0.2", "0.7")
-        assert t_inverse(w, curve) == Point2.of(ctx, "0.9", "0.5")
-        assert t_inverse(Point2.of(ctx, 0, 0), curve) == Point2.of(ctx, 0, 0)
-
-    def test_t_inverse_quad(self, ctx):
-        got = t_inverse(Point2.of(ctx, "0.1", "0.2"), get_curve("quad", ctx))
-        assert abs(got.x - ctx.mpf("0.34")) <= ctx.pow10(-110)
-        assert abs(got.z - ctx.mpf("0.09")) <= ctx.pow10(-110)
-
     def test_t_inverse_is_local_inverse(self, ctx):
         # two-sided: T(T^-1 w) = w and T^-1(T y) = y near the origin
         for ident in ("quad", "cubic"):
             curve = get_curve(ident, ctx)
             t = graph_operator(curve, ctx)
+
+            def t_inverse(w):
+                """The local inverse of T: (x + z f'(x), z - f(x))."""
+                fx, dfx, _ = curve.jet(w.x)
+                return Point2(w.x + w.z * dfx, w.z - fx)
+
             rng = random.Random(61)
             for _ in range(10):
                 w = Point2.of(ctx, rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
-                back = dr_step(t, t_inverse(w, curve), ctx)
+                back = dr_step(t, t_inverse(w), ctx)
                 assert dist(back, w, ctx) <= ctx.pow10(-100)
                 y = Point2.of(ctx, rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
-                again = t_inverse(dr_step(t, y, ctx), curve)
+                again = t_inverse(dr_step(t, y, ctx))
                 assert dist(again, y, ctx) <= ctx.pow10(-100)
-
-    def test_lyapunov_grad(self, ctx):
-        assert lyapunov_grad(Point2.of(ctx, "0.4", "0.2"), get_curve("linear:1", ctx)) == Point2.of(ctx, "0.4", "0.2")
-        assert lyapunov_grad(Point2.of(ctx, 0, "0.9"), get_curve("quad", ctx)) == Point2.of(ctx, 0, "0.9")
-        curve2 = get_curve("linear:2", ctx)
-
-        # f(t)=2t+t^2 via a shifted quadratic
-        from feasikit.sets import AnalyticCurve
-
-        curve = AnalyticCurve.checked(
-            lambda t: (2 * t + t * t, 2 + 2 * t, ctx.mpf(2)), ctx=ctx
-        )
-        got = lyapunov_grad(Point2.of(ctx, "0.1", "0.3"), curve)
-        assert abs(got.x - ctx.mpf("0.21") / ctx.mpf("2.2")) <= ctx.pow10(-110)
-        assert got.z == ctx.mpf("0.3")
-        # f'(x) = 0 at x = -1
-        with pytest.raises(ZeroDerivativeError):
-            lyapunov_grad(Point2.of(ctx, -1, "0.3"), curve)
 
     def test_lyapunov_descent_along_dr_iterates(self, ctx):
         for ident in ("quad", "cubic"):
             curve = get_curve(ident, ctx)
             t = graph_operator(curve, ctx)
+
+            def lyapunov_grad(w):
+                """(f(x)/f'(x), z), the gradient of the DR dynamics' Lyapunov function."""
+                fx, dfx, _ = curve.jet(w.x)
+                return Point2(fx / dfx, w.z)
+
             w = Point2.of(ctx, "0.01", "0.005")
             for _ in range(10):
                 step = dr_step(t, w, ctx)
-                assert inner(lyapunov_grad(w, curve), step - w) < 0
+                assert inner(lyapunov_grad(w), step - w) < 0
                 w = step
 
     def test_h_is_one_on_lines(self, ctx):
@@ -160,6 +117,8 @@ class TestClosedForms:
             h_coeff(Point2.of(ctx, 0, 0), get_curve("quad", ctx), ctx)
 
     def test_gamma_matches_h(self, ctx):
+        # h(x, z) is gamma1 of the 2x2 system tying the two expressions for
+        # the LT update
         rng = random.Random(71)
         for ident in ("quad", "cubic"):
             curve = get_curve(ident, ctx)
@@ -167,19 +126,15 @@ class TestClosedForms:
                 w = Point2.of(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
                 if norm(w, ctx) < ctx.mpf("1e-4"):
                     continue
-                g1, _ = gamma_system(w, curve, ctx)
+                z = w.z
+                fx, dfx, _ = curve.jet(w.x)
+                fx1, dfx1, _ = curve.jet(w.x + z * dfx)
+                g1, _ = solve2x2(
+                    ((-fx / dfx, fx1 / dfx1), (-z, z - fx)), (z * dfx, -fx), ctx
+                )
                 assert abs(g1 - h_coeff(w, curve, ctx)) <= ctx.pow10(
                     -(ctx.decimal_digits - 20)
                 )
-
-    def test_gamma_singular_at_origin(self, ctx):
-        # z = f(x) = 0 zeroes a row of the system
-        with pytest.raises(SingularMatrixError):
-            gamma_system(Point2.of(ctx, 0, 0), get_curve("quad", ctx), ctx)
-
-    def test_gamma_one_on_lines(self, ctx):
-        g1, _ = gamma_system(Point2.of(ctx, "0.1", "0.1"), get_curve("linear:1", ctx), ctx)
-        assert abs(g1 - 1) <= ctx.pow10(-100)
 
 
 class TestLtClosedForm:
@@ -210,10 +165,10 @@ class TestLtClosedForm:
 
 class TestAngularCoefficient:
     def test_nu_examples(self, ctx):
-        quad = CurveTaylor.of(get_curve("quad", ctx), ctx)
+        quad = get_curve("quad", ctx)
         assert nu(ctx.mp.zero, quad, ctx) == 0
         assert abs(nu(ctx.mp.pi / 2, quad, ctx) + 1) <= ctx.pow10(-110)
-        linear = CurveTaylor.of(get_curve("linear:5", ctx), ctx)
+        linear = get_curve("linear:5", ctx)
         for theta in (0.3, 1.1, 4.0):
             assert nu(ctx.mpf(theta), linear, ctx) == 0
 
@@ -232,11 +187,10 @@ class TestAngularCoefficient:
 
     def test_zeta_limit_quad(self, ctx):
         curve = get_curve("quad", ctx)
-        taylor = CurveTaylor.of(curve, ctx)
         r = ctx.pow10(-4)
         theta = ctx.mp.pi / 4
         z1, z2, z3 = zeta_terms(r, theta, curve, ctx)
-        assert abs((z1 - z2 - z3) / (r * r) - nu(theta, taylor, ctx)) <= ctx.mpf("0.01")
+        assert abs((z1 - z2 - z3) / (r * r) - nu(theta, curve, ctx)) <= ctx.mpf("0.01")
 
 
 class TestProbes:
@@ -332,7 +286,6 @@ class TestProbes:
     def test_ratio_single_point_consistency(self, ctx):
         # hand-assembled ratio from the polar LT coordinate expressions
         curve = get_curve("quad", ctx)
-        taylor = CurveTaylor.of(curve, ctx)
         t = graph_operator(curve, ctx)
         y = Point2.of(ctx, "0.001", "0.0004")
         w = dr_step(t, dr_step(t, y, ctx), ctx)
@@ -340,12 +293,16 @@ class TestProbes:
         theta_w = ctx.mp.atan2(w.z, w.x)
         h = h_coeff(w, curve, ctx)
         x = w.x
+        # the tails of f(x) = a x + x^2 b(x) and f'(x) = a + x c(x)
+        fx, dfx, _ = curve.jet(x)
+        b = (fx - curve.a * x) / (x * x)
+        c = (dfx - curve.a) / x
         lt2 = r_w**2 * ctx.mp.sin(theta_w) * (1 - h) / r_w
         lt1 = (
             r_w**2
             * ctx.mp.cos(theta_w)
-            / (curve.a + x * taylor.c(x))
-            * (curve.a * (1 - h) / r_w + ctx.mp.cos(theta_w) * (taylor.c(x) - taylor.b(x) * h))
+            / (curve.a + x * c)
+            * (curve.a * (1 - h) / r_w + ctx.mp.cos(theta_w) * (c - b * h))
         )
         hand_ratio = r_w**2 / (abs(lt1) + abs(lt2))
         from feasikit.theory import _lt_from_w
@@ -357,7 +314,7 @@ class TestProbes:
     def test_mutated_nu_fails_loudly(self, ctx, monkeypatch):
         real_nu = theory.nu
         monkeypatch.setattr(
-            theory, "nu", lambda theta, taylor, c: real_nu(theta, taylor, c) + 1
+            theory, "nu", lambda theta, curve, c: real_nu(theta, curve, c) + 1
         )
         grid = self.small_grid(ctx)
         for probe in (probe_zeta_limit, probe_one_minus_h):
