@@ -10,8 +10,14 @@ reflections are ``R = 2 P - I``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
+
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
+    mpf_mul_int, mpf_pow_int, mpf_sub, round_nearest,
+)
 
 from feasikit.numerics import (
     FeasikitError,
@@ -45,24 +51,33 @@ class FeasibilitySet(ABC):
 class AnalyticCurve:
     """An analytic function t -> f(t) with f(0) = 0 and f'(0) != 0.
 
-    ``jet(t)`` returns (f(t), f'(t), f''(t)) at full precision.  ``a``
-    caches f'(0).
+    ``raw_jet(t)`` maps a raw ``mpf._mpf_`` tuple t to the raw tuples
+    (f(t), f'(t), f''(t)), computed at the precision of the context that
+    built the curve; ``jet(t)`` is the same map on ``mpf`` values of that
+    context.  ``a`` caches f'(0).
     """
 
-    jet: Callable
+    raw_jet: Callable
     a: object
+    mp: MPContext = field(repr=False)
     ident: str = ""
 
     @classmethod
     def checked(cls, jet, ctx: PrecisionContext, ident: str = "") -> "AnalyticCurve":
-        f0, a, _ = jet(ctx.mp.zero)
+        f0, a, _ = (ctx.mp.make_mpf(x) for x in jet(fzero))
         if not (ctx.mp.isfinite(f0) and ctx.mp.isfinite(a)):
             raise ValueError(f"curve must be finite at the origin, f(0)={f0}, f'(0)={a}")
         if abs(f0) > ctx.pow10(-(ctx.decimal_digits - 5)):
             raise ValueError(f"curve must pass through the origin, f(0)={f0}")
         if abs(a) <= ctx.floor:
             raise ValueError("curve must not be tangent to the x-axis: f'(0) == 0")
-        return cls(jet=jet, a=a, ident=ident)
+        return cls(raw_jet=jet, a=a, mp=ctx.mp, ident=ident)
+
+    def jet(self, t):
+        """(f(t), f'(t), f''(t)) as ``mpf`` values, with t rounded to the
+        curve's context."""
+        make = self.mp.make_mpf
+        return tuple(make(x) for x in self.raw_jet(self.mp.mpf(t)._mpf_))
 
 
 def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
@@ -81,35 +96,55 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     g(t) = (t - p.x) + (f(t) - p.z) f'(t) = 0, started from 33 equispaced
     points on [p.x - 2*D, p.x + 2*D] with D = 1 + |p.z|.  Among converged
     roots, the one of least squared distance wins; exact ties break toward
-    smaller t.
+    smaller t.  The curve must come from a context of the same precision.
+
+    The Newton steps run on raw ``mpf._mpf_`` tuples through
+    ``curve.raw_jet`` and ``mpmath.libmp`` at the context's precision,
+    rounding to nearest; each call is the one the ``mpf`` operators would
+    make, so the roots are bit for bit those of the same loop written with
+    ``mpf`` objects (pinned by a differential test against that version).
     """
-    jet = curve.jet
+    if curve.mp.prec != ctx.mp.prec:
+        raise ValueError(
+            f"curve {curve.ident!r} was built at {curve.mp.dps} digits, not {ctx.decimal_digits}"
+        )
+    jet = curve.raw_jet
+    prec, rnd = ctx.mp.prec, round_nearest
     px, pz = p.x, p.z
-    res_tol = ctx.pow10(-(ctx.decimal_digits - 15))
     span = 2 * (1 + abs(pz))
     lo = px - span
     width = 2 * span
-    escape = abs(px) + span + 10
+    rpx, rpz, rlo, rwidth = px._mpf_, pz._mpf_, lo._mpf_, width._mpf_
+    res_tol = ctx.pow10(-(ctx.decimal_digits - 15))._mpf_
+    escape = (abs(px) + span + 10)._mpf_
+    thirty_two = from_int(32)
 
     roots = []  # (t, f(t)) at each converged start
     for k in range(33):
-        t = lo + width * k / 32
+        t = mpf_add(rlo, mpf_div(mpf_mul_int(rwidth, k, prec, rnd), thirty_two, prec, rnd), prec, rnd)
         for _ in range(200):
             ft, dft, ddft = jet(t)
-            dz = ft - pz
-            gt = (t - px) + dz * dft
-            if abs(gt) <= res_tol:
-                roots.append((t, ft))
+            dz = mpf_sub(ft, rpz, prec, rnd)
+            gt = mpf_add(mpf_sub(t, rpx, prec, rnd), mpf_mul(dz, dft, prec, rnd), prec, rnd)
+            if mpf_le(mpf_abs(gt), res_tol):
+                roots.append((ctx.mp.make_mpf(t), ctx.mp.make_mpf(ft)))
                 break
-            slope = 1 + dft ** 2 + dz * ddft
-            if slope == 0:
+            slope = mpf_add(
+                mpf_add(mpf_pow_int(dft, 2, prec, rnd), fone, prec, rnd),
+                mpf_mul(dz, ddft, prec, rnd), prec, rnd,
+            )
+            if slope == fzero:
                 break
-            t = t - gt / slope
-            if abs(t) > escape:
+            t = mpf_sub(t, mpf_div(gt, slope, prec, rnd), prec, rnd)
+            if mpf_gt(mpf_abs(t), escape):
                 break
     if not roots:
+        def show(v):
+            return ctx.mp.nstr(v, 17)
+
         raise ProjectionError(
-            "graph projection: Newton failed from every start; widen the bracket"
+            f"graph projection of ({show(px)}, {show(pz)}): Newton failed from all 33 "
+            f"starts on [{show(lo)}, {show(px + span)}]"
         )
 
     roots.sort()

@@ -12,6 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from mpmath.libmp import (
+    fone, from_int, fzero, mpf_add, mpf_cos_sin, mpf_mul, mpf_mul_int, mpf_neg,
+    mpf_pow_int, round_nearest,
+)
+
 from feasikit.numerics import FeasikitError, Point2, PrecisionContext
 from feasikit.sets import AnalyticCurve, CurveGraph, HorizontalLine
 from feasikit.solvers import DrOperator, dr_step
@@ -32,23 +37,43 @@ class DegenerateDenominatorError(FeasikitError):
 
 def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     """Resolve a curve id: ``linear:<a>`` (slope a), ``quad`` (t + t^2),
-    ``cubic`` (2t + t^3) or ``sin-shift`` (sin(t) + t).  Each curve is one
-    jet t -> (f(t), f'(t), f''(t))."""
+    ``cubic`` (2t + t^3) or ``sin-shift`` (sin(t) + t).
+
+    Each curve is one jet t -> (f(t), f'(t), f''(t)) on raw ``mpf._mpf_``
+    tuples at the context's precision, rounding to nearest.  Each
+    ``libmp`` call is the one the ``mpf`` expression in the comment would
+    make (``2 * t`` is ``mpf_mul_int(t, 2)``, ``1 + x`` is
+    ``mpf_add(x, fone)``), so the jet is bit for bit that expression."""
+    prec, rnd = ctx.mp.prec, round_nearest
     if ident.startswith("linear:"):
         a = ctx.mpf(ident.split(":", 1)[1])
         if a == 0:
             raise ValueError("linear curve needs nonzero slope")
-        jet = lambda t: (a * t, a, ctx.mp.zero)
+        a = a._mpf_
+        # (a * t, a, 0)
+        jet = lambda t: (mpf_mul(a, t, prec, rnd), a, fzero)
     elif ident == "quad":
-        two = ctx.mpf(2)
-        jet = lambda t: (t + t * t, 1 + 2 * t, two)
+        two = from_int(2)
+        # (t + t * t, 1 + 2 * t, 2)
+        jet = lambda t: (
+            mpf_add(t, mpf_mul(t, t, prec, rnd), prec, rnd),
+            mpf_add(mpf_mul_int(t, 2, prec, rnd), fone, prec, rnd),
+            two,
+        )
     elif ident == "cubic":
-        jet = lambda t: (2 * t + t**3, 2 + 3 * t * t, 6 * t)
+        two = from_int(2)
+        # (2 * t + t**3, 2 + 3 * t * t, 6 * t)
+        jet = lambda t: (
+            mpf_add(mpf_mul_int(t, 2, prec, rnd), mpf_pow_int(t, 3, prec, rnd), prec, rnd),
+            mpf_add(mpf_mul(mpf_mul_int(t, 3, prec, rnd), t, prec, rnd), two, prec, rnd),
+            mpf_mul_int(t, 6, prec, rnd),
+        )
     elif ident == "sin-shift":
 
         def jet(t):
-            c, s = ctx.mp.cos_sin(t)
-            return s + t, c + 1, -s
+            # c, s = cos_sin(t); (s + t, c + 1, -s)
+            c, s = mpf_cos_sin(t, prec, rnd)
+            return mpf_add(s, t, prec, rnd), mpf_add(c, fone, prec, rnd), mpf_neg(s, prec, rnd)
 
     else:
         raise ValueError(f"unknown curve id: {ident!r}")

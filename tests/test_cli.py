@@ -125,6 +125,31 @@ class TestRunCommand:
         )
         assert captured.out == ""
 
+    def test_failed_graph_projection_is_one_line(self, monkeypatch, capsys):
+        # on the graph only at t = 0; elsewhere f(t) = 2^1000 swallows p.z,
+        # and f'' = -(1 + f'^2) / f makes every Newton slope exactly zero
+        from mpmath.libmp import fone, from_man_exp, fzero
+
+        from feasikit.sets import AnalyticCurve
+
+        big, bend = from_man_exp(1, 1000), from_man_exp(-1, -999)
+
+        def flat_slope(ident, ctx):
+            return AnalyticCurve.checked(
+                lambda t: (fzero, fone, fzero) if t == fzero else (big, fone, bend), ctx, ident
+            )
+
+        monkeypatch.setattr("feasikit.theory.get_curve", flat_slope)
+        assert main(["run", "--problem", "graph:flat", "--method", "lt", "--no-times"]) == 3
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "feasikit: numerical failure: ProjectionError: graph projection of ("
+        )
+        assert "Newton failed from all 33 starts on [" in err[0]
+        assert captured.out == ""
+
     def test_unconverged_auto_reference_warns(self, capsys):
         # DR on psdb-s1 converges linearly, so 400 steps leave its reference
         # short of the floor; DR on psd-s1 lands exactly on its fixed point
@@ -437,8 +462,20 @@ class TestGoldenOutput:
         (["run", "--problem", "psdb-s11", "--method", "lt", "--seed", "4",
           "--max-iter", "40", "--tol", "1e-30", "--precision", "120", "--no-times"],
          "ce6003c0a4d74982f65b0a3608ce8c1e10ae4efbb064fa2e6de0f94ccb45f653"),
+        # recorded before the graph projection's Newton loop and the curve
+        # jets moved onto raw mpf tuples
+        (["run", "--problem", "graph:sin-shift", "--method", "lt", "--seed", "4",
+          "--precision", "120", "--no-times"],
+         "d6b043a9df913bb558c061fc85479ed0b28393b4675804971590fe023eee4a7c"),
+        (["run", "--problem", "graph:cubic", "--method", "plt", "--seed", "4",
+          "--precision", "120", "--no-times"],
+         "dace42f9b7df7b658e26b912c24ad1b673ee49fc8fe405824b59c983e16ddc76"),
+        (["run", "--problem", "graph:linear:-2", "--method", "lt", "--seed", "4",
+          "--precision", "120", "--no-times"],
+         "d1a28255f3a071137dccf47055f4a05e504cf24a269ab309ee7cbdd9e874b27c"),
     ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad",
-            "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt"])
+            "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt",
+            "run-graph-sin-shift-lt", "run-graph-cubic-plt", "run-graph-linear-neg2-lt"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out

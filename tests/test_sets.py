@@ -161,20 +161,28 @@ def selector_bits(select):
 JET_CURVES = ("quad", "cubic", "sin-shift", "linear:1", "linear:-2", "linear:0.3")
 
 
+DIGITS = (40, 120, 200)
+
+
 class TestGraphJet:
-    def test_jet_matches_separate_expressions(self, ctx):
-        rng = random.Random(7)
-        half_pi = ctx.mp.pi / 2
-        ts = [ctx.mp.zero, ctx.pow10(-130), -ctx.pow10(-130), ctx.pow10(-40)]
-        ts += [ctx.mpf(rng.uniform(-1e-3, 1e-3)) / 3 for _ in range(20)]
-        for k in (1, 3, 5, 7):  # past each odd multiple of pi/2, both signs
-            ts += [sign * (k * half_pi + d) for sign in (1, -1) for d in (ctx.mpf("1e-9"), ctx.mpf(1) / 7)]
-        ts += [ctx.mpf(rng.uniform(-8, 8)) / 7 * 3 for _ in range(60)]
-        for ident in JET_CURVES:
-            jet = get_curve(ident, ctx).jet
-            separate = separate_curve(ident, ctx)
-            for t in ts:
-                assert bits(*jet(t)) == bits(*(g(t) for g in separate)), (ident, t)
+    """The raw-tuple jets and Newton loop against the ``mpf`` oracles above,
+    with the curve and the points built in one context at each precision."""
+
+    def test_jet_matches_separate_expressions(self):
+        for digits in DIGITS:
+            ctx = PrecisionContext(decimal_digits=digits)
+            rng = random.Random(7)
+            half_pi = ctx.mp.pi / 2
+            ts = [ctx.mp.zero, ctx.pow10(-130), -ctx.pow10(-130), ctx.pow10(-40)]
+            ts += [ctx.mpf(rng.uniform(-1e-3, 1e-3)) / 3 for _ in range(20)]
+            for k in (1, 3, 5, 7):  # past each odd multiple of pi/2, both signs
+                ts += [sign * (k * half_pi + d) for sign in (1, -1) for d in (ctx.mpf("1e-9"), ctx.mpf(1) / 7)]
+            ts += [ctx.mpf(rng.uniform(-8, 8)) / 7 * 3 for _ in range(60)]
+            for ident in JET_CURVES:
+                jet = get_curve(ident, ctx).jet
+                separate = separate_curve(ident, ctx)
+                for t in ts:
+                    assert bits(*jet(t)) == bits(*(g(t) for g in separate)), (digits, ident, t)
 
     @pytest.mark.parametrize("ident", JET_CURVES)
     @settings(max_examples=25)
@@ -182,17 +190,25 @@ class TestGraphJet:
         seed=st.integers(0, 2**32 - 1),
         far=st.none() | st.tuples(*[st.floats(-3, 3)] * 2),
     )
-    def test_project_graph_matches_separate_selector(self, ctx, ident, seed, far):
+    def test_project_graph_matches_separate_selector(self, ident, seed, far):
         # points in the 0.05 disk the graph problems sample from, or anywhere
         # with |x|, |z| <= 3 (scaled by 1 - 1/q for full-length mantissas)
-        if far is None:
-            p = sample_disk(Point2.of(ctx, 0, 0), "0.05", 1, seed, ctx)[0]
-        else:
-            shrink = 1 - ctx.mpf(1) / 999983
-            p = Point2(ctx.mpf(far[0]) * shrink, ctx.mpf(far[1]) * shrink)
-        curve = get_curve(ident, ctx)
-        old = selector_bits(lambda: separate_project_graph(p, *separate_curve(ident, ctx), ctx))
-        assert selector_bits(lambda: project_graph(p, curve, ctx)) == old
+        for digits in DIGITS:
+            ctx = PrecisionContext(decimal_digits=digits)
+            if far is None:
+                p = sample_disk(Point2.of(ctx, 0, 0), "0.05", 1, seed, ctx)[0]
+            else:
+                shrink = 1 - ctx.mpf(1) / 999983
+                p = Point2(ctx.mpf(far[0]) * shrink, ctx.mpf(far[1]) * shrink)
+            curve = get_curve(ident, ctx)
+            old = selector_bits(lambda: separate_project_graph(p, *separate_curve(ident, ctx), ctx))
+            assert selector_bits(lambda: project_graph(p, curve, ctx)) == old, digits
+
+    def test_curve_from_another_precision_rejected(self, ctx):
+        p = Point2.of(ctx, "0.01", "0.02")
+        with pytest.raises(ValueError, match="built at 40 digits, not 120"):
+            project_graph(p, get_curve("quad", PrecisionContext(decimal_digits=40)), ctx)
+
 
 class TestReflection:
     def test_mirror(self, ctx):

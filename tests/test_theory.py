@@ -220,10 +220,17 @@ class TestProbes:
 
     def test_denominator_limit_slope_three(self, ctx):
         # f(t) = 3t + t^2: the scaled denominator tends to a = 3
+        from mpmath.libmp import from_int, mpf_add, mpf_mul, mpf_mul_int, round_nearest
+
         from feasikit.sets import AnalyticCurve
 
+        prec, rnd = ctx.mp.prec, round_nearest
         curve = AnalyticCurve.checked(
-            lambda t: (3 * t + t * t, 3 + 2 * t, ctx.mpf(2)),
+            lambda t: (
+                mpf_add(mpf_mul_int(t, 3, prec, rnd), mpf_mul(t, t, prec, rnd), prec, rnd),
+                mpf_add(mpf_mul_int(t, 2, prec, rnd), from_int(3), prec, rnd),
+                from_int(2),
+            ),
             ctx=ctx,
             ident="slope3",
         )
