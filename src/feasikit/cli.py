@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -206,6 +205,9 @@ def cmd_bench(args) -> int:
     # a fork-started pool starts all its workers up front
     workers = min(args.jobs, len(cells))
     if workers > 1:
+        # imported here: loading the pool machinery costs every other command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_bench_trial, cells, chunksize=4))
     else:

@@ -3,19 +3,22 @@ small dense linear algebra the iteration engines are built on.
 
 Every operation is a pure function of its inputs and an explicit
 :class:`PrecisionContext`; there is no global precision state.  Scalars are
-``mpf`` values bound to the context's private mpmath context, so arithmetic
-on them is deterministic at the configured number of decimal digits.
+``mpf`` values bound to the mpmath context of their precision, so
+arithmetic on them is deterministic at the configured number of decimal
+digits.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-    mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
+    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
 )
 
 
@@ -44,6 +47,10 @@ class PrecisionContext:
     stops, the threshold below which determinants / denominators count as
     degenerate (collinear), and the level below which errors and
     successive-iterate gaps are arithmetic noise.
+
+    All contexts of one precision share one mpmath context and one floor
+    (built once per process); nothing may set that context's ``dps`` or
+    ``prec``.
     """
 
     decimal_digits: int = 120
@@ -53,10 +60,9 @@ class PrecisionContext:
     def __post_init__(self):
         if self.decimal_digits < 30:
             raise ValueError(f"decimal_digits must be >= 30, got {self.decimal_digits}")
-        mp = MPContext()
-        mp.dps = self.decimal_digits
+        mp, floor = _shared_context(self.decimal_digits)
         object.__setattr__(self, "mp", mp)
-        object.__setattr__(self, "floor", mp.mpf(10) ** (-(self.decimal_digits - 10)))
+        object.__setattr__(self, "floor", floor)
 
     def mpf(self, value):
         """Convert ``value`` (int, float, str or mpf) to a scalar of this context."""
@@ -70,21 +76,54 @@ class PrecisionContext:
         return self.mp.nstr(self.mp.mpf(value), self.decimal_digits)
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_context(decimal_digits: int):
+    """The mpmath context and floor of one precision, built on first use."""
+    mp = MPContext()
+    mp.dps = decimal_digits
+    return mp, mp.mpf(10) ** (-(decimal_digits - 10))
+
+
+def _prec_make(x):
+    """The precision the ``mpf`` operators of x round to, and the maker of
+    ``mpf`` values of x's context from raw tuples."""
+    mp = x.context
+    return mp.prec, mp.make_mpf
+
+
 @dataclass(frozen=True)
 class Point2:
-    """A point (x, z) in the plane."""
+    """A point (x, z) in the plane.
+
+    ``+``, ``-`` and ``*`` (by an ``mpf`` or an ``int``) run on raw
+    ``mpf._mpf_`` tuples at the precision of x's context, one ``libmp``
+    call per coordinate, as the ``mpf`` operators would.
+    """
 
     x: object
     z: object
 
     def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.z + other.z)
+        prec, make = _prec_make(self.x)
+        rnd = round_nearest
+        return Point2(make(mpf_add(self.x._mpf_, other.x._mpf_, prec, rnd)),
+                      make(mpf_add(self.z._mpf_, other.z._mpf_, prec, rnd)))
 
     def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.z - other.z)
+        prec, make = _prec_make(self.x)
+        rnd = round_nearest
+        return Point2(make(mpf_sub(self.x._mpf_, other.x._mpf_, prec, rnd)),
+                      make(mpf_sub(self.z._mpf_, other.z._mpf_, prec, rnd)))
 
     def __mul__(self, scalar) -> "Point2":
-        return Point2(self.x * scalar, self.z * scalar)
+        prec, make = _prec_make(self.x)
+        rnd = round_nearest
+        if isinstance(scalar, int):
+            return Point2(make(mpf_mul_int(self.x._mpf_, scalar, prec, rnd)),
+                          make(mpf_mul_int(self.z._mpf_, scalar, prec, rnd)))
+        s = scalar._mpf_
+        return Point2(make(mpf_mul(self.x._mpf_, s, prec, rnd)),
+                      make(mpf_mul(self.z._mpf_, s, prec, rnd)))
 
     __rmul__ = __mul__
 
@@ -205,21 +244,74 @@ class Spectrum:
         return Spectrum(tuple(eigenvalues), self.basis)
 
 
-def inner(a, b):
-    """Inner product: Euclidean on Point2, Frobenius on SymMatrix."""
+def _raw_inner(a, b, prec, rnd=round_nearest):
+    """``a.x * b.x + a.z * b.z`` on Point2, ``sum(x * y)`` over the entries
+    row by row on SymMatrix; raw."""
     if isinstance(a, Point2):
-        return a.x * b.x + a.z * b.z
-    return sum(
-        x * y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
-    )
+        return mpf_add(mpf_mul(a.x._mpf_, b.x._mpf_, prec, rnd),
+                       mpf_mul(a.z._mpf_, b.z._mpf_, prec, rnd), prec, rnd)
+    return _raw_sum((mpf_mul(x._mpf_, y._mpf_, prec, rnd)
+                     for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)), prec)
+
+
+def inner(a, b):
+    """Inner product: Euclidean on Point2, Frobenius on SymMatrix; raw, at
+    the precision of a's context."""
+    prec, make = _prec_make(a.x if isinstance(a, Point2) else a.entries[0][0])
+    return make(_raw_inner(a, b, prec))
+
+
+def _raw_norm(a, prec):
+    """``sqrt(inner(a, a))``, raw."""
+    return _raw_sqrt(_raw_inner(a, a, prec), prec)
 
 
 def norm(a, ctx: PrecisionContext):
-    return ctx.mp.sqrt(inner(a, a))
+    """``sqrt(inner(a, a))``, raw, at the context's precision."""
+    return ctx.mp.make_mpf(_raw_norm(a, ctx.mp.prec))
 
 
 def dist(a, b, ctx: PrecisionContext):
-    return norm(a - b, ctx)
+    """``norm(a - b)``, raw, at the context's precision, without building
+    ``a - b``."""
+    prec, rnd = ctx.mp.prec, round_nearest
+    if isinstance(a, Point2):
+        dx = mpf_sub(a.x._mpf_, b.x._mpf_, prec, rnd)
+        dz = mpf_sub(a.z._mpf_, b.z._mpf_, prec, rnd)
+        sq = mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(dz, dz, prec, rnd), prec, rnd)
+    else:
+        diffs = (mpf_sub(x._mpf_, y._mpf_, prec, rnd)
+                 for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
+        sq = _raw_sum((mpf_mul(d, d, prec, rnd) for d in diffs), prec)
+    return ctx.mp.make_mpf(_raw_sqrt(sq, prec))
+
+
+def _raw_sqrt(s, prec):
+    """``mpf_sqrt(s, prec, round_nearest)`` with the integer square root
+    taken by ``math.isqrt`` instead of mpmath's pure-Python ``sqrtrem``.
+
+    The algorithm is ``mpf_sqrt``'s: scale the mantissa so that its root
+    carries prec + 2 or more bits, take the floor root, and if the
+    remainder is nonzero append a sticky 1 bit; rounding that to prec
+    bits gives the correctly rounded root.  Both roots are the exact floor
+    square root, so the bits agree.  Zero, the special values, negative
+    input and the powers of four go to ``mpf_sqrt`` itself.
+    """
+    sign, man, exp, bc = s
+    if sign or not man or (man == 1 and not exp & 1):
+        return mpf_sqrt(s, prec, round_nearest)
+    if exp & 1:
+        exp -= 1
+        man <<= 1
+        bc += 1
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    scaled = man << shift
+    man = math.isqrt(scaled)
+    if man * man != scaled:
+        man = (man << 1) + 1
+        shift += 2
+    return from_man_exp(man, (exp - shift) // 2, prec, round_nearest)
 
 
 def _raw_sum(terms, prec, rnd=round_nearest):
@@ -238,7 +330,7 @@ def _off_diagonal_sq(a, n, prec, rnd=round_nearest):
 
 def _sqrt_one_plus_sq(x, prec, rnd=round_nearest):
     """``sqrt(1 + x * x)``, raw."""
-    return mpf_sqrt(mpf_add(mpf_mul(x, x, prec, rnd), fone, prec, rnd), prec, rnd)
+    return _raw_sqrt(mpf_add(mpf_mul(x, x, prec, rnd), fone, prec, rnd), prec)
 
 
 def _rotate(c, s, x, y, prec, rnd=round_nearest):
@@ -269,8 +361,8 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     a = [[x._mpf_ for x in row] for row in X.entries]
     v = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
 
-    norm_x = mpf_sqrt(
-        _raw_sum((mpf_mul(x, x, prec, rnd) for row in a for x in row), prec), prec, rnd
+    norm_x = _raw_sqrt(
+        _raw_sum((mpf_mul(x, x, prec, rnd) for row in a for x in row), prec), prec
     )
     if n == 1 or norm_x == fzero:
         return _wrapped_spectrum(a, v, n, ctx)
@@ -304,7 +396,7 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
                     a[p][i], a[q][i] = a[i][p], a[i][q]
                 for row in v:
                     row[p], row[q] = _rotate(c, s, row[p], row[q], prec)
-    off = ctx.mp.make_mpf(mpf_sqrt(_off_diagonal_sq(a, n, prec), prec, rnd))
+    off = ctx.mp.make_mpf(_raw_sqrt(_off_diagonal_sq(a, n, prec), prec))
     raise NonConvergenceError(
         f"Jacobi sweeps exhausted ({max_sweeps}) with off-diagonal residual {off}"
     )

@@ -24,6 +24,7 @@ from feasikit.numerics import (
     Point2,
     PrecisionContext,
     SymMatrix,
+    _raw_norm,
     eig_sym,
 )
 
@@ -82,11 +83,17 @@ class AnalyticCurve:
 
 def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
     """Radial projection onto the unit circle; the selector at the origin
-    (where the projection is set-valued) is (1, 0)."""
-    r = ctx.mp.sqrt(p.x * p.x + p.z * p.z)
-    if r == 0:
+    (where the projection is set-valued) is (1, 0).
+
+    Runs on raw ``mpf._mpf_`` tuples at the context's precision, one
+    ``libmp`` call per ``mpf`` operation of ``r = sqrt(x * x + z * z)``,
+    ``(x / r, z / r)``."""
+    prec, rnd = ctx.mp.prec, round_nearest
+    r = _raw_norm(p, prec)
+    if r == fzero:
         return Point2(ctx.mp.one, ctx.mp.zero)
-    return Point2(p.x / r, p.z / r)
+    make = ctx.mp.make_mpf
+    return Point2(make(mpf_div(p.x._mpf_, r, prec, rnd)), make(mpf_div(p.z._mpf_, r, prec, rnd)))
 
 
 def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2:

@@ -1,9 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import feasikit
 from feasikit.analysis import estimate_order
 from feasikit.cli import _point_from_payload, _point_payload, build_problem, main
 from feasikit.numerics import Point2, PrecisionContext
@@ -54,6 +58,18 @@ class TestRunCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert read(a) == read(b)
+
+    def test_other_precision_between_runs_changes_nothing(self, tmp_path):
+        # contexts of one precision share an mpmath context; a run at another
+        # precision in between must leave it as it was
+        for problem, method in (("circle-line", "lt"), ("psd-s1", "dr")):
+            args = ["run", "--problem", problem, "--method", method, "--seed", "5",
+                    "--no-times"]
+            a, b = tmp_path / f"{problem}_a.csv", tmp_path / f"{problem}_b.csv"
+            assert main(args + ["--out", str(a)]) == 0
+            assert main(args + ["--precision", "40", "--out", str(tmp_path / "low.csv")]) == 0
+            assert main(args + ["--out", str(b)]) == 0
+            assert read(a) == read(b)
 
     def test_missing_out_directory(self, tmp_path, capsys):
         missing = tmp_path / "missing"
@@ -277,13 +293,19 @@ class TestBenchCommand:
             def map(self, fn, cells, chunksize=1):
                 return map(fn, cells)
 
-        monkeypatch.setattr("feasikit.cli.ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         base = ["bench", "--problem", "circle-line", "--methods", "dr,lt",
                 "--trials", "2", "--tol", "1e-20"]
         assert main(base + ["--jobs", "64"]) == 0
         assert main(base + ["--jobs", "3"]) == 0
         assert main(base + ["--jobs", "1"]) == 0
         assert Recorder.sizes == [4, 3]  # 2 methods x 2 trials; --jobs 1 is serial
+
+    def test_import_leaves_process_pool_unloaded(self):
+        src = os.path.dirname(os.path.dirname(feasikit.__file__))
+        code = "import sys, feasikit.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_parallel_matches_serial(self, tmp_path):
         base = ["bench", "--problem", "circle-line", "--methods", "dr,lt",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import ComplexResult, finf, fnan, fninf, fzero, mpf_sqrt, round_nearest
 
 from feasikit.numerics import (
     NonConvergenceError,
@@ -10,12 +11,15 @@ from feasikit.numerics import (
     SingularMatrixError,
     Spectrum,
     SymMatrix,
+    _raw_sqrt,
     _sorted_spectrum,
+    dist,
     eig_sym,
     inner,
     norm,
     solve2x2,
 )
+from feasikit.sets import project_circle
 
 
 def sym_random(n, rng, ctx):
@@ -46,6 +50,14 @@ class TestPrecisionContext:
         # contexts keep their own precision regardless of creation order
         assert ctx.to_str(x) != other.to_str(y)
         assert abs(x - ctx.mpf(other.to_str(y))) < ctx.pow10(-35)
+
+    def test_one_mpmath_context_per_precision(self):
+        a, b = PrecisionContext(decimal_digits=120), PrecisionContext(decimal_digits=120)
+        assert a.mp is b.mp
+        assert a.floor is b.floor
+        low = PrecisionContext(decimal_digits=40)
+        assert low.mp is not a.mp
+        assert (low.mp.dps, a.mp.dps) == (40, 120)
 
     def test_scalar_string_round_trip(self, ctx):
         x = ctx.mp.sqrt(ctx.mpf(3)) / 7
@@ -254,6 +266,153 @@ class TestRawKernelsMatchMpf:
 
     def test_empty_reconstruct(self):
         assert Spectrum((), ()).reconstruct() == SymMatrix(())
+
+
+DIGITS = (40, 120, 200)
+
+
+def odd_mantissa(draw, bits):
+    """An odd mantissa of exactly ``bits`` bits (normalized mpf mantissas
+    are odd)."""
+    return draw(st.integers(2 ** (bits - 1), 2 ** bits - 1)) | 1
+
+
+@st.composite
+def sqrt_inputs(draw):
+    """Raw nonnegative mpf tuples: random mantissas of 1-900 bits, exact
+    squares, and powers of two, with odd and even exponents."""
+    exp = draw(st.integers(-800, 800))
+    kind = draw(st.sampled_from(("random", "square", "power")))
+    if kind == "random":
+        man = odd_mantissa(draw, draw(st.integers(1, 900)))
+    elif kind == "square":
+        man = odd_mantissa(draw, draw(st.integers(1, 450))) ** 2
+        exp -= exp & 1  # an even exponent keeps it a square
+    else:
+        man = 1
+    return (0, man, exp, man.bit_length())
+
+
+class TestRawSqrt:
+    """``_raw_sqrt`` against ``mpf_sqrt``, which it copies with
+    ``math.isqrt`` for ``sqrtrem``."""
+
+    @given(s=sqrt_inputs(), digits=st.sampled_from(DIGITS))
+    @settings(max_examples=400)
+    def test_matches_mpf_sqrt(self, s, digits):
+        prec = PrecisionContext(decimal_digits=digits).mp.prec
+        assert _raw_sqrt(s, prec) == mpf_sqrt(s, prec, round_nearest)
+
+    def test_exact_squares_and_powers(self):
+        for digits in DIGITS:
+            prec = PrecisionContext(decimal_digits=digits).mp.prec
+            for man in (1, 9, 3 ** 80, (2 ** 300 + 1) ** 2):
+                for exp in (-7, -6, 0, 1, 2, 801):
+                    s = (0, man, exp, man.bit_length())
+                    assert _raw_sqrt(s, prec) == mpf_sqrt(s, prec, round_nearest), (man, exp)
+
+    def test_zero_and_special_values(self):
+        for s in (fzero, finf, fnan):
+            assert _raw_sqrt(s, 402) == mpf_sqrt(s, 402, round_nearest)
+
+    def test_negative_input_raises_as_mpf_sqrt(self):
+        for s in ((1, 3, -4, 2), (1, 1, 0, 1), fninf):
+            with pytest.raises(ComplexResult):
+                mpf_sqrt(s, 402, round_nearest)
+            with pytest.raises(ComplexResult):
+                _raw_sqrt(s, 402)
+
+
+def mpf_sub_points(a, b):
+    """``a - b`` written with ``mpf`` operators: the oracle for Point2's
+    raw ``-`` and, on matrices, SymMatrix's own ``-``."""
+    if isinstance(a, Point2):
+        return Point2(a.x - b.x, a.z - b.z)
+    return a - b
+
+
+def mpf_inner(a, b):
+    """``inner`` written with ``mpf`` operators; its oracle."""
+    if isinstance(a, Point2):
+        return a.x * b.x + a.z * b.z
+    return sum(x * y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
+
+
+def mpf_norm(a, ctx):
+    return ctx.mp.sqrt(mpf_inner(a, a))
+
+
+def mpf_project_circle(p, ctx):
+    """``sets.project_circle`` written with ``mpf`` operators; its oracle."""
+    r = ctx.mp.sqrt(p.x * p.x + p.z * p.z)
+    if r == 0:
+        return Point2(ctx.mp.one, ctx.mp.zero)
+    return Point2(p.x / r, p.z / r)
+
+
+def point_bits(p):
+    return p.x._mpf_, p.z._mpf_
+
+
+def differential_point(kind, seed, scale_exp, ctx):
+    """A plane point of the given kind, drawn from ``seed`` and scaled by
+    10^scale_exp, with full-length mantissas."""
+    if kind == "origin":
+        return Point2(ctx.mp.zero, ctx.mp.zero)
+    rng = random.Random(seed)
+    shrink = (1 - ctx.mpf(1) / 999983) * ctx.pow10(scale_exp)
+    x, z = (ctx.mpf(rng.uniform(-1.0, 1.0)) * shrink for _ in range(2))
+    if kind == "axis":
+        z = ctx.mp.zero
+    return Point2(x, z)
+
+
+class TestRawPlaneMatchesMpf:
+    """The raw-tuple plane layer (Point2 arithmetic, ``inner``, ``norm``,
+    ``dist``, ``project_circle``) against its ``mpf`` oracles above."""
+
+    @given(
+        kinds=st.tuples(*[st.sampled_from(("random", "axis", "origin"))] * 2),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        int_scalar=st.sampled_from((2, -1, 0, 3, 10**40)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=200)
+    def test_point2(self, kinds, seed, scale_exp, int_scalar, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        p = differential_point(kinds[0], seed, scale_exp, ctx)
+        q = differential_point(kinds[1], seed + 1, -scale_exp, ctx)
+        s = differential_point("random", seed + 2, 0, ctx).x
+        assert point_bits(p + q) == point_bits(Point2(p.x + q.x, p.z + q.z))
+        assert point_bits(p - q) == point_bits(mpf_sub_points(p, q))
+        for scalar in (s, int_scalar):
+            assert point_bits(p * scalar) == point_bits(Point2(p.x * scalar, p.z * scalar))
+            assert point_bits(scalar * p) == point_bits(p * scalar)
+        assert inner(p, q)._mpf_ == mpf_inner(p, q)._mpf_
+        assert norm(p, ctx)._mpf_ == mpf_norm(p, ctx)._mpf_
+        assert dist(p, q, ctx)._mpf_ == mpf_norm(mpf_sub_points(p, q), ctx)._mpf_
+        assert point_bits(project_circle(p, ctx)) == point_bits(mpf_project_circle(p, ctx))
+
+    def test_circle_selector_at_origin(self, ctx):
+        origin = Point2(ctx.mp.zero, ctx.mp.zero)
+        assert point_bits(project_circle(origin, ctx)) == point_bits(Point2.of(ctx, 1, 0))
+
+    @given(
+        n=st.sampled_from((3, 5, 2, 1)),
+        kind=st.sampled_from(("random", "sparse", "diagonal", "zero")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=100)
+    def test_sym_matrix(self, n, kind, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        a = differential_matrix(kind, n, seed, scale_exp, ctx)
+        b = differential_matrix("random", n, seed + 1, -scale_exp, ctx)
+        assert inner(a, b)._mpf_ == mpf_inner(a, b)._mpf_
+        assert norm(a, ctx)._mpf_ == mpf_norm(a, ctx)._mpf_
+        assert dist(a, b, ctx)._mpf_ == mpf_norm(a - b, ctx)._mpf_
 
 
 class TestSolve2x2:
