@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+    mpf_rdiv_int, mpf_sqrt, round_nearest,
 )
 
 
@@ -96,8 +97,8 @@ class Point2:
     """A point (x, z) in the plane.
 
     ``+``, ``-`` and ``*`` (by an ``mpf`` or an ``int``) run on raw
-    ``mpf._mpf_`` tuples at the precision of x's context, one ``libmp``
-    call per coordinate, as the ``mpf`` operators would.
+    ``mpf._mpf_`` tuples at the precision of x's context, one raw call per
+    coordinate, with the bits of the ``mpf`` operators.
     """
 
     x: object
@@ -105,25 +106,22 @@ class Point2:
 
     def __add__(self, other: "Point2") -> "Point2":
         prec, make = _prec_make(self.x)
-        rnd = round_nearest
-        return Point2(make(mpf_add(self.x._mpf_, other.x._mpf_, prec, rnd)),
-                      make(mpf_add(self.z._mpf_, other.z._mpf_, prec, rnd)))
+        return Point2(make(_raw_add(self.x._mpf_, other.x._mpf_, prec)),
+                      make(_raw_add(self.z._mpf_, other.z._mpf_, prec)))
 
     def __sub__(self, other: "Point2") -> "Point2":
         prec, make = _prec_make(self.x)
-        rnd = round_nearest
-        return Point2(make(mpf_sub(self.x._mpf_, other.x._mpf_, prec, rnd)),
-                      make(mpf_sub(self.z._mpf_, other.z._mpf_, prec, rnd)))
+        return Point2(make(_raw_sub(self.x._mpf_, other.x._mpf_, prec)),
+                      make(_raw_sub(self.z._mpf_, other.z._mpf_, prec)))
 
     def __mul__(self, scalar) -> "Point2":
         prec, make = _prec_make(self.x)
-        rnd = round_nearest
         if isinstance(scalar, int):
-            return Point2(make(mpf_mul_int(self.x._mpf_, scalar, prec, rnd)),
-                          make(mpf_mul_int(self.z._mpf_, scalar, prec, rnd)))
+            return Point2(make(_raw_mul_int(self.x._mpf_, scalar, prec)),
+                          make(_raw_mul_int(self.z._mpf_, scalar, prec)))
         s = scalar._mpf_
-        return Point2(make(mpf_mul(self.x._mpf_, s, prec, rnd)),
-                      make(mpf_mul(self.z._mpf_, s, prec, rnd)))
+        return Point2(make(_raw_mul(self.x._mpf_, s, prec)),
+                      make(_raw_mul(self.z._mpf_, s, prec)))
 
     __rmul__ = __mul__
 
@@ -137,7 +135,12 @@ class Point2:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """An n x n symmetric matrix; symmetry is checked on construction."""
+    """An n x n symmetric matrix; symmetry is checked on construction.
+
+    ``+``, ``-`` and ``*`` (by an ``mpf`` or an ``int``) of a matrix of
+    ``mpf`` entries run on raw tuples, with the bits of the entrywise
+    ``mpf`` operators.
+    """
 
     entries: tuple
 
@@ -173,24 +176,35 @@ class SymMatrix:
             )
         )
 
+    def _entrywise(self, op, raw_op, other) -> "SymMatrix":
+        """``op`` entry by entry, with other a SymMatrix or a scalar.  On a
+        matrix of ``mpf`` entries this is ``raw_op(x, y, prec)`` on raw
+        tuples at the precision of the first entry's context, computed on
+        the upper triangle and mirrored; entries of another number type
+        (``int``, say) take ``op`` itself."""
+        n = self.n
+        rows_b = other.entries if isinstance(other, SymMatrix) else [[other] * n] * n
+        first = self.entries[0][0] if n else None
+        if not hasattr(first, "_mpf_"):
+            return SymMatrix(tuple(tuple(op(x, y) for x, y in zip(ra, rb))
+                                   for ra, rb in zip(self.entries, rows_b)))
+        prec, make = _prec_make(first)
+        rows = [[None] * n for _ in range(n)]
+        for i, (ra, rb) in enumerate(zip(self.entries, rows_b)):
+            for j in range(i, n):
+                y = rb[j]
+                rows[i][j] = rows[j][i] = make(raw_op(ra[j]._mpf_, getattr(y, "_mpf_", y), prec))
+        return SymMatrix(tuple(map(tuple, rows)))
+
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._entrywise(operator.add, _raw_add, other)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return self._entrywise(operator.sub, _raw_sub, other)
 
     def __mul__(self, scalar) -> "SymMatrix":
-        return SymMatrix(tuple(tuple(a * scalar for a in row) for row in self.entries))
+        raw_op = _raw_mul_int if isinstance(scalar, int) else _raw_mul
+        return self._entrywise(operator.mul, raw_op, scalar)
 
     __rmul__ = __mul__
 
@@ -218,24 +232,21 @@ class Spectrum:
         """Q diag(lambda) Q^T, computed on the upper triangle and mirrored.
 
         Runs on raw ``mpf._mpf_`` tuples at the precision of the basis
-        entries' context, one ``libmp`` call per ``mpf`` operation of
+        entries' context, one raw call per ``mpf`` operation of
         ``sum(q[i][k] * lam[k] * q[j][k] for k)``, so the entries are bit
         for bit those of that expression.
         """
         n = self.n
         if not n:
             return SymMatrix(())
-        mp = self.basis[0][0].context
-        prec, rnd = mp.prec, round_nearest
+        prec, make = _prec_make(self.basis[0][0])
         lam = [x._mpf_ for x in self.eigenvalues]
         q = [[x._mpf_ for x in row] for row in self.basis]
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
-            scaled = [mpf_mul(q[i][k], lam[k], prec, rnd) for k in range(n)]
+            scaled = [_raw_mul(q[i][k], lam[k], prec) for k in range(n)]
             for j in range(i, n):
-                acc = mp.make_mpf(
-                    _raw_sum((mpf_mul(scaled[k], q[j][k], prec, rnd) for k in range(n)), prec)
-                )
+                acc = make(_raw_sum((_raw_mul(scaled[k], q[j][k], prec) for k in range(n)), prec))
                 rows[i][j] = acc
                 rows[j][i] = acc
         return SymMatrix(tuple(tuple(row) for row in rows))
@@ -244,13 +255,13 @@ class Spectrum:
         return Spectrum(tuple(eigenvalues), self.basis)
 
 
-def _raw_inner(a, b, prec, rnd=round_nearest):
+def _raw_inner(a, b, prec):
     """``a.x * b.x + a.z * b.z`` on Point2, ``sum(x * y)`` over the entries
     row by row on SymMatrix; raw."""
     if isinstance(a, Point2):
-        return mpf_add(mpf_mul(a.x._mpf_, b.x._mpf_, prec, rnd),
-                       mpf_mul(a.z._mpf_, b.z._mpf_, prec, rnd), prec, rnd)
-    return _raw_sum((mpf_mul(x._mpf_, y._mpf_, prec, rnd)
+        return _raw_add(_raw_mul(a.x._mpf_, b.x._mpf_, prec),
+                        _raw_mul(a.z._mpf_, b.z._mpf_, prec), prec)
+    return _raw_sum((_raw_mul(x._mpf_, y._mpf_, prec)
                      for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)), prec)
 
 
@@ -274,16 +285,160 @@ def norm(a, ctx: PrecisionContext):
 def dist(a, b, ctx: PrecisionContext):
     """``norm(a - b)``, raw, at the context's precision, without building
     ``a - b``."""
-    prec, rnd = ctx.mp.prec, round_nearest
+    prec = ctx.mp.prec
     if isinstance(a, Point2):
-        dx = mpf_sub(a.x._mpf_, b.x._mpf_, prec, rnd)
-        dz = mpf_sub(a.z._mpf_, b.z._mpf_, prec, rnd)
-        sq = mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(dz, dz, prec, rnd), prec, rnd)
+        dx = _raw_sub(a.x._mpf_, b.x._mpf_, prec)
+        dz = _raw_sub(a.z._mpf_, b.z._mpf_, prec)
+        sq = _raw_add(_raw_mul(dx, dx, prec), _raw_mul(dz, dz, prec), prec)
     else:
-        diffs = (mpf_sub(x._mpf_, y._mpf_, prec, rnd)
+        diffs = (_raw_sub(x._mpf_, y._mpf_, prec)
                  for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
-        sq = _raw_sum((mpf_mul(d, d, prec, rnd) for d in diffs), prec)
+        sq = _raw_sum((_raw_mul(d, d, prec) for d in diffs), prec)
     return ctx.mp.make_mpf(_raw_sqrt(sq, prec))
+
+
+# Raw arithmetic.  ``_raw_add``, ``_raw_sub``, ``_raw_mul``,
+# ``_raw_mul_int``, ``_raw_div``, ``_raw_rdiv_int`` and ``_raw_sqrt`` return
+# the tuple that the ``libmp`` function of the same name returns at ``prec``
+# rounding to nearest, bit for bit: each copies that function's algorithm
+# step for step, but counts bits with ``int.bit_length`` and strips
+# trailing zeros with ``man & -man``, where the pure-Python backend bisects
+# a table and takes a ``math.log``.  Zero and special operands go to the
+# ``libmp`` function itself.  (``libmp``'s own attributes stay untouched:
+# rebinding them would change mpmath for every caller in the process.)
+
+
+def _round(sign, man, exp, prec):
+    """``libmp.normalize(sign, man, exp, bc, prec, round_nearest)`` for
+    man > 0: round to prec bits, ties to even, then strip trailing zeros."""
+    bc = man.bit_length()
+    n = bc - prec
+    if n > 0:
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+        bc = prec
+    if not man & 1:
+        # a round-up to 2^prec also lands here
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+        bc = man.bit_length()
+    return sign, man, exp, bc
+
+
+def _raw_add(s, t, prec, _sub=0):
+    """``mpf_add(s, t, prec, round_nearest)``; ``_sub=1`` negates t first."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not sman or not tman:
+        return mpf_add(s, t, prec, round_nearest, _sub)
+    tsign ^= _sub
+    offset = sexp - texp
+    if offset > 0:
+        # t lies wholly below s's rounding position: only perturb s
+        if offset > 100 and sbc + sexp - tbc - texp > prec + 4:
+            man = (sman << (prec + 4)) + (1 if tsign == ssign else -1)
+            return _round(ssign, man, sexp - prec - 4, prec)
+        man = sman << offset
+        exp = texp
+        if ssign == tsign:
+            man += tman
+        elif ssign:
+            man = tman - man
+        else:
+            man -= tman
+    elif offset < 0:
+        if offset < -100 and tbc + texp - sbc - sexp > prec + 4:
+            man = (tman << (prec + 4)) + (1 if ssign == tsign else -1)
+            return _round(tsign, man, texp - prec - 4, prec)
+        man = tman << -offset
+        exp = sexp
+        if ssign == tsign:
+            man += sman
+        elif tsign:
+            man = sman - man
+        else:
+            man -= sman
+    else:
+        exp = texp
+        if ssign == tsign:
+            man = tman + sman
+        elif ssign:
+            man = tman - sman
+        else:
+            man = sman - tman
+        if not man:
+            return fzero
+    if ssign == tsign:
+        return _round(ssign, man, exp, prec)
+    if man < 0:
+        return _round(1, -man, exp, prec)
+    return _round(0, man, exp, prec)
+
+
+def _raw_sub(s, t, prec):
+    """``mpf_sub(s, t, prec, round_nearest)``."""
+    return _raw_add(s, t, prec, 1)
+
+
+def _raw_mul(s, t, prec):
+    """``mpf_mul(s, t, prec, round_nearest)``; also ``mpf_pow_int(s, 2, ...)``
+    when t is s."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    man = sman * tman
+    if not man:
+        return mpf_mul(s, t, prec, round_nearest)
+    return _round(ssign ^ tsign, man, sexp + texp, prec)
+
+
+def _raw_mul_int(s, n, prec):
+    """``mpf_mul_int(s, n, prec, round_nearest)``: s times the int n."""
+    sign, man, exp, bc = s
+    if not man or not n:
+        return mpf_mul_int(s, n, prec, round_nearest)
+    if n < 0:
+        sign ^= 1
+        n = -n
+    return _round(sign, man * n, exp, prec)
+
+
+def _raw_div(s, t, prec):
+    """``mpf_div(s, t, prec, round_nearest)``: a quotient with at least
+    prec + 5 bits, and a sticky 1 bit for a nonzero remainder."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not sman or not tman:
+        return mpf_div(s, t, prec, round_nearest)
+    sign = ssign ^ tsign
+    if tman == 1:
+        return _round(sign, sman, sexp - texp, prec)
+    extra = prec - sbc + tbc + 5
+    if extra < 5:
+        extra = 5
+    quot, rem = divmod(sman << extra, tman)
+    if rem:
+        return _round(sign, (quot << 1) + 1, sexp - texp - extra - 1, prec)
+    return _round(sign, quot, sexp - texp - extra, prec)
+
+
+def _raw_rdiv_int(n, t, prec):
+    """``mpf_rdiv_int(n, t, prec, round_nearest)``: the int n over t."""
+    sign, man, exp, bc = t
+    if not n or not man:
+        return mpf_rdiv_int(n, t, prec, round_nearest)
+    if n < 0:
+        sign ^= 1
+        n = -n
+    extra = prec + bc + 5
+    quot, rem = divmod(n << extra, man)
+    if rem:
+        return _round(sign, (quot << 1) + 1, -exp - extra - 1, prec)
+    return _round(sign, quot, -exp - extra, prec)
 
 
 def _raw_sqrt(s, prec):
@@ -311,33 +466,33 @@ def _raw_sqrt(s, prec):
     if man * man != scaled:
         man = (man << 1) + 1
         shift += 2
-    return from_man_exp(man, (exp - shift) // 2, prec, round_nearest)
+    return _round(0, man, (exp - shift) // 2, prec)
 
 
-def _raw_sum(terms, prec, rnd=round_nearest):
+def _raw_sum(terms, prec):
     """``sum(terms)`` on raw mpf tuples: from zero, left to right."""
     acc = fzero
     for term in terms:
-        acc = mpf_add(acc, term, prec, rnd)
+        acc = _raw_add(acc, term, prec)
     return acc
 
 
-def _off_diagonal_sq(a, n, prec, rnd=round_nearest):
+def _off_diagonal_sq(a, n, prec):
     """``2 * sum(a[p][q] * a[p][q] for p < q)``, raw."""
-    squares = (mpf_mul(a[p][q], a[p][q], prec, rnd) for p in range(n) for q in range(p + 1, n))
-    return mpf_mul_int(_raw_sum(squares, prec), 2, prec, rnd)
+    squares = (_raw_mul(a[p][q], a[p][q], prec) for p in range(n) for q in range(p + 1, n))
+    return _raw_mul_int(_raw_sum(squares, prec), 2, prec)
 
 
-def _sqrt_one_plus_sq(x, prec, rnd=round_nearest):
+def _sqrt_one_plus_sq(x, prec):
     """``sqrt(1 + x * x)``, raw."""
-    return _raw_sqrt(mpf_add(mpf_mul(x, x, prec, rnd), fone, prec, rnd), prec)
+    return _raw_sqrt(_raw_add(_raw_mul(x, x, prec), fone, prec), prec)
 
 
-def _rotate(c, s, x, y, prec, rnd=round_nearest):
+def _rotate(c, s, x, y, prec):
     """``(c * x - s * y, s * x + c * y)``, raw."""
     return (
-        mpf_sub(mpf_mul(c, x, prec, rnd), mpf_mul(s, y, prec, rnd), prec, rnd),
-        mpf_add(mpf_mul(s, x, prec, rnd), mpf_mul(c, y, prec, rnd), prec, rnd),
+        _raw_sub(_raw_mul(c, x, prec), _raw_mul(s, y, prec), prec),
+        _raw_add(_raw_mul(s, x, prec), _raw_mul(c, y, prec), prec),
     )
 
 
@@ -350,11 +505,11 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     Raises :class:`NonConvergenceError` if the sweep budget (30*n^2) is
     exhausted, which for well-posed symmetric input does not happen.
 
-    The sweeps run on raw ``mpf._mpf_`` tuples through ``mpmath.libmp`` at
-    the context's precision, rounding to nearest; each call is the one the
-    ``mpf`` operators would make, so the result is bit for bit that of the
-    same algorithm written with ``mpf`` objects (pinned by a differential
-    test against that version).
+    The sweeps run on raw ``mpf._mpf_`` tuples through the raw arithmetic
+    above at the context's precision, rounding to nearest; each call gives
+    the bits of the ``mpf`` operation it replaces, so the result is bit for
+    bit that of the same algorithm written with ``mpf`` objects (pinned by
+    a differential test against that version).
     """
     n = X.n
     prec, rnd = ctx.mp.prec, round_nearest
@@ -362,13 +517,14 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     v = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
 
     norm_x = _raw_sqrt(
-        _raw_sum((mpf_mul(x, x, prec, rnd) for row in a for x in row), prec), prec
+        _raw_sum((_raw_mul(x, x, prec) for row in a for x in row), prec), prec
     )
     if n == 1 or norm_x == fzero:
         return _wrapped_spectrum(a, v, n, ctx)
 
     # stop when the off-diagonal Frobenius mass is negligible relative to X
-    off_goal_sq = mpf_pow_int(mpf_mul(ctx.floor._mpf_, norm_x, prec, rnd), 2, prec, rnd)
+    off_goal = _raw_mul(ctx.floor._mpf_, norm_x, prec)
+    off_goal_sq = _raw_mul(off_goal, off_goal, prec)
     max_sweeps = 30 * n * n
     for _ in range(max_sweeps):
         if mpf_le(_off_diagonal_sq(a, n, prec), off_goal_sq):
@@ -378,16 +534,16 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
                 apq = a[p][q]
                 if apq == fzero:
                     continue
-                diff = mpf_sub(a[q][q], a[p][p], prec, rnd)
-                tau = mpf_div(diff, mpf_mul_int(apq, 2, prec, rnd), prec, rnd)
+                diff = _raw_sub(a[q][q], a[p][p], prec)
+                tau = _raw_div(diff, _raw_mul_int(apq, 2, prec), prec)
                 sign = -1 if mpf_lt(tau, fzero) else 1
-                denom = mpf_add(mpf_abs(tau, prec, rnd), _sqrt_one_plus_sq(tau, prec), prec, rnd)
-                t = mpf_rdiv_int(sign, denom, prec, rnd)
-                c = mpf_rdiv_int(1, _sqrt_one_plus_sq(t, prec), prec, rnd)
-                s = mpf_mul(t, c, prec, rnd)
-                t_apq = mpf_mul(t, apq, prec, rnd)
-                a[p][p] = mpf_sub(a[p][p], t_apq, prec, rnd)
-                a[q][q] = mpf_add(a[q][q], t_apq, prec, rnd)
+                denom = _raw_add(mpf_abs(tau, prec, rnd), _sqrt_one_plus_sq(tau, prec), prec)
+                t = _raw_rdiv_int(sign, denom, prec)
+                c = _raw_rdiv_int(1, _sqrt_one_plus_sq(t, prec), prec)
+                s = _raw_mul(t, c, prec)
+                t_apq = _raw_mul(t, apq, prec)
+                a[p][p] = _raw_sub(a[p][p], t_apq, prec)
+                a[q][q] = _raw_add(a[q][q], t_apq, prec)
                 a[p][q] = a[q][p] = fzero
                 for i in range(n):
                     if i == p or i == q:
@@ -429,12 +585,19 @@ def solve2x2(A: Sequence[Sequence], b: Sequence, ctx: PrecisionContext):
     """Solve a 2x2 linear system by Cramer's rule.
 
     Raises :class:`SingularMatrixError` when |det A| <= floor * ||A||_F^2
-    (the determinant scales like the norm squared).
+    (the determinant scales like the norm squared).  Runs on raw tuples at
+    the context's precision, one raw call per ``mpf`` operation of
+    ``det = a00 * a11 - a01 * a10``, ``(b0 * a11 - b1 * a01) / det`` and
+    ``(a00 * b1 - a10 * b0) / det``.
     """
-    (a00, a01), (a10, a11) = A[0], A[1]
-    b0, b1 = b[0], b[1]
-    det = a00 * a11 - a01 * a10
-    scale = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
-    if abs(det) <= ctx.floor * scale:
-        raise SingularMatrixError(det)
-    return (b0 * a11 - b1 * a01) / det, (a00 * b1 - a10 * b0) / det
+    prec, make = ctx.mp.prec, ctx.mp.make_mpf
+    (a00, a01), (a10, a11) = ((x._mpf_ for x in row) for row in A)
+    b0, b1 = b[0]._mpf_, b[1]._mpf_
+    det = _raw_sub(_raw_mul(a00, a11, prec), _raw_mul(a01, a10, prec), prec)
+    scale = _raw_sum((_raw_mul(x, x, prec) for x in (a00, a01, a10, a11)), prec)
+    if mpf_le(mpf_abs(det, prec, round_nearest), _raw_mul(ctx.floor._mpf_, scale, prec)):
+        raise SingularMatrixError(make(det))
+    return (
+        make(_raw_div(_raw_sub(_raw_mul(b0, a11, prec), _raw_mul(b1, a01, prec), prec), det, prec)),
+        make(_raw_div(_raw_sub(_raw_mul(a00, b1, prec), _raw_mul(a10, b0, prec), prec), det, prec)),
+    )

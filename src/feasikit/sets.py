@@ -14,17 +14,19 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (
-    fone, fzero, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
-    mpf_mul_int, mpf_pow_int, mpf_sub, round_nearest,
-)
+from mpmath.libmp import fone, fzero, from_int, mpf_abs, mpf_gt, mpf_le
 
 from feasikit.numerics import (
     FeasikitError,
     Point2,
     PrecisionContext,
     SymMatrix,
+    _raw_add,
+    _raw_div,
+    _raw_mul,
+    _raw_mul_int,
     _raw_norm,
+    _raw_sub,
     eig_sym,
 )
 
@@ -85,15 +87,15 @@ def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
     """Radial projection onto the unit circle; the selector at the origin
     (where the projection is set-valued) is (1, 0).
 
-    Runs on raw ``mpf._mpf_`` tuples at the context's precision, one
-    ``libmp`` call per ``mpf`` operation of ``r = sqrt(x * x + z * z)``,
+    Runs on raw ``mpf._mpf_`` tuples at the context's precision, one raw
+    call per ``mpf`` operation of ``r = sqrt(x * x + z * z)``,
     ``(x / r, z / r)``."""
-    prec, rnd = ctx.mp.prec, round_nearest
+    prec = ctx.mp.prec
     r = _raw_norm(p, prec)
     if r == fzero:
         return Point2(ctx.mp.one, ctx.mp.zero)
     make = ctx.mp.make_mpf
-    return Point2(make(mpf_div(p.x._mpf_, r, prec, rnd)), make(mpf_div(p.z._mpf_, r, prec, rnd)))
+    return Point2(make(_raw_div(p.x._mpf_, r, prec)), make(_raw_div(p.z._mpf_, r, prec)))
 
 
 def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2:
@@ -106,17 +108,18 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     smaller t.  The curve must come from a context of the same precision.
 
     The Newton steps run on raw ``mpf._mpf_`` tuples through
-    ``curve.raw_jet`` and ``mpmath.libmp`` at the context's precision,
-    rounding to nearest; each call is the one the ``mpf`` operators would
-    make, so the roots are bit for bit those of the same loop written with
-    ``mpf`` objects (pinned by a differential test against that version).
+    ``curve.raw_jet`` and the raw arithmetic of ``numerics`` at the
+    context's precision, rounding to nearest; each call gives the bits of
+    the ``mpf`` operation it replaces, so the roots are bit for bit those
+    of the same loop written with ``mpf`` objects (pinned by a
+    differential test against that version).
     """
     if curve.mp.prec != ctx.mp.prec:
         raise ValueError(
             f"curve {curve.ident!r} was built at {curve.mp.dps} digits, not {ctx.decimal_digits}"
         )
     jet = curve.raw_jet
-    prec, rnd = ctx.mp.prec, round_nearest
+    prec = ctx.mp.prec
     px, pz = p.x, p.z
     span = 2 * (1 + abs(pz))
     lo = px - span
@@ -128,21 +131,20 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
 
     roots = []  # (t, f(t)) at each converged start
     for k in range(33):
-        t = mpf_add(rlo, mpf_div(mpf_mul_int(rwidth, k, prec, rnd), thirty_two, prec, rnd), prec, rnd)
+        t = _raw_add(rlo, _raw_div(_raw_mul_int(rwidth, k, prec), thirty_two, prec), prec)
         for _ in range(200):
             ft, dft, ddft = jet(t)
-            dz = mpf_sub(ft, rpz, prec, rnd)
-            gt = mpf_add(mpf_sub(t, rpx, prec, rnd), mpf_mul(dz, dft, prec, rnd), prec, rnd)
+            dz = _raw_sub(ft, rpz, prec)
+            gt = _raw_add(_raw_sub(t, rpx, prec), _raw_mul(dz, dft, prec), prec)
             if mpf_le(mpf_abs(gt), res_tol):
                 roots.append((ctx.mp.make_mpf(t), ctx.mp.make_mpf(ft)))
                 break
-            slope = mpf_add(
-                mpf_add(mpf_pow_int(dft, 2, prec, rnd), fone, prec, rnd),
-                mpf_mul(dz, ddft, prec, rnd), prec, rnd,
-            )
+            # dft ** 2: mpf_pow_int(dft, 2) has the bits of dft * dft
+            slope = _raw_add(_raw_add(_raw_mul(dft, dft, prec), fone, prec),
+                             _raw_mul(dz, ddft, prec), prec)
             if slope == fzero:
                 break
-            t = mpf_sub(t, mpf_div(gt, slope, prec, rnd), prec, rnd)
+            t = _raw_sub(t, _raw_div(gt, slope, prec), prec)
             if mpf_gt(mpf_abs(t), escape):
                 break
     if not roots:

@@ -13,13 +13,15 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from mpmath.libmp import fhalf
+from mpmath.libmp import fhalf, mpf_le
 
 from feasikit.numerics import (
     PrecisionContext,
     SingularMatrixError,
+    _raw_inner,
+    _raw_mul,
+    _raw_sub,
     dist,
-    inner,
     solve2x2,
 )
 from feasikit.sets import FeasibilitySet
@@ -90,27 +92,33 @@ class LtUpdateRecord:
 
 
 def lt_step(t: DrOperator, p, ctx: PrecisionContext) -> LtUpdateRecord:
-    """One Lyapunov-surrogate update seeded at p."""
+    """One Lyapunov-surrogate update seeded at p.
+
+    The Gram terms run on raw tuples at the context's precision, one raw
+    call per ``mpf`` operation of ``eta = nsq1 * nsq2 - g * g``, the
+    collinearity test ``eta <= floor * nsq1 * nsq2`` and the 2x2 entries.
+    """
     v0 = p
     v1 = dr_step(t, v0, ctx)
     v2 = dr_step(t, v1, ctx)
     u1 = v1 - v0
     u2 = v2 - v0
-    nsq1 = inner(u1, u1)
-    nsq2 = inner(u2, u2)
-    g = inner(u1, u2)
-    eta = nsq1 * nsq2 - g * g
+    prec, make = ctx.mp.prec, ctx.mp.make_mpf
+    nsq1 = _raw_inner(u1, u1, prec)
+    nsq2 = _raw_inner(u2, u2, prec)
+    g = _raw_inner(u1, u2, prec)
+    eta = make(_raw_sub(_raw_mul(nsq1, nsq2, prec), _raw_mul(g, g, prec), prec))
 
     def fallback():
         return LtUpdateRecord(v0, v1, v2, u1, u2, eta, None, None, v1, True)
 
     # relative collinearity test; eta == 0 exactly only in exact arithmetic
-    if eta <= ctx.floor * nsq1 * nsq2:
+    if mpf_le(eta._mpf_, _raw_mul(_raw_mul(ctx.floor._mpf_, nsq1, prec), nsq2, prec)):
         return fallback()
+    entries = (nsq1, g, _raw_sub(g, nsq1, prec), _raw_sub(nsq2, g, prec))
+    a00, a01, a10, a11 = (make(x) for x in entries)
     try:
-        mu1, mu2 = solve2x2(
-            ((nsq1, g), (g - nsq1, nsq2 - g)), (nsq1, nsq2 - g), ctx
-        )
+        mu1, mu2 = solve2x2(((a00, a01), (a10, a11)), (a00, a11), ctx)
     except SingularMatrixError:
         return fallback()
     result = v0 + u1 * mu1 + u2 * mu2

@@ -12,12 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from mpmath.libmp import (
-    fone, from_int, fzero, mpf_add, mpf_cos_sin, mpf_mul, mpf_mul_int, mpf_neg,
-    mpf_pow_int, round_nearest,
-)
+from mpmath.libmp import fone, from_int, fzero, mpf_cos_sin, mpf_neg, mpf_pow_int, round_nearest
 
-from feasikit.numerics import FeasikitError, Point2, PrecisionContext
+from feasikit.numerics import (
+    FeasikitError,
+    Point2,
+    PrecisionContext,
+    _raw_add,
+    _raw_mul,
+    _raw_mul_int,
+)
 from feasikit.sets import AnalyticCurve, CurveGraph, HorizontalLine
 from feasikit.solvers import DrOperator, dr_step
 
@@ -40,10 +44,10 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     ``cubic`` (2t + t^3) or ``sin-shift`` (sin(t) + t).
 
     Each curve is one jet t -> (f(t), f'(t), f''(t)) on raw ``mpf._mpf_``
-    tuples at the context's precision, rounding to nearest.  Each
-    ``libmp`` call is the one the ``mpf`` expression in the comment would
-    make (``2 * t`` is ``mpf_mul_int(t, 2)``, ``1 + x`` is
-    ``mpf_add(x, fone)``), so the jet is bit for bit that expression."""
+    tuples at the context's precision, rounding to nearest.  Each raw call
+    has the bits of the ``mpf`` operation in the comment that it replaces
+    (``2 * t`` is ``_raw_mul_int(t, 2)``, ``1 + x`` is
+    ``_raw_add(x, fone)``), so the jet is bit for bit that expression."""
     prec, rnd = ctx.mp.prec, round_nearest
     if ident.startswith("linear:"):
         a = ctx.mpf(ident.split(":", 1)[1])
@@ -51,29 +55,29 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
             raise ValueError("linear curve needs nonzero slope")
         a = a._mpf_
         # (a * t, a, 0)
-        jet = lambda t: (mpf_mul(a, t, prec, rnd), a, fzero)
+        jet = lambda t: (_raw_mul(a, t, prec), a, fzero)
     elif ident == "quad":
         two = from_int(2)
         # (t + t * t, 1 + 2 * t, 2)
         jet = lambda t: (
-            mpf_add(t, mpf_mul(t, t, prec, rnd), prec, rnd),
-            mpf_add(mpf_mul_int(t, 2, prec, rnd), fone, prec, rnd),
+            _raw_add(t, _raw_mul(t, t, prec), prec),
+            _raw_add(_raw_mul_int(t, 2, prec), fone, prec),
             two,
         )
     elif ident == "cubic":
         two = from_int(2)
         # (2 * t + t**3, 2 + 3 * t * t, 6 * t)
         jet = lambda t: (
-            mpf_add(mpf_mul_int(t, 2, prec, rnd), mpf_pow_int(t, 3, prec, rnd), prec, rnd),
-            mpf_add(mpf_mul(mpf_mul_int(t, 3, prec, rnd), t, prec, rnd), two, prec, rnd),
-            mpf_mul_int(t, 6, prec, rnd),
+            _raw_add(_raw_mul_int(t, 2, prec), mpf_pow_int(t, 3, prec, rnd), prec),
+            _raw_add(_raw_mul(_raw_mul_int(t, 3, prec), t, prec), two, prec),
+            _raw_mul_int(t, 6, prec),
         )
     elif ident == "sin-shift":
 
         def jet(t):
             # c, s = cos_sin(t); (s + t, c + 1, -s)
             c, s = mpf_cos_sin(t, prec, rnd)
-            return mpf_add(s, t, prec, rnd), mpf_add(c, fone, prec, rnd), mpf_neg(s, prec, rnd)
+            return _raw_add(s, t, prec), _raw_add(c, fone, prec), mpf_neg(s, prec, rnd)
 
     else:
         raise ValueError(f"unknown curve id: {ident!r}")

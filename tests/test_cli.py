@@ -71,6 +71,28 @@ class TestRunCommand:
             assert main(args + ["--out", str(b)]) == 0
             assert read(a) == read(b)
 
+    def test_run_leaves_mpmath_attributes_unchanged(self):
+        # the raw kernels bring their own arithmetic; mpmath, which other code
+        # in the process shares, keeps its own functions
+        src = os.path.dirname(os.path.dirname(feasikit.__file__))
+        code = (
+            "import sys\n"
+            "from mpmath import libmp\n"
+            "from mpmath.libmp import libmpf\n"
+            "def attrs():\n"
+            "    return (libmpf.bitcount, libmp.bitcount, libmp.mpf_add, libmpf.mpf_add,\n"
+            "            libmp.mpf_mul, libmpf.mpf_mul, libmpf.normalize, libmpf.normalize1)\n"
+            "before = attrs()\n"
+            "from feasikit.cli import main\n"
+            "for problem in ('circle-line', 'graph:quad', 'psd-s1'):\n"
+            "    main(['run', '--problem', problem, '--method', 'lt', '--max-iter', '3'])\n"
+            "sys.exit(any(a is not b for a, b in zip(before, attrs())))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              stdout=subprocess.DEVNULL)
+        assert done.returncode == 0
+
     def test_missing_out_directory(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         code = main(["run", "--problem", "circle-line", "--max-iter", "3",

@@ -1,8 +1,12 @@
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from mpmath.libmp import ComplexResult, finf, fnan, fninf, fzero, mpf_sqrt, round_nearest
+from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import (
+    ComplexResult, finf, fnan, fninf, fone, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
+    mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
+)
 
 from feasikit.numerics import (
     NonConvergenceError,
@@ -11,7 +15,13 @@ from feasikit.numerics import (
     SingularMatrixError,
     Spectrum,
     SymMatrix,
+    _raw_add,
+    _raw_div,
+    _raw_mul,
+    _raw_mul_int,
+    _raw_rdiv_int,
     _raw_sqrt,
+    _raw_sub,
     _sorted_spectrum,
     dist,
     eig_sym,
@@ -83,6 +93,16 @@ class TestSymMatrix:
     def test_rejects_non_square(self, ctx):
         with pytest.raises(ValueError):
             SymMatrix.from_rows([[ctx.mpf(1), ctx.mpf(2)]])
+
+    def test_arithmetic_on_int_entries(self, ctx):
+        # entries of another number type take the entrywise operators; an
+        # int matrix times an mpf becomes a matrix of mpf entries
+        a = SymMatrix.from_rows([[2, -3], [-3, 1]])
+        assert (a + a).entries == ((4, -6), (-6, 2))
+        assert (a - a * 2).entries == ((-2, 3), (3, -1))
+        m = a * ctx.mpf(1)
+        assert raw(m.entries) == raw([[ctx.mpf(2), ctx.mpf(-3)], [ctx.mpf(-3), ctx.mpf(1)]])
+        assert raw((m + m).entries) == raw((a * ctx.mpf(2)).entries)
 
     def test_frobenius_inner(self, ctx):
         x = SymMatrix.diag([1, 2], ctx)
@@ -323,12 +343,136 @@ class TestRawSqrt:
                 _raw_sqrt(s, 402)
 
 
+def mpf_entrywise(a, b, op):
+    """``op`` entry by entry with ``mpf`` operators, b a SymMatrix or a
+    scalar: the oracle for SymMatrix's raw ``+``, ``-`` and ``*``."""
+    rows_b = b.entries if isinstance(b, SymMatrix) else [[b] * a.n] * a.n
+    return SymMatrix(tuple(tuple(op(x, y) for x, y in zip(ra, rb))
+                           for ra, rb in zip(a.entries, rows_b)))
+
+
+SPECIALS = (fzero, finf, fninf, fnan)
+
+
+@st.composite
+def raw_operand(draw, prec):
+    """A raw mpf tuple: a random odd mantissa of up to prec bits, the
+    mantissa 1, an all-ones mantissa of up to prec bits, one wider than
+    prec (it rounds up to a power of two), or zero or a special value."""
+    kind = draw(st.sampled_from(("random", "one", "ones", "wide", "special")))
+    if kind == "special":
+        return draw(st.sampled_from(SPECIALS))
+    if kind == "one":
+        man = 1
+    elif kind == "ones":
+        man = 2 ** draw(st.integers(1, prec)) - 1
+    elif kind == "wide":
+        man = 2 ** draw(st.integers(prec + 1, prec + 40)) - 1
+    else:
+        man = odd_mantissa(draw, draw(st.integers(1, prec)))
+    return (draw(st.integers(0, 1)), man, draw(st.integers(-600, 600)), man.bit_length())
+
+
+@st.composite
+def raw_operands(draw):
+    """(s, t, prec) at 40, 120 or 200 digits.  t may be s up to sign (exact
+    cancellation), or sit at an exponent offset of 99-101 below or above
+    s, or with its leading bit prec + 3 to prec + 5 bits below s's (the
+    edges of ``mpf_add``'s perturbation rule)."""
+    prec = PrecisionContext(decimal_digits=draw(st.sampled_from(DIGITS))).mp.prec
+    s, t = draw(raw_operand(prec)), draw(raw_operand(prec))
+    relation = draw(st.sampled_from(("free", "cancel", "offset", "gap")))
+    if s[1] and t[1]:
+        if relation == "cancel":
+            t = (draw(st.integers(0, 1)),) + s[1:]
+        elif relation == "offset":
+            t = (t[0], t[1], s[2] - draw(st.sampled_from((99, 100, 101, -99, -100, -101))), t[3])
+        elif relation == "gap":
+            gap = prec + draw(st.sampled_from((3, 4, 5)))
+            t = (t[0], t[1], s[2] + s[3] - gap - t[3], t[3])
+    if draw(st.booleans()):
+        s, t = t, s
+    return s, t, prec
+
+
+def outcome(f, *args):
+    """f(*args), or the ZeroDivisionError it raises."""
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+class TestRawArith:
+    """The raw primitives against the ``libmp`` functions they copy."""
+
+    @staticmethod
+    def check(s, t, n, prec):
+        rnd = round_nearest
+        assert _raw_add(s, t, prec) == mpf_add(s, t, prec, rnd)
+        assert _raw_sub(s, t, prec) == mpf_sub(s, t, prec, rnd)
+        assert _raw_mul(s, t, prec) == mpf_mul(s, t, prec, rnd)
+        assert _raw_mul(s, s, prec) == mpf_pow_int(s, 2, prec, rnd)
+        assert _raw_mul_int(s, n, prec) == mpf_mul_int(s, n, prec, rnd)
+        assert outcome(_raw_div, s, t, prec) == outcome(mpf_div, s, t, prec, rnd)
+        assert outcome(_raw_rdiv_int, n, t, prec) == outcome(mpf_rdiv_int, n, t, prec, rnd)
+
+    @given(operands=raw_operands(),
+           n=st.one_of(st.sampled_from((0, 1, -1, 2, -3)), st.integers(-2**80, 2**80)))
+    @example(operands=((0, 2**500 - 1, 0, 500), fone, 402), n=-1)  # rounds up to 2^500
+    @example(operands=((1, 3, 7, 2), (0, 1, -4, 1), 136), n=-7)  # divisor mantissa 1
+    @settings(max_examples=600)
+    def test_matches_libmp(self, operands, n):
+        self.check(*operands[:2], n, operands[2])
+
+    def test_edges(self):
+        for digits in DIGITS:
+            prec = PrecisionContext(decimal_digits=digits).mp.prec
+            x = (0, 2 ** prec - 3, -prec, prec)  # leading bit at 2^-1
+            tie = (0, 2 ** prec + 1, 0, prec + 1)  # halfway between two prec-bit values
+            # prec + 40 bits, 2^-40 of an ulp below a tie once rounded to prec
+            below_tie = (0, ((2 ** (prec - 1) + 1) << 40) + 2 ** 39 - 1, 0, prec + 40)
+            # a quotient just above the tie between two even/odd neighbours:
+            # only the sticky bit of the nonzero remainder rounds it up
+            k, m = 2 ** (prec - 1) + 2, 2 ** 20 + 1
+            n = (m * (2 * k + 1) + 1) // 2
+            for s, t, ns in (
+                (x, (1,) + x[1:], ()),  # exact cancellation
+                # exponent offsets 100 and 101
+                (x, (0, 5, -prec - 100, 3), ()), (x, (1, 5, -prec - 101, 3), ()),
+                # leading bit prec + 3, 4 or 5 below tie's, at offsets over 100:
+                # only the perturbation's sign decides the tie
+                (tie, (1, 2 ** 200 + 1, -203, 201), ()), (tie, (1, 2 ** 200 + 1, -204, 201), ()),
+                (tie, (1, 2 ** 200 + 1, -205, 201), ()),
+                # offset 100 with the leading bit prec + 5 below, and offset 101
+                # with it prec + 4 below, add exactly and round up; offset 101
+                # and prec + 5 perturbs instead and rounds down
+                (below_tie, (0, 2 ** 134 + 1, -100, 135), ()),
+                (below_tie, (0, 2 ** 136 + 1, -101, 137), ()),
+                (below_tie, (0, 2 ** 135 + 1, -101, 136), ()),
+                (below_tie, (0, 3, 0, 2), ()),  # a dividend this wide takes 5 extra bits
+                ((0, 2 ** (prec + 2) - 1, 0, prec + 2), fone, ()),  # all ones: up to a power of two
+                (x, (1, 1, 9, 1), ()),  # divisor mantissa 1
+                (from_man_exp(n, 0), (0, m, 0, 21), (n, -n)),  # sticky remainder
+            ):
+                for a, b in ((s, t), (t, s)):
+                    for n_ in ns or (-3, 0, 1):
+                        self.check(a, b, n_, prec)
+
+    def test_zero_and_special_operands(self):
+        x = (1, 12345, -20, 14)
+        for s in SPECIALS + (x,):
+            for t in SPECIALS + (x,):
+                for n in (0, -2):
+                    self.check(s, t, n, 402)
+
+
 def mpf_sub_points(a, b):
-    """``a - b`` written with ``mpf`` operators: the oracle for Point2's
-    raw ``-`` and, on matrices, SymMatrix's own ``-``."""
+    """``a - b`` written with ``mpf`` operators: the oracle for the raw
+    ``-`` of Point2 and SymMatrix."""
     if isinstance(a, Point2):
         return Point2(a.x - b.x, a.z - b.z)
-    return a - b
+    return mpf_entrywise(a, b, operator.sub)
 
 
 def mpf_inner(a, b):
@@ -412,10 +556,75 @@ class TestRawPlaneMatchesMpf:
         b = differential_matrix("random", n, seed + 1, -scale_exp, ctx)
         assert inner(a, b)._mpf_ == mpf_inner(a, b)._mpf_
         assert norm(a, ctx)._mpf_ == mpf_norm(a, ctx)._mpf_
-        assert dist(a, b, ctx)._mpf_ == mpf_norm(a - b, ctx)._mpf_
+        assert dist(a, b, ctx)._mpf_ == mpf_norm(mpf_sub_points(a, b), ctx)._mpf_
+
+    @given(
+        n=st.sampled_from((3, 5, 2, 1)),
+        kinds=st.tuples(*[st.sampled_from(("random", "sparse", "diagonal", "zero"))] * 2),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        int_scalar=st.sampled_from((2, -1, 0, 3, 10**40)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=100)
+    def test_sym_matrix_arithmetic(self, n, kinds, seed, scale_exp, int_scalar, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        a = differential_matrix(kinds[0], n, seed, scale_exp, ctx)
+        b = differential_matrix(kinds[1], n, seed + 1, -scale_exp, ctx)
+        s = differential_point("random", seed + 2, 0, ctx).x
+        assert raw((a + b).entries) == raw(mpf_entrywise(a, b, operator.add).entries)
+        assert raw((a - b).entries) == raw(mpf_entrywise(a, b, operator.sub).entries)
+        for scalar in (s, int_scalar, ctx.mp.zero):
+            want = raw(mpf_entrywise(a, scalar, operator.mul).entries)
+            assert raw((a * scalar).entries) == want
+            assert raw((scalar * a).entries) == want
+
+
+def mpf_solve2x2(A, b, ctx):
+    """``solve2x2`` written with ``mpf`` operators; its oracle."""
+    (a00, a01), (a10, a11) = A
+    b0, b1 = b
+    det = a00 * a11 - a01 * a10
+    scale = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+    if abs(det) <= ctx.floor * scale:
+        raise SingularMatrixError(det)
+    return (b0 * a11 - b1 * a01) / det, (a00 * b1 - a10 * b0) / det
+
+
+def solve_bits(solve, A, b, ctx):
+    """The bits of the solution, or of the determinant a singular system
+    reports."""
+    try:
+        return tuple(x._mpf_ for x in solve(A, b, ctx))
+    except SingularMatrixError as err:
+        return "singular", err.determinant._mpf_
 
 
 class TestSolve2x2:
+    @given(
+        kind=st.sampled_from(("random", "singular", "near-singular", "zero-row", "zero")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=150)
+    def test_matches_mpf(self, kind, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        rng = random.Random(seed)
+        shrink = (1 - ctx.mpf(1) / 999983) * ctx.pow10(scale_exp)
+        v = [ctx.mpf(rng.uniform(-1.0, 1.0)) * shrink for _ in range(6)]
+        rows = [[v[0], v[1]], [v[2], v[3]]]
+        if kind == "singular":
+            rows[1] = [v[0] * 3, v[1] * 3]
+        elif kind == "near-singular":
+            rows[1] = [v[0] * 3, v[1] * 3 * (1 + ctx.floor * 2 ** rng.randint(-4, 4))]
+        elif kind == "zero-row":
+            rows[1] = [ctx.mp.zero, ctx.mp.zero]
+        elif kind == "zero":
+            rows = [[ctx.mp.zero] * 2] * 2
+        b = (v[4], v[5])
+        assert solve_bits(solve2x2, rows, b, ctx) == solve_bits(mpf_solve2x2, rows, b, ctx)
+
     def test_identity(self, ctx):
         i2 = ((ctx.mpf(1), ctx.mpf(0)), (ctx.mpf(0), ctx.mpf(1)))
         assert solve2x2(i2, (ctx.mpf(3), ctx.mpf(4)), ctx) == (ctx.mpf(3), ctx.mpf(4))

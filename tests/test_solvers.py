@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feasikit.cli import build_problem
-from feasikit.numerics import Point2, dist, inner, norm, solve2x2
+from feasikit.numerics import (
+    Point2,
+    PrecisionContext,
+    SingularMatrixError,
+    dist,
+    inner,
+    norm,
+    solve2x2,
+)
 from feasikit.sets import CurveGraph, DiagOnes, HorizontalLine, PsdCone, UnitCircle
 from feasikit.solvers import (
     DrOperator,
@@ -19,7 +27,7 @@ from feasikit.solvers import (
 )
 from feasikit.theory import get_curve, graph_operator
 
-from test_numerics import sym_random
+from test_numerics import DIGITS, differential_point, mpf_inner, mpf_solve2x2, sym_random
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +104,38 @@ class TestLtStep:
         assert rec.eta == n1 * n2 - g * g
         assert rec.eta >= 0
         assert rec.result == rec.v0 + rec.u1 * rec.mu1 + rec.u2 * rec.mu2
+
+    @given(
+        problem=st.sampled_from(("circle-line", "graph:quad", "graph:linear:1", "psd-s1",
+                                 "psdb-s11", "axis-axis")),
+        seed=st.integers(0, 2**32 - 1),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=60)
+    def test_gram_terms_match_mpf(self, problem, seed, digits):
+        """eta, the collinearity test and the mu-system of ``lt_step``
+        against the same terms written with ``mpf`` operators."""
+        ctx = PrecisionContext(decimal_digits=digits)
+        if problem == "axis-axis":  # T is the identity on the axis: collinear
+            axis = HorizontalLine(ctx.mp.zero)
+            t, p = DrOperator(first=axis, second=axis), differential_point("random", seed, 0, ctx)
+        else:
+            prob = build_problem(problem, ctx, dim=2 + seed % 2)
+            t, p = prob.operator, prob.sample(1, seed, ctx)[0]
+        rec = lt_step(t, p, ctx)
+        nsq1, nsq2 = mpf_inner(rec.u1, rec.u1), mpf_inner(rec.u2, rec.u2)
+        g = mpf_inner(rec.u1, rec.u2)
+        eta = nsq1 * nsq2 - g * g
+        assert rec.eta._mpf_ == eta._mpf_
+        mu = None
+        if not eta <= ctx.floor * nsq1 * nsq2:
+            try:
+                mu = mpf_solve2x2(((nsq1, g), (g - nsq1, nsq2 - g)), (nsq1, nsq2 - g), ctx)
+            except SingularMatrixError:
+                pass
+        assert rec.collinear == (mu is None)
+        if mu is not None:
+            assert (rec.mu1._mpf_, rec.mu2._mpf_) == (mu[0]._mpf_, mu[1]._mpf_)
 
     def test_mu_matches_adjugate_closed_form(self, ctx):
         # the orthogonality system versus the inverted-Gram closed form
