@@ -162,9 +162,10 @@ def _bench_trial(args) -> tuple:
     """Worker: one (method, trial) cell.  Receives only plain picklable
     data and rebuilds the precision context locally.  Returns (iterations,
     seconds, solved, reference_unconverged, terminated_by, q, c, residual,
-    window_first, window_last): the last five are ``estimate_order``'s fit
-    as decimal strings and ints, or empty strings where the trace is too
-    short to fit."""
+    window_first, window_last, rate): q to window_last are
+    ``estimate_order``'s fit and rate is ``estimate_linear_rate``'s, as
+    decimal strings and ints, or empty strings where the trace is too short
+    to fit."""
     problem_id, method, precision, tol, max_iter, dim, payload = args
     ctx = PrecisionContext(decimal_digits=precision)
     problem = build_problem(problem_id, ctx, dim)
@@ -177,8 +178,12 @@ def _bench_trial(args) -> tuple:
         fit = (ctx.to_str(est.q), ctx.to_str(est.c), ctx.to_str(est.residual), *est.window)
     except analysis.InsufficientDataError:
         fit = ("",) * 5
+    try:
+        rate = ctx.to_str(analysis.estimate_linear_rate(trace.errors, ctx))
+    except analysis.InsufficientDataError:
+        rate = ""
     return (trace.iterations, trace.total_seconds, trace.solved,
-            _reference_unconverged(trace, ctx), trace.terminated_by.value, *fit)
+            _reference_unconverged(trace, ctx), trace.terminated_by.value, *fit, rate)
 
 
 def cmd_bench(args) -> int:
@@ -217,7 +222,7 @@ def cmd_bench(args) -> int:
     time_costs = {m: [] for m in methods}
     unconverged = {m: 0 for m in methods}
     trial_rows = ["method,trial,iterations,terminated_by,q,c,residual,"
-                  "window_first,window_last"]
+                  "window_first,window_last,rate"]
     for k, (cell, result) in enumerate(zip(cells, results)):
         m = cell[1]
         iters, seconds, solved, ref_unconverged, *termination_and_fit = result

@@ -18,8 +18,8 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-    mpf_rdiv_int, mpf_sqrt, round_nearest,
+    fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
+    mpf_sqrt, round_nearest,
 )
 
 
@@ -298,7 +298,7 @@ def dist(a, b, ctx: PrecisionContext):
 
 
 # Raw arithmetic.  ``_raw_add``, ``_raw_sub``, ``_raw_mul``,
-# ``_raw_mul_int``, ``_raw_div``, ``_raw_rdiv_int`` and ``_raw_sqrt`` return
+# ``_raw_mul_int``, ``_raw_div`` and ``_raw_sqrt`` return
 # the tuple that the ``libmp`` function of the same name returns at ``prec``
 # rounding to nearest, bit for bit: each copies that function's algorithm
 # step for step, but counts bits with ``int.bit_length`` and strips
@@ -426,21 +426,6 @@ def _raw_div(s, t, prec):
     return _round(sign, quot, sexp - texp - extra, prec)
 
 
-def _raw_rdiv_int(n, t, prec):
-    """``mpf_rdiv_int(n, t, prec, round_nearest)``: the int n over t."""
-    sign, man, exp, bc = t
-    if not n or not man:
-        return mpf_rdiv_int(n, t, prec, round_nearest)
-    if n < 0:
-        sign ^= 1
-        n = -n
-    extra = prec + bc + 5
-    quot, rem = divmod(n << extra, man)
-    if rem:
-        return _round(sign, (quot << 1) + 1, -exp - extra - 1, prec)
-    return _round(sign, quot, -exp - extra, prec)
-
-
 def _raw_sqrt(s, prec):
     """``mpf_sqrt(s, prec, round_nearest)`` with the integer square root
     taken by ``math.isqrt`` instead of mpmath's pure-Python ``sqrtrem``.
@@ -470,8 +455,11 @@ def _raw_sqrt(s, prec):
 
 
 def _raw_sum(terms, prec):
-    """``sum(terms)`` on raw mpf tuples: from zero, left to right."""
-    acc = fzero
+    """``sum(terms)`` over an iterator of raw mpf tuples, left to right
+    from the first term, which is returned as it is: every term must
+    already be rounded to prec (the result is then that of a sum from
+    zero)."""
+    acc = next(terms, fzero)
     for term in terms:
         acc = _raw_add(acc, term, prec)
     return acc
@@ -536,10 +524,9 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
                     continue
                 diff = _raw_sub(a[q][q], a[p][p], prec)
                 tau = _raw_div(diff, _raw_mul_int(apq, 2, prec), prec)
-                sign = -1 if mpf_lt(tau, fzero) else 1
                 denom = _raw_add(mpf_abs(tau, prec, rnd), _sqrt_one_plus_sq(tau, prec), prec)
-                t = _raw_rdiv_int(sign, denom, prec)
-                c = _raw_rdiv_int(1, _sqrt_one_plus_sq(t, prec), prec)
+                t = _raw_div(fnone if mpf_lt(tau, fzero) else fone, denom, prec)
+                c = _raw_div(fone, _sqrt_one_plus_sq(t, prec), prec)
                 s = _raw_mul(t, c, prec)
                 t_apq = _raw_mul(t, apq, prec)
                 a[p][p] = _raw_sub(a[p][p], t_apq, prec)

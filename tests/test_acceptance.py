@@ -7,13 +7,8 @@ import time
 
 import pytest
 
-from feasikit.analysis import (
-    InsufficientDataError,
-    estimate_linear_rate,
-    estimate_order,
-    performance_profile,
-)
-from feasikit.cli import build_problem
+from feasikit.analysis import performance_profile
+from feasikit.cli import main
 from feasikit.numerics import Point2, dist, eig_sym, inner, norm
 from feasikit.sets import (
     CurveGraph,
@@ -24,7 +19,7 @@ from feasikit.sets import (
     PsdCone,
     UnitCircle,
 )
-from feasikit.solvers import DrOperator, StopRule, Termination, lt_step, run
+from feasikit.solvers import DrOperator, StopRule, lt_step, run
 from feasikit.theory import (
     ProbeGrid,
     get_curve,
@@ -36,6 +31,7 @@ from feasikit.theory import (
     probe_zeta_limit,
 )
 
+from test_cli import read, trials_table
 from test_numerics import sym_random
 
 
@@ -44,57 +40,56 @@ def report(number: int, passed: bool, detail: str):
     assert passed, detail
 
 
-@pytest.fixture(scope="module")
-def circle_line(ctx):
-    return build_problem("circle-line", ctx, 3)
+def bench(ctx, out, problem, methods, *options):
+    """``feasikit bench`` at the suite's precision on two workers, writing
+    ``<out>_iters.csv``, ``<out>_time.csv`` and ``<out>_trials.csv``;
+    returns the rows of the trials table."""
+    assert main(["bench", "--problem", problem, "--methods", methods, *options,
+                 "--precision", str(ctx.decimal_digits), "--jobs", "2",
+                 "--out", str(out)]) == 0
+    return trials_table(read(f"{out}_trials.csv"))
+
+
+def column(rows, method, name, ctx):
+    """One method's values of a trials-table column, None where empty."""
+    return [ctx.mpf(r[name]) if r[name] else None for r in rows if r["method"] == method]
 
 
 @pytest.fixture(scope="module")
-def fifty_trials(ctx, circle_line):
-    return circle_line.sample(50, 42, ctx)
-
-
-def test_criterion_1_dr_linear_rate(ctx, circle_line, fifty_trials):
+def fifty_trials(ctx, tmp_path_factory):
+    """DR and LT from the same 50 circle-line points, and the wall time of
+    the bench call that ran them."""
     start = time.perf_counter()
-    rates = []
-    for p0 in fifty_trials:
-        trace = run(
-            "dr", circle_line.operator, p0, StopRule(max_iter=200),
-            circle_line.reference, ctx,
-        )
-        rates.append(estimate_linear_rate(trace.errors, ctx))
-    elapsed = time.perf_counter() - start
+    rows = bench(ctx, tmp_path_factory.mktemp("c1") / "circle_line", "circle-line",
+                 "dr,lt", "--trials", "50", "--seed", "42")
+    return rows, time.perf_counter() - start
+
+
+def test_criterion_1_dr_linear_rate(ctx, fifty_trials):
+    rows, elapsed = fifty_trials
+    rates = column(rows, "dr", "rate", ctx)
+    fitted = [r for r in rates if r is not None]
     lo, hi = ctx.mpf("0.45"), ctx.mpf("0.55")
-    in_band = all(lo <= r <= hi for r in rates)
+    in_band = len(fitted) == 50 and all(lo <= r <= hi for r in fitted)
+    spread = (f"min={float(min(fitted)):.4f}, max={float(max(fitted)):.4f}"
+              if fitted else "no fitted rate")
     report(
         1,
         in_band and elapsed < 120,
-        f"DR circle-line linear rate in [0.45, 0.55] for 50/50 trials "
-        f"(min={float(min(rates)):.4f}, max={float(max(rates)):.4f}), "
-        f"runtime {elapsed:.1f}s < 120s",
+        f"DR circle-line linear rate in [0.45, 0.55] for {len(fitted)}/50 trials "
+        f"({spread}), runtime {elapsed:.1f}s < 120s",
     )
 
 
-def test_criterion_2_lt_quadratic_order(ctx, circle_line, fifty_trials):
-    in_band = 0
-    qs = []
-    for p0 in fifty_trials:
-        trace = run(
-            "lt", circle_line.operator, p0, StopRule(max_iter=200),
-            circle_line.reference, ctx, affine=circle_line.affine,
-        )
-        try:
-            q = estimate_order(trace.errors, ctx).q
-        except InsufficientDataError:
-            continue
-        qs.append(float(q))
-        if ctx.mpf("1.8") <= q <= ctx.mpf("2.2"):
-            in_band += 1
+def test_criterion_2_lt_quadratic_order(ctx, fifty_trials):
+    rows, _ = fifty_trials
+    qs = [q for q in column(rows, "lt", "q", ctx) if q is not None]
+    in_band = sum(1 for q in qs if ctx.mpf("1.8") <= q <= ctx.mpf("2.2"))
     report(
         2,
         in_band >= 45,
         f"LT circle-line order q in [1.8, 2.2] for {in_band}/50 trials (need >= 45); "
-        f"median q = {sorted(qs)[len(qs) // 2]:.3f}",
+        f"median q = {float(sorted(qs)[len(qs) // 2]):.3f}",
     )
 
 
@@ -173,28 +168,12 @@ def test_criterion_5_one_step_on_two_lines(ctx):
     )
 
 
-@pytest.fixture(scope="module")
-def setting2_orders(ctx):
-    problem = build_problem("psdb-s1", ctx, 3)
-    points = problem.sample(20, 2026, ctx)
-    stop = StopRule(max_iter=200)
-    orders = {}
-    for method in ("dr", "lt", "plt"):
-        qs = []
-        for p0 in points:
-            trace = run(method, problem.operator, p0, stop, problem.reference, ctx,
-                        affine=problem.affine)
-            try:
-                qs.append(estimate_order(trace.errors, ctx).q)
-            except InsufficientDataError:
-                qs.append(None)
-        orders[method] = qs
-    return orders
+def test_criterion_6_setting2_orders(ctx, tmp_path):
+    rows = bench(ctx, tmp_path / "setting2", "psdb-s1", "dr,lt,plt",
+                 "--trials", "20", "--seed", "2026")
 
-
-def test_criterion_6_setting2_orders(ctx, setting2_orders):
     def frac_in(method, lo, hi):
-        qs = setting2_orders[method]
+        qs = column(rows, method, "q", ctx)
         good = sum(1 for q in qs if q is not None and ctx.mpf(lo) <= q <= ctx.mpf(hi))
         return good, len(qs)
 
@@ -211,23 +190,19 @@ def test_criterion_6_setting2_orders(ctx, setting2_orders):
     )
 
 
-def test_criterion_7_finite_termination(ctx):
+def test_criterion_7_finite_termination(ctx, tmp_path):
     # tolerance below the arithmetic floor so the stop cannot preempt the
-    # finite-termination event (the orbit landing exactly on its fixed point)
+    # finite-termination event (the orbit landing exactly on its fixed point);
+    # bench needs two methods, so psdb-s11 also runs LT, whose rows are unread
     below_floor = f"1e-{ctx.decimal_digits + 20}"
-    stop = StopRule(tol=below_floor, max_iter=200)
     counts = {}
     for pid, methods in (("psd-s1", ("dr", "lt")), ("psdb-s11", ("dr",))):
-        problem = build_problem(pid, ctx, 3)
-        points = problem.sample(20, 2026, ctx)
+        rows = bench(ctx, tmp_path / pid, pid, "dr,lt", "--trials", "20",
+                     "--seed", "2026", "--tol", below_floor)
         for method in methods:
-            hits = 0
-            for p0 in points:
-                trace = run(method, problem.operator, p0, stop, problem.reference,
-                            ctx, affine=problem.affine)
-                if trace.terminated_by is Termination.EXACT_ZERO:
-                    hits += 1
-            counts[(pid, method)] = hits
+            counts[(pid, method)] = sum(
+                1 for r in rows if r["method"] == method and r["terminated_by"] == "exact_zero"
+            )
     ok = (
         counts[("psd-s1", "dr")] >= 14
         and counts[("psd-s1", "lt")] >= 14
@@ -242,27 +217,23 @@ def test_criterion_7_finite_termination(ctx):
     )
 
 
-def test_criterion_8_benchmark_dominance(ctx, circle_line):
-    points = circle_line.sample(200, 7, ctx)
-    stop = StopRule(tol="1e-30", max_iter=200)
-    costs = {"dr": [], "lt": []}
-    for method in ("dr", "lt"):
-        for p0 in points:
-            trace = run(method, circle_line.operator, p0, stop,
-                        circle_line.reference, ctx, affine=circle_line.affine)
-            costs[method].append(float(trace.iterations) if trace.solved else math.inf)
-    result = performance_profile(costs, metric="iterations")
-    taus = sorted({t for s in costs for t in result.curves[s].breakpoints})
-    dominated = all(
-        result.curves["lt"].rho(t) >= result.curves["dr"].rho(t) for t in taus
-    )
+def test_criterion_8_benchmark_dominance(ctx, tmp_path):
+    out = tmp_path / "dominance"
+    bench(ctx, out, "circle-line", "dr,lt", "--trials", "200", "--seed", "7",
+          "--tol", "1e-30")
+    lines = read(f"{out}_iters.csv").splitlines()
+    excluded = any(line.startswith("# excluded_problems") for line in lines)
+    header = lines.index("tau,rho_dr,rho_lt")
+    profile = {tau: (rho_dr, rho_lt) for tau, rho_dr, rho_lt in
+               (map(float, line.split(",")) for line in lines[header + 1:])}
+    dominated = all(rho_lt >= rho_dr for rho_dr, rho_lt in profile.values())
+    rho_dr1, rho_lt1 = profile[1.0]
     report(
         8,
-        dominated and not result.excluded,
+        dominated and not excluded,
         f"LT iteration-count profile dominates DR pointwise on 200 seeded "
-        f"circle-line trials at every breakpoint ({len(taus)} breakpoints, "
-        f"rho_lt(1)={result.curves['lt'].rho(1.0):.2f}, "
-        f"rho_dr(1)={result.curves['dr'].rho(1.0):.2f})",
+        f"circle-line trials at every breakpoint ({len(profile)} breakpoints, "
+        f"rho_lt(1)={rho_lt1:.2f}, rho_dr(1)={rho_dr1:.2f})",
     )
 
 

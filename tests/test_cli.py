@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import feasikit
-from feasikit.analysis import estimate_order
+from feasikit.analysis import estimate_linear_rate, estimate_order
 from feasikit.cli import _point_from_payload, _point_payload, build_problem, main
 from feasikit.numerics import Point2, PrecisionContext
 from feasikit.sets import ProjectionError
@@ -223,7 +223,8 @@ def decoded_bits(payload):
     return point_bits(_point_from_payload(payload, PrecisionContext()))
 
 
-TRIALS_HEADER = "method,trial,iterations,terminated_by,q,c,residual,window_first,window_last"
+TRIALS_HEADER = ("method,trial,iterations,terminated_by,q,c,residual,window_first,window_last,"
+                 "rate")
 
 
 def trials_table(text):
@@ -330,13 +331,16 @@ class TestBenchCommand:
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_parallel_matches_serial(self, tmp_path):
-        base = ["bench", "--problem", "circle-line", "--methods", "dr,lt",
-                "--trials", "4", "--tol", "1e-20", "--seed", "9"]
-        a, b = tmp_path / "serial", tmp_path / "par"
-        assert main(base + ["--jobs", "1", "--out", str(a)]) == 0
-        assert main(base + ["--jobs", "2", "--out", str(b)]) == 0
-        for suffix in ("_iters.csv", "_trials.csv"):
-            assert read(str(a) + suffix) == read(str(b) + suffix)
+        # psdb-s1 sends matrix payloads through the pool, as the acceptance
+        # criteria run them
+        for problem in (["circle-line"], ["psdb-s1", "--max-iter", "40"]):
+            base = ["bench", "--problem", *problem, "--methods", "dr,lt", "--trials", "4",
+                    "--tol", "1e-20", "--seed", "9"]
+            a, b = tmp_path / f"serial_{problem[0]}", tmp_path / f"par_{problem[0]}"
+            assert main(base + ["--jobs", "1", "--out", str(a)]) == 0
+            assert main(base + ["--jobs", "2", "--out", str(b)]) == 0
+            for suffix in ("_iters.csv", "_trials.csv"):
+                assert read(str(a) + suffix) == read(str(b) + suffix)
 
     def test_trials_table_in_cell_order(self, psdb_trials):
         assert [(r["method"], r["trial"]) for r in psdb_trials] == [
@@ -355,6 +359,7 @@ class TestBenchCommand:
             assert row["c"] == ctx.to_str(est.c)
             assert row["residual"] == ctx.to_str(est.residual)
             assert (row["window_first"], row["window_last"]) == tuple(map(str, est.window))
+            assert row["rate"] == ctx.to_str(estimate_linear_rate(trace.errors, ctx))
             assert row["iterations"] == str(trace.iterations)
             assert row["terminated_by"] == trace.terminated_by.value
 
@@ -380,6 +385,7 @@ class TestBenchCommand:
         assert rows[0] == {
             "method": "dr", "trial": "0", "iterations": "1", "terminated_by": "exact_zero",
             "q": "", "c": "", "residual": "", "window_first": "", "window_last": "",
+            "rate": "",
         }
 
     def test_trial_points_exact(self, ctx):

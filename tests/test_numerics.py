@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import (
-    ComplexResult, finf, fnan, fninf, fone, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
+    ComplexResult, finf, fnan, fninf, fnone, fone, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
     mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
 )
 
@@ -19,7 +19,6 @@ from feasikit.numerics import (
     _raw_div,
     _raw_mul,
     _raw_mul_int,
-    _raw_rdiv_int,
     _raw_sqrt,
     _raw_sub,
     _sorted_spectrum,
@@ -415,7 +414,9 @@ class TestRawArith:
         assert _raw_mul(s, s, prec) == mpf_pow_int(s, 2, prec, rnd)
         assert _raw_mul_int(s, n, prec) == mpf_mul_int(s, n, prec, rnd)
         assert outcome(_raw_div, s, t, prec) == outcome(mpf_div, s, t, prec, rnd)
-        assert outcome(_raw_rdiv_int, n, t, prec) == outcome(mpf_rdiv_int, n, t, prec, rnd)
+        # eig_sym's 1/t and -1/t
+        assert outcome(_raw_div, fone, t, prec) == outcome(mpf_rdiv_int, 1, t, prec, rnd)
+        assert outcome(_raw_div, fnone, t, prec) == outcome(mpf_rdiv_int, -1, t, prec, rnd)
 
     @given(operands=raw_operands(),
            n=st.one_of(st.sampled_from((0, 1, -1, 2, -3)), st.integers(-2**80, 2**80)))
