@@ -197,7 +197,9 @@ def sample_disk(
     for _ in range(n):
         r = radius * ctx.mp.sqrt(ctx.mpf(rng.random()))
         phi = two_pi * ctx.mpf(rng.random())
-        points.append(center + Point2(r * ctx.mp.cos(phi), r * ctx.mp.sin(phi)))
+        # one series for both, each rounded as cos(phi) and sin(phi) are
+        cos, sin = ctx.mp.cos_sin(phi)
+        points.append(center + Point2(r * cos, r * sin))
     return tuple(points)
 
 

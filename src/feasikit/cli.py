@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from feasikit import analysis, theory
-from feasikit.numerics import FeasikitError, Point2, PrecisionContext, SymMatrix
+from feasikit.numerics import FeasikitError, Point2, PrecisionContext, SymMatrix, _point
 from feasikit.sets import (
     DiagOnes,
     EntryOne,
@@ -73,10 +73,11 @@ def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Probl
     """Resolve a problem id to operators, affine set, reference policy and
     trial distribution."""
     if problem_id == "circle-line":
-        line = HorizontalLine(height=ctx.mpf("0.5"))
-        solution = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
+        half = ctx.mpf("0.5")
+        line = HorizontalLine(height=half)
+        solution = Point2(ctx.mp.sqrt(3) / 2, half)
         return Problem(DrOperator(first=line, second=UnitCircle()), line, solution,
-                       center=solution, radius=ctx.mpf("0.5"))
+                       center=solution, radius=half)
     if problem_id.startswith("graph:"):
         t = theory.graph_operator(theory.get_curve(problem_id.split(":", 1)[1], ctx), ctx)
         # local disk about the intersection at the origin
@@ -147,14 +148,14 @@ def _reference_unconverged(trace, ctx) -> bool:
 def _point_payload(point) -> tuple:
     """The point as raw ``mpf._mpf_`` tuples: exact and picklable."""
     if isinstance(point, Point2):
-        return ("point2", point.x._mpf_, point.z._mpf_)
+        return ("point2", point.rx, point.rz)
     return ("sym", tuple(tuple(v._mpf_ for v in row) for row in point.entries))
 
 
 def _point_from_payload(payload, ctx):
-    make = ctx.mp.make_mpf
     if payload[0] == "point2":
-        return Point2(make(payload[1]), make(payload[2]))
+        return _point(payload[1], payload[2], ctx.mp)
+    make = ctx.mp.make_mpf
     return SymMatrix.from_rows([[make(v) for v in row] for row in payload[1]])
 
 

@@ -18,8 +18,8 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int,
-    mpf_sqrt, round_nearest,
+    fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
 )
 
 
@@ -92,45 +92,84 @@ def _prec_make(x):
     return mp.prec, mp.make_mpf
 
 
-@dataclass(frozen=True)
 class Point2:
     """A point (x, z) in the plane.
 
-    ``+``, ``-`` and ``*`` (by an ``mpf`` or an ``int``) run on raw
-    ``mpf._mpf_`` tuples at the precision of x's context, one raw call per
-    coordinate, with the bits of the ``mpf`` operators.
+    The coordinates are held as raw ``mpf._mpf_`` tuples ``rx`` and ``rz``
+    together with ``mp``, the mpmath context of x; ``x`` and ``z`` are
+    read-only ``mpf`` views of that context.  ``+``, ``-`` and ``*`` (by an
+    ``mpf`` or an ``int``) run on the raw tuples at the precision of ``mp``,
+    one raw call per coordinate, with the bits of the ``mpf`` operators;
+    unary minus is exact.  ``==`` compares by value.
     """
 
-    x: object
-    z: object
+    __slots__ = ("rx", "rz", "mp")
+
+    def __init__(self, x, z):
+        self.rx = x._mpf_
+        self.rz = z._mpf_
+        self.mp = x.context
+
+    @property
+    def x(self):
+        return self.mp.make_mpf(self.rx)
+
+    @property
+    def z(self):
+        return self.mp.make_mpf(self.rz)
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, z={self.z!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, Point2):
+            return NotImplemented
+        return mpf_eq(self.rx, other.rx) and mpf_eq(self.rz, other.rz)
+
+    def __hash__(self):
+        return hash((self.x, self.z))
+
+    def __deepcopy__(self, memo):
+        # the tuples are immutable, and a context is shared by every value
+        # of its precision
+        return _point(self.rx, self.rz, self.mp)
 
     def __add__(self, other: "Point2") -> "Point2":
-        prec, make = _prec_make(self.x)
-        return Point2(make(_raw_add(self.x._mpf_, other.x._mpf_, prec)),
-                      make(_raw_add(self.z._mpf_, other.z._mpf_, prec)))
+        mp = self.mp
+        prec = mp.prec
+        return _point(_raw_add(self.rx, other.rx, prec), _raw_add(self.rz, other.rz, prec), mp)
 
     def __sub__(self, other: "Point2") -> "Point2":
-        prec, make = _prec_make(self.x)
-        return Point2(make(_raw_sub(self.x._mpf_, other.x._mpf_, prec)),
-                      make(_raw_sub(self.z._mpf_, other.z._mpf_, prec)))
+        mp = self.mp
+        prec = mp.prec
+        return _point(_raw_sub(self.rx, other.rx, prec), _raw_sub(self.rz, other.rz, prec), mp)
 
     def __mul__(self, scalar) -> "Point2":
-        prec, make = _prec_make(self.x)
+        mp = self.mp
+        prec = mp.prec
         if isinstance(scalar, int):
-            return Point2(make(_raw_mul_int(self.x._mpf_, scalar, prec)),
-                          make(_raw_mul_int(self.z._mpf_, scalar, prec)))
+            return _point(_raw_mul_int(self.rx, scalar, prec),
+                          _raw_mul_int(self.rz, scalar, prec), mp)
         s = scalar._mpf_
-        return Point2(make(_raw_mul(self.x._mpf_, s, prec)),
-                      make(_raw_mul(self.z._mpf_, s, prec)))
+        return _point(_raw_mul(self.rx, s, prec), _raw_mul(self.rz, s, prec), mp)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Point2":
-        return Point2(-self.x, -self.z)
+        return _point(mpf_neg(self.rx), mpf_neg(self.rz), self.mp)
 
     @staticmethod
     def of(ctx: PrecisionContext, x, z) -> "Point2":
         return Point2(ctx.mpf(x), ctx.mpf(z))
+
+
+def _point(rx, rz, mp) -> Point2:
+    """The Point2 of raw tuples rx, rz in the mpmath context mp."""
+    p = object.__new__(Point2)
+    p.rx = rx
+    p.rz = rz
+    p.mp = mp
+    return p
 
 
 @dataclass(frozen=True)
@@ -259,8 +298,7 @@ def _raw_inner(a, b, prec):
     """``a.x * b.x + a.z * b.z`` on Point2, ``sum(x * y)`` over the entries
     row by row on SymMatrix; raw."""
     if isinstance(a, Point2):
-        return _raw_add(_raw_mul(a.x._mpf_, b.x._mpf_, prec),
-                        _raw_mul(a.z._mpf_, b.z._mpf_, prec), prec)
+        return _raw_add(_raw_mul(a.rx, b.rx, prec), _raw_mul(a.rz, b.rz, prec), prec)
     return _raw_sum((_raw_mul(x._mpf_, y._mpf_, prec)
                      for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)), prec)
 
@@ -268,8 +306,8 @@ def _raw_inner(a, b, prec):
 def inner(a, b):
     """Inner product: Euclidean on Point2, Frobenius on SymMatrix; raw, at
     the precision of a's context."""
-    prec, make = _prec_make(a.x if isinstance(a, Point2) else a.entries[0][0])
-    return make(_raw_inner(a, b, prec))
+    mp = a.mp if isinstance(a, Point2) else a.entries[0][0].context
+    return mp.make_mpf(_raw_inner(a, b, mp.prec))
 
 
 def _raw_norm(a, prec):
@@ -287,8 +325,8 @@ def dist(a, b, ctx: PrecisionContext):
     ``a - b``."""
     prec = ctx.mp.prec
     if isinstance(a, Point2):
-        dx = _raw_sub(a.x._mpf_, b.x._mpf_, prec)
-        dz = _raw_sub(a.z._mpf_, b.z._mpf_, prec)
+        dx = _raw_sub(a.rx, b.rx, prec)
+        dz = _raw_sub(a.rz, b.rz, prec)
         sq = _raw_add(_raw_mul(dx, dx, prec), _raw_mul(dz, dz, prec), prec)
     else:
         diffs = (_raw_sub(x._mpf_, y._mpf_, prec)

@@ -21,6 +21,7 @@ from feasikit.numerics import (
     Point2,
     PrecisionContext,
     SymMatrix,
+    _point,
     _raw_add,
     _raw_div,
     _raw_mul,
@@ -90,12 +91,12 @@ def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
     Runs on raw ``mpf._mpf_`` tuples at the context's precision, one raw
     call per ``mpf`` operation of ``r = sqrt(x * x + z * z)``,
     ``(x / r, z / r)``."""
-    prec = ctx.mp.prec
+    mp = ctx.mp
+    prec = mp.prec
     r = _raw_norm(p, prec)
     if r == fzero:
-        return Point2(ctx.mp.one, ctx.mp.zero)
-    make = ctx.mp.make_mpf
-    return Point2(make(_raw_div(p.x._mpf_, r, prec)), make(_raw_div(p.z._mpf_, r, prec)))
+        return _point(fone, fzero, mp)
+    return _point(_raw_div(p.rx, r, prec), _raw_div(p.rz, r, prec), mp)
 
 
 def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2:
@@ -124,7 +125,7 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     span = 2 * (1 + abs(pz))
     lo = px - span
     width = 2 * span
-    rpx, rpz, rlo, rwidth = px._mpf_, pz._mpf_, lo._mpf_, width._mpf_
+    rpx, rpz, rlo, rwidth = p.rx, p.rz, lo._mpf_, width._mpf_
     res_tol = ctx.pow10(-(ctx.decimal_digits - 15))._mpf_
     escape = (abs(px) + span + 10)._mpf_
     thirty_two = from_int(32)
@@ -168,7 +169,8 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
         dz = root[1] - pz
         return dx * dx + dz * dz, root[0]
 
-    return Point2(*min(merged, key=objective_then_t))
+    t, ft = min(merged, key=objective_then_t)
+    return _point(t._mpf_, ft._mpf_, ctx.mp)
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,19 @@ class HorizontalLine(FeasibilitySet):
     height: object
 
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
-        return Point2(p.x, self.height)
+        return _point(p.rx, self.height._mpf_, p.mp)
+
+    def reflect(self, p: Point2, ctx: PrecisionContext) -> Point2:
+        """``project(p) * 2 - p`` in closed form, ``(x, 2 * h - z)``:
+        ``2 * x - x`` is exactly x for a finite x of at most prec bits
+        (every point the toolkit builds); any other x takes the two
+        roundings."""
+        mp = p.mp
+        prec = mp.prec
+        rx = p.rx
+        if not 0 < rx[3] <= prec:
+            rx = _raw_sub(_raw_mul_int(rx, 2, prec), rx, prec)
+        return _point(rx, _raw_sub(_raw_mul_int(self.height._mpf_, 2, prec), p.rz, prec), mp)
 
 
 class UnitCircle(FeasibilitySet):

@@ -8,12 +8,13 @@ arithmetic and an inner product (Point2, SymMatrix) works.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from mpmath.libmp import fhalf, mpf_le
+from mpmath.libmp import fhalf, fzero, mpf_le, mpf_lt, to_str
 
 from feasikit.numerics import (
     PrecisionContext,
@@ -203,10 +204,10 @@ def run(
     if method == "plt" and affine is None:
         raise ValueError("plt requires the affine set of the pair")
 
-    tol = stop.resolved_tol(ctx)
-    # a drop from above this level to the floor is faster than quadratic
-    cliff = ctx.pow10(-((ctx.decimal_digits - 10) // 4))
-    near_floor = ctx.pow10(-((ctx.decimal_digits - 10) // 2))
+    # the stop tests compare raw mpf tuples
+    tol = stop.resolved_tol(ctx)._mpf_
+    floor = ctx.floor._mpf_
+    cliff, near_floor = _stop_levels(ctx)
 
     steps = _orbit(method, t, affine, p0, ctx)
     gap = None
@@ -215,7 +216,7 @@ def run(
         for p, seconds in itertools.islice(steps, 2 * stop.max_iter):
             kept.append((p, seconds))
             gap, last = dist(p, last, ctx), p
-            if gap <= ctx.floor:
+            if mpf_le(gap._mpf_, floor):
                 break
         reference = kept[-1][0]
         # the reference is hit at error 0, so the loop below stops there
@@ -224,27 +225,38 @@ def run(
     iterates = [p0]
     errors = [dist(p0, reference, ctx)]
     step_times = []
-    if errors[0] <= tol:
+    if mpf_le(errors[0]._mpf_, tol):
         return Trace(method, tuple(iterates), tuple(errors), (), Termination.TOLERANCE, gap)
 
     terminated = Termination.MAX_ITER
+    prev = errors[0]._mpf_
     for p, seconds in itertools.islice(steps, stop.max_iter):
         step_times.append(seconds)
         iterates.append(p)
         err = dist(p, reference, ctx)
         errors.append(err)
-        prev = errors[-2]
-        if err == 0 or (err <= ctx.floor and prev > cliff):
+        e = err._mpf_
+        if e == fzero or (mpf_le(e, floor) and mpf_lt(cliff, prev)):
             terminated = Termination.EXACT_ZERO
             break
-        if err <= tol:
+        if mpf_le(e, tol):
             terminated = Termination.TOLERANCE
             break
-        if len(errors) > STAGNATION_WINDOW and errors[-1] <= near_floor:
+        if len(errors) > STAGNATION_WINDOW and mpf_le(e, near_floor):
             if min(errors[-STAGNATION_WINDOW:]) >= min(errors[:-STAGNATION_WINDOW]):
                 terminated = Termination.STAGNATION
                 break
+        prev = e
     return Trace(method, tuple(iterates), tuple(errors), tuple(step_times), terminated, gap)
+
+
+@functools.lru_cache(maxsize=None)
+def _stop_levels(ctx: PrecisionContext):
+    """``run``'s cliff and near-floor levels as raw tuples, built once per
+    precision: a drop from above the cliff to the floor is faster than
+    quadratic, and stagnation is judged below the near-floor level."""
+    return (ctx.pow10(-((ctx.decimal_digits - 10) // 4))._mpf_,
+            ctx.pow10(-((ctx.decimal_digits - 10) // 2))._mpf_)
 
 
 def trace_to_csv(
@@ -264,5 +276,6 @@ def trace_to_csv(
             seconds = "0"
         else:
             seconds = repr(trace.step_times[k - 1])
-        lines.append(f"{k},{ctx.to_str(err)},{seconds}")
+        # ctx.to_str without re-wrapping err, which is of ctx's context
+        lines.append(f"{k},{to_str(err._mpf_, ctx.decimal_digits)},{seconds}")
     return "\n".join(lines) + "\n"

@@ -530,3 +530,18 @@ class TestGoldenOutput:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_bench_tables_digest(self, tmp_path):
+        # recorded before Point2 held raw tuples, which changed the path the
+        # sampled points take into the trial payloads; the time profile holds
+        # wall times and is left out
+        out = tmp_path / "bench"
+        assert main(["bench", "--problem", "circle-line", "--methods", "dr,lt,plt",
+                     "--trials", "4", "--jobs", "1", "--precision", "120", "--seed", "3",
+                     "--out", str(out)]) == 0
+        digests = {suffix: hashlib.sha256((tmp_path / f"bench_{suffix}.csv").read_bytes())
+                   .hexdigest() for suffix in ("trials", "iters")}
+        assert digests == {
+            "trials": "0b2be6261481d16c90ad8070ced7411ac6ec0637b25b0468638ac8a640f71d24",
+            "iters": "cc01533f6441130ed5f68d923c9e837e5224bf740241a5a033ed4eb31dcd0fc0",
+        }

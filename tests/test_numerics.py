@@ -1,3 +1,4 @@
+import copy
 import operator
 import random
 
@@ -82,6 +83,42 @@ class TestPoint2:
         assert (p - q) == Point2.of(ctx, -2, 3)
         assert p * ctx.mpf(2) == Point2.of(ctx, 2, 4)
         assert inner(p, q) == ctx.mpf(1)
+
+    def test_views_hold_the_given_bits(self, ctx):
+        x, z = ctx.mp.sqrt(ctx.mpf(2)), -ctx.mp.pi
+        p = Point2(x, z)
+        assert (p.x._mpf_, p.z._mpf_) == (x._mpf_, z._mpf_)
+        assert (p.rx, p.rz) == (x._mpf_, z._mpf_)
+        assert p.x.context is ctx.mp and p.z.context is ctx.mp
+        assert (-p).x._mpf_ == (-x)._mpf_ and (-p).z._mpf_ == (-z)._mpf_
+        assert (copy.copy(p).rx, copy.deepcopy(p).rz) == (x._mpf_, z._mpf_)
+
+    def test_equality_by_value(self, ctx):
+        low = PrecisionContext(decimal_digits=40)
+        assert Point2.of(ctx, "0.5", 3) == Point2.of(low, "0.5", 3)
+        assert hash(Point2.of(ctx, "0.5", 3)) == hash(Point2.of(low, "0.5", 3))
+        assert Point2.of(ctx, "0.5", 3) != Point2.of(ctx, "0.5", -3)
+        assert Point2.of(ctx, 1, 2) != (ctx.mpf(1), ctx.mpf(2))
+
+    def test_coordinates_are_read_only(self, ctx):
+        p = Point2.of(ctx, 1, 2)
+        for name in ("x", "z"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, ctx.mpf(5))
+        assert p == Point2.of(ctx, 1, 2)
+
+    def test_rounds_at_the_precision_of_x(self, ctx):
+        # z from the 120-digit context keeps its bits in the point, and the
+        # arithmetic rounds it at x's 40 digits
+        low = PrecisionContext(decimal_digits=40)
+        z = ctx.mpf(1) / 3
+        p = Point2(low.mpf(2), z)
+        assert p.z._mpf_ == z._mpf_
+        assert (p * 1).z._mpf_ == low.mpf(z)._mpf_ != z._mpf_
+        assert (p + Point2.of(low, 0, 0)).z._mpf_ == low.mpf(z)._mpf_
+        prec = low.mp.prec
+        zz = mpf_mul(z._mpf_, z._mpf_, prec, round_nearest)
+        assert inner(p, p)._mpf_ == mpf_add(low.mpf(4)._mpf_, zz, prec, round_nearest)
 
 
 class TestSymMatrix:

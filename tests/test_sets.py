@@ -25,7 +25,7 @@ from feasikit.sets import (
 )
 from feasikit.theory import get_curve
 
-from test_numerics import raw, sym_random
+from test_numerics import differential_point, point_bits, raw, sym_random
 
 
 def mat(ctx, rows):
@@ -219,6 +219,38 @@ class TestReflection:
         line = HorizontalLine(height=ctx.mpf("0.5"))
         p = Point2.of(ctx, "2.5", "0.5")
         assert line.reflect(p, ctx) == p
+
+    @given(
+        kind=st.sampled_from(("random", "axis", "origin", "x0")),
+        height=st.sampled_from(("0", "0.5", "random")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=200)
+    def test_line_matches_mpf_oracle(self, kind, height, seed, scale_exp, digits):
+        # the closed form (x, 2h - z) against project(p) * 2 - p in mpf;
+        # "axis" has z = 0, "x0" has x = 0 and "origin" both
+        ctx = PrecisionContext(decimal_digits=digits)
+        p = differential_point("random" if kind == "x0" else kind, seed, scale_exp, ctx)
+        if kind == "x0":
+            p = Point2(ctx.mp.zero, p.z)
+        if height == "random":
+            h = differential_point("random", seed + 1, -scale_exp, ctx).z
+        else:
+            h = ctx.mpf(height)
+        want = Point2(p.x * 2 - p.x, h * 2 - p.z)
+        assert point_bits(HorizontalLine(h).reflect(p, ctx)) == point_bits(want)
+
+    def test_line_rounds_an_x_it_cannot_keep(self, ctx):
+        # x infinite, or longer than the working precision: 2x - x is not x
+        long_x = ctx.mp.make_mpf(PrecisionContext(decimal_digits=200).mp.pi._mpf_)
+        line = HorizontalLine(ctx.mpf("0.5"))
+        for x in (ctx.mpf("inf"), long_x):
+            p = Point2(x, ctx.mpf(3))
+            got = line.reflect(p, ctx)
+            assert point_bits(got) == point_bits(Point2(x * 2 - x, ctx.mpf(-2)))
+            assert got.rx != x._mpf_
 
     def test_circle_outside(self, ctx):
         r = UnitCircle().reflect(Point2.of(ctx, 2, 0), ctx)
