@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from feasikit import analysis, theory
-from feasikit.numerics import FeasikitError, Point2, PrecisionContext, SymMatrix, _point
+from feasikit.numerics import FeasikitError, Point2, PrecisionContext
 from feasikit.sets import (
     DiagOnes,
     EntryOne,
@@ -145,33 +145,19 @@ def _reference_unconverged(trace, ctx) -> bool:
     return trace.reference_gap is not None and trace.reference_gap > ctx.floor
 
 
-def _point_payload(point) -> tuple:
-    """The point as raw ``mpf._mpf_`` tuples: exact and picklable."""
-    if isinstance(point, Point2):
-        return ("point2", point.rx, point.rz)
-    return ("sym", tuple(tuple(v._mpf_ for v in row) for row in point.entries))
-
-
-def _point_from_payload(payload, ctx):
-    if payload[0] == "point2":
-        return _point(payload[1], payload[2], ctx.mp)
-    make = ctx.mp.make_mpf
-    return SymMatrix.from_rows([[make(v) for v in row] for row in payload[1]])
-
-
 def _bench_trial(args) -> tuple:
-    """Worker: one (method, trial) cell.  Receives only plain picklable
-    data and rebuilds the precision context locally.  Returns (iterations,
-    seconds, solved, reference_unconverged, terminated_by, q, c, residual,
-    window_first, window_last, rate): q to window_last are
+    """Worker: one (method, trial) cell.  Receives plain data and the trial
+    point, which pickles with its bits and precision, and builds the
+    precision context locally.  Returns (iterations, seconds, solved,
+    reference_unconverged, terminated_by, q, c, residual, window_first,
+    window_last, rate): q to window_last are
     ``estimate_order``'s fit and rate is ``estimate_linear_rate``'s, as
     decimal strings and ints, or empty strings where the trace is too short
     to fit."""
-    problem_id, method, precision, tol, max_iter, dim, payload = args
+    problem_id, method, precision, tol, max_iter, dim, p0 = args
     ctx = PrecisionContext(decimal_digits=precision)
     problem = build_problem(problem_id, ctx, dim)
     stop = StopRule(tol=tol, max_iter=max_iter)
-    p0 = _point_from_payload(payload, ctx)
     trace = run(method, problem.operator, p0, stop, problem.reference, ctx,
                 affine=problem.affine)
     try:
@@ -200,13 +186,13 @@ def cmd_bench(args) -> int:
             raise ValueError(f"unknown method: {m!r}")
     ctx = PrecisionContext(decimal_digits=args.precision)
     problem = build_problem(args.problem, ctx, args.dim)
-    # one shared trial set, carried as exact mpf tuples so that the serial
-    # and parallel paths both run the sampled points bit for bit
-    payloads = [_point_payload(p) for p in problem.sample(args.trials, args.seed, ctx)]
+    # one shared trial set; a point pickles as its raw tuples, so that the
+    # serial and parallel paths both run the sampled points bit for bit
+    points = problem.sample(args.trials, args.seed, ctx)
     cells = [
-        (args.problem, m, args.precision, args.tol, args.max_iter, args.dim, payload)
+        (args.problem, m, args.precision, args.tol, args.max_iter, args.dim, p)
         for m in methods
-        for payload in payloads
+        for p in points
     ]
     # a fork-started pool starts all its workers up front
     workers = min(args.jobs, len(cells))

@@ -18,8 +18,8 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
+    fnone, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt, mpf_le, mpf_lt,
+    mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
 )
 
 
@@ -85,13 +85,6 @@ def _shared_context(decimal_digits: int):
     return mp, mp.mpf(10) ** (-(decimal_digits - 10))
 
 
-def _prec_make(x):
-    """The precision the ``mpf`` operators of x round to, and the maker of
-    ``mpf`` values of x's context from raw tuples."""
-    mp = x.context
-    return mp.prec, mp.make_mpf
-
-
 class Point2:
     """A point (x, z) in the plane.
 
@@ -129,10 +122,8 @@ class Point2:
     def __hash__(self):
         return hash((self.x, self.z))
 
-    def __deepcopy__(self, memo):
-        # the tuples are immutable, and a context is shared by every value
-        # of its precision
-        return _point(self.rx, self.rz, self.mp)
+    def __reduce__(self):
+        return _with_context, (_point, self.mp.dps, self.rx, self.rz)
 
     def __add__(self, other: "Point2") -> "Point2":
         mp = self.mp
@@ -172,33 +163,66 @@ def _point(rx, rz, mp) -> Point2:
     return p
 
 
-@dataclass(frozen=True)
 class SymMatrix:
     """An n x n symmetric matrix; symmetry is checked on construction.
 
-    ``+``, ``-`` and ``*`` (by an ``mpf`` or an ``int``) of a matrix of
-    ``mpf`` entries run on raw tuples, with the bits of the entrywise
-    ``mpf`` operators.
+    The entries are held as ``raw``, a flat row-major tuple of raw
+    ``mpf._mpf_`` tuples, together with ``n`` and ``mp``, the mpmath
+    context of the first entry; ``entries`` (the rows) and ``m[i]`` (row i)
+    are ``mpf`` views of that context.  ``+``, ``-`` and ``*`` (by an
+    ``mpf`` or an ``int``) run on the raw tuples at the precision of
+    ``mp``, computed on the upper triangle and mirrored, with the bits of
+    the entrywise ``mpf`` operators; unary minus is exact.  ``==`` compares
+    by value.  A matrix of another number type (``int``, say) holds its
+    entries as they are, with ``mp`` None, and takes that type's operators.
     """
 
-    entries: tuple
+    __slots__ = ("raw", "n", "mp")
 
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
+    def __init__(self, entries):
+        n = len(entries)
+        for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
+        flat = [x for row in entries for x in row]
+        mp = getattr(flat[0], "context", None) if flat else None
+        raw = tuple(x._mpf_ for x in flat) if mp is not None else tuple(flat)
+        same = mpf_eq if mp is not None else operator.eq
         for i in range(n):
             for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
+                if not same(raw[i * n + j], raw[j * n + i]):
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
+        self.raw = raw
+        self.n = n
+        self.mp = mp
 
     @property
-    def n(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple:
+        n, raw = self.n, self.raw
+        if self.mp is not None:
+            raw = tuple(map(self.mp.make_mpf, raw))
+        return tuple(raw[i * n:(i + 1) * n] for i in range(n))
 
     def __getitem__(self, i):
         return self.entries[i]
+
+    def __repr__(self) -> str:
+        return f"SymMatrix(entries={self.entries!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, SymMatrix):
+            return NotImplemented
+        if self.mp is None or other.mp is None:
+            return self.entries == other.entries
+        return self.n == other.n and all(map(mpf_eq, self.raw, other.raw))
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __reduce__(self):
+        if self.mp is None:
+            return SymMatrix, (self.entries,)
+        return _with_context, (_sym, self.mp.dps, self.raw, self.n)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "SymMatrix":
@@ -216,24 +240,24 @@ class SymMatrix:
         )
 
     def _entrywise(self, op, raw_op, other) -> "SymMatrix":
-        """``op`` entry by entry, with other a SymMatrix or a scalar.  On a
-        matrix of ``mpf`` entries this is ``raw_op(x, y, prec)`` on raw
-        tuples at the precision of the first entry's context, computed on
-        the upper triangle and mirrored; entries of another number type
-        (``int``, say) take ``op`` itself."""
-        n = self.n
-        rows_b = other.entries if isinstance(other, SymMatrix) else [[other] * n] * n
-        first = self.entries[0][0] if n else None
-        if not hasattr(first, "_mpf_"):
+        """``op`` entry by entry, with other a SymMatrix or a scalar: on raw
+        tuples, ``raw_op(x, y, prec)`` at the precision of ``mp`` on the
+        upper triangle, mirrored; on entries of another number type, ``op``
+        itself."""
+        n, mp = self.n, self.mp
+        if mp is None:
+            rows_b = other.entries if isinstance(other, SymMatrix) else [[other] * n] * n
             return SymMatrix(tuple(tuple(op(x, y) for x, y in zip(ra, rb))
                                    for ra, rb in zip(self.entries, rows_b)))
-        prec, make = _prec_make(first)
-        rows = [[None] * n for _ in range(n)]
-        for i, (ra, rb) in enumerate(zip(self.entries, rows_b)):
+        prec = mp.prec
+        a = self.raw
+        b = other.raw if isinstance(other, SymMatrix) else (getattr(other, "_mpf_", other),) * len(a)
+        out = list(a)
+        for i in range(n):
             for j in range(i, n):
-                y = rb[j]
-                rows[i][j] = rows[j][i] = make(raw_op(ra[j]._mpf_, getattr(y, "_mpf_", y), prec))
-        return SymMatrix(tuple(map(tuple, rows)))
+                k = i * n + j
+                out[k] = out[j * n + i] = raw_op(a[k], b[k], prec)
+        return _sym(tuple(out), n, mp)
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         return self._entrywise(operator.add, _raw_add, other)
@@ -248,50 +272,95 @@ class SymMatrix:
     __rmul__ = __mul__
 
     def __neg__(self) -> "SymMatrix":
-        return SymMatrix(tuple(tuple(-a for a in row) for row in self.entries))
+        if self.mp is None:
+            return SymMatrix(tuple(tuple(-a for a in row) for row in self.entries))
+        return _sym(tuple(map(mpf_neg, self.raw)), self.n, self.mp)
 
 
-@dataclass(frozen=True)
+def _sym(raw, n, mp) -> SymMatrix:
+    """The SymMatrix of the flat row-major raw tuples raw, symmetric by
+    construction, in the mpmath context mp."""
+    m = object.__new__(SymMatrix)
+    m.raw = raw
+    m.n = n
+    m.mp = mp
+    return m
+
+
+def _with_context(build, decimal_digits, *fields):
+    """``build(*fields, mp)`` with mp the shared mpmath context of
+    ``decimal_digits``: how a pickled or copied Point2 or SymMatrix is
+    rebuilt, since an mpmath context (and its ``mpf`` class) does not
+    pickle."""
+    return build(*fields, _shared_context(decimal_digits)[0])
+
+
 class Spectrum:
     """Eigendecomposition of a symmetric matrix.
 
     ``eigenvalues`` are sorted ascending; column k of ``basis`` is the
     eigenvector for eigenvalue k, sign-fixed so that the first component of
-    largest magnitude is positive.
+    largest magnitude is positive.  Both are ``mpf`` views of the raw
+    tuples ``raw_eigenvalues`` and ``raw_basis`` (flat, row-major), held
+    with ``mp``, the mpmath context of the basis.
     """
 
-    eigenvalues: tuple
-    basis: tuple
+    __slots__ = ("raw_eigenvalues", "raw_basis", "mp")
+
+    def __init__(self, eigenvalues: Sequence, basis: Sequence[Sequence]):
+        self.raw_eigenvalues = tuple(x._mpf_ for x in eigenvalues)
+        self.raw_basis = tuple(x._mpf_ for row in basis for x in row)
+        self.mp = basis[0][0].context if basis else None
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.raw_eigenvalues)
+
+    @property
+    def eigenvalues(self) -> tuple:
+        return tuple(map(self.mp.make_mpf, self.raw_eigenvalues))
+
+    @property
+    def basis(self) -> tuple:
+        n, q = self.n, tuple(map(self.mp.make_mpf, self.raw_basis))
+        return tuple(q[i * n:(i + 1) * n] for i in range(n))
+
+    def __repr__(self) -> str:
+        return f"Spectrum(eigenvalues={self.eigenvalues!r}, basis={self.basis!r})"
 
     def reconstruct(self) -> SymMatrix:
         """Q diag(lambda) Q^T, computed on the upper triangle and mirrored.
 
-        Runs on raw ``mpf._mpf_`` tuples at the precision of the basis
-        entries' context, one raw call per ``mpf`` operation of
-        ``sum(q[i][k] * lam[k] * q[j][k] for k)``, so the entries are bit
-        for bit those of that expression.
+        Runs on the raw tuples at the precision of ``mp``, one raw call per
+        ``mpf`` operation of ``sum(q[i][k] * lam[k] * q[j][k] for k)``, so
+        the entries are bit for bit those of that expression.
         """
         n = self.n
         if not n:
             return SymMatrix(())
-        prec, make = _prec_make(self.basis[0][0])
-        lam = [x._mpf_ for x in self.eigenvalues]
-        q = [[x._mpf_ for x in row] for row in self.basis]
-        rows = [[None] * n for _ in range(n)]
+        prec = self.mp.prec
+        lam, q = self.raw_eigenvalues, self.raw_basis
+        rows = [q[i * n:(i + 1) * n] for i in range(n)]
+        out = [None] * (n * n)
         for i in range(n):
-            scaled = [_raw_mul(q[i][k], lam[k], prec) for k in range(n)]
+            scaled = [_raw_mul(x, y, prec) for x, y in zip(rows[i], lam)]
             for j in range(i, n):
-                acc = make(_raw_sum((_raw_mul(scaled[k], q[j][k], prec) for k in range(n)), prec))
-                rows[i][j] = acc
-                rows[j][i] = acc
-        return SymMatrix(tuple(tuple(row) for row in rows))
+                out[i * n + j] = out[j * n + i] = _raw_sum(
+                    (_raw_mul(x, y, prec) for x, y in zip(scaled, rows[j])), prec)
+        return _sym(tuple(out), n, self.mp)
 
     def with_eigenvalues(self, eigenvalues: Sequence) -> "Spectrum":
-        return Spectrum(tuple(eigenvalues), self.basis)
+        return _spectrum(tuple(x._mpf_ for x in eigenvalues), self.raw_basis, self.mp)
+
+
+def _spectrum(raw_eigenvalues, raw_basis, mp) -> Spectrum:
+    """The Spectrum of raw eigenvalues and a flat row-major raw basis in
+    the mpmath context mp."""
+    s = object.__new__(Spectrum)
+    s.raw_eigenvalues = raw_eigenvalues
+    s.raw_basis = raw_basis
+    s.mp = mp
+    return s
 
 
 def _raw_inner(a, b, prec):
@@ -299,14 +368,13 @@ def _raw_inner(a, b, prec):
     row by row on SymMatrix; raw."""
     if isinstance(a, Point2):
         return _raw_add(_raw_mul(a.rx, b.rx, prec), _raw_mul(a.rz, b.rz, prec), prec)
-    return _raw_sum((_raw_mul(x._mpf_, y._mpf_, prec)
-                     for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)), prec)
+    return _raw_sum((_raw_mul(x, y, prec) for x, y in zip(a.raw, b.raw)), prec)
 
 
 def inner(a, b):
     """Inner product: Euclidean on Point2, Frobenius on SymMatrix; raw, at
     the precision of a's context."""
-    mp = a.mp if isinstance(a, Point2) else a.entries[0][0].context
+    mp = a.mp
     return mp.make_mpf(_raw_inner(a, b, mp.prec))
 
 
@@ -329,8 +397,7 @@ def dist(a, b, ctx: PrecisionContext):
         dz = _raw_sub(a.rz, b.rz, prec)
         sq = _raw_add(_raw_mul(dx, dx, prec), _raw_mul(dz, dz, prec), prec)
     else:
-        diffs = (_raw_sub(x._mpf_, y._mpf_, prec)
-                 for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
+        diffs = (_raw_sub(x, y, prec) for x, y in zip(a.raw, b.raw))
         sq = _raw_sum((_raw_mul(d, d, prec) for d in diffs), prec)
     return ctx.mp.make_mpf(_raw_sqrt(sq, prec))
 
@@ -341,8 +408,9 @@ def dist(a, b, ctx: PrecisionContext):
 # rounding to nearest, bit for bit: each copies that function's algorithm
 # step for step, but counts bits with ``int.bit_length`` and strips
 # trailing zeros with ``man & -man``, where the pure-Python backend bisects
-# a table and takes a ``math.log``.  Zero and special operands go to the
-# ``libmp`` function itself.  (``libmp``'s own attributes stay untouched:
+# a table and takes a ``math.log``.  Zero plus, minus or times a finite
+# value is answered as ``libmp`` answers it; other zero and special operands
+# go to the ``libmp`` function itself.  (``libmp``'s own attributes stay untouched:
 # rebinding them would change mpmath for every caller in the process.)
 
 
@@ -372,9 +440,15 @@ def _raw_add(s, t, prec, _sub=0):
     """``mpf_add(s, t, prec, round_nearest)``; ``_sub=1`` negates t first."""
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
-    if not sman or not tman:
-        return mpf_add(s, t, prec, round_nearest, _sub)
     tsign ^= _sub
+    if not sman or not tman:
+        # zero and a finite value of at most prec bits: that value, which
+        # is what mpf_add's normalize leaves of it
+        if tman and s == fzero and tbc <= prec:
+            return tsign, tman, texp, tbc
+        if sman and t == fzero and sbc <= prec:
+            return s
+        return mpf_add(s, t, prec, round_nearest, _sub)
     offset = sexp - texp
     if offset > 0:
         # t lies wholly below s's rounding position: only perturb s
@@ -430,6 +504,9 @@ def _raw_mul(s, t, prec):
     tsign, tman, texp, tbc = t
     man = sman * tman
     if not man:
+        # zero times a finite value or zero; inf and nan have exponents
+        if (sman or not sexp) and (tman or not texp):
+            return fzero
         return mpf_mul(s, t, prec, round_nearest)
     return _round(ssign ^ tsign, man, sexp + texp, prec)
 
@@ -515,7 +592,27 @@ def _sqrt_one_plus_sq(x, prec):
 
 
 def _rotate(c, s, x, y, prec):
-    """``(c * x - s * y, s * x + c * y)``, raw."""
+    """``(c * x - s * y, s * x + c * y)``, raw, with the products rounded
+    inline.  For finite nonzero c and s, a zero x or y drops the products
+    it zeroes, and c == 1 keeps x and y of at most prec bits as they are:
+    each shortcut gives the tuples of the full expression."""
+    csign, cman, cexp, _ = c
+    ssign, sman, sexp, _ = s
+    xsign, xman, xexp, xbc = x
+    ysign, yman, yexp, ybc = y
+    if cman and sman:
+        if xman and yman:
+            sx = _round(ssign ^ xsign, sman * xman, sexp + xexp, prec)
+            sy = _round(ssign ^ ysign, sman * yman, sexp + yexp, prec)
+            if c == fone and xbc <= prec and ybc <= prec:
+                return _raw_sub(x, sy, prec), _raw_add(sx, y, prec)
+            cx = _round(csign ^ xsign, cman * xman, cexp + xexp, prec)
+            cy = _round(csign ^ ysign, cman * yman, cexp + yexp, prec)
+            return _raw_sub(cx, sy, prec), _raw_add(sx, cy, prec)
+        if y == fzero:
+            return _raw_mul(c, x, prec), _raw_mul(s, x, prec)
+        if x == fzero:
+            return mpf_neg(_raw_mul(s, y, prec)), _raw_mul(c, y, prec)
     return (
         _raw_sub(_raw_mul(c, x, prec), _raw_mul(s, y, prec), prec),
         _raw_add(_raw_mul(s, x, prec), _raw_mul(c, y, prec), prec),
@@ -531,22 +628,20 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     Raises :class:`NonConvergenceError` if the sweep budget (30*n^2) is
     exhausted, which for well-posed symmetric input does not happen.
 
-    The sweeps run on raw ``mpf._mpf_`` tuples through the raw arithmetic
-    above at the context's precision, rounding to nearest; each call gives
-    the bits of the ``mpf`` operation it replaces, so the result is bit for
-    bit that of the same algorithm written with ``mpf`` objects (pinned by
-    a differential test against that version).
+    The sweeps run on ``X.raw`` through the raw arithmetic above at the
+    context's precision, rounding to nearest; each call gives the bits of
+    the ``mpf`` operation it replaces, so the result is bit for bit that of
+    the same algorithm written with ``mpf`` objects (pinned by a
+    differential test against that version).
     """
     n = X.n
     prec, rnd = ctx.mp.prec, round_nearest
-    a = [[x._mpf_ for x in row] for row in X.entries]
+    a = [list(X.raw[i * n:(i + 1) * n]) for i in range(n)]
     v = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
 
-    norm_x = _raw_sqrt(
-        _raw_sum((_raw_mul(x, x, prec) for row in a for x in row), prec), prec
-    )
+    norm_x = _raw_sqrt(_raw_sum((_raw_mul(x, x, prec) for x in X.raw), prec), prec)
     if n == 1 or norm_x == fzero:
-        return _wrapped_spectrum(a, v, n, ctx)
+        return _sorted_spectrum(a, v, n, ctx.mp)
 
     # stop when the off-diagonal Frobenius mass is negligible relative to X
     off_goal = _raw_mul(ctx.floor._mpf_, norm_x, prec)
@@ -554,7 +649,7 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     max_sweeps = 30 * n * n
     for _ in range(max_sweeps):
         if mpf_le(_off_diagonal_sq(a, n, prec), off_goal_sq):
-            return _wrapped_spectrum(a, v, n, ctx)
+            return _sorted_spectrum(a, v, n, ctx.mp)
         for p in range(n):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -583,27 +678,27 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     )
 
 
-def _wrapped_spectrum(a, v, n, ctx: PrecisionContext) -> Spectrum:
-    make = ctx.mp.make_mpf
-    return _sorted_spectrum(
-        [make(a[i][i]) for i in range(n)], [[make(x) for x in row] for row in v], n
-    )
+_by_value = functools.cmp_to_key(mpf_cmp)
 
 
-def _sorted_spectrum(diag, v, n) -> Spectrum:
-    perm = sorted(range(n), key=lambda k: diag[k])  # stable for ties
+def _sorted_spectrum(a, v, n, mp) -> Spectrum:
+    """The Spectrum of the diagonal of a and the columns of v, raw: the
+    eigenvalues sorted stably by value, each column negated if its first
+    largest-magnitude component is negative."""
+    diag = [a[i][i] for i in range(n)]
+    perm = sorted(range(n), key=lambda k: _by_value(diag[k]))
     cols = []
     for k in perm:
-        col = [v[i][k] for i in range(n)]
+        col = [row[k] for row in v]
         peak = 0
         for i in range(1, n):
-            if abs(col[i]) > abs(col[peak]):
+            if mpf_gt(mpf_abs(col[i]), mpf_abs(col[peak])):
                 peak = i
-        if col[peak] < 0:
-            col = [-x for x in col]
+        if mpf_lt(col[peak], fzero):
+            col = [mpf_neg(x) for x in col]
         cols.append(col)
-    basis = tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
-    return Spectrum(tuple(diag[k] for k in perm), basis)
+    basis = tuple(col[i] for i in range(n) for col in cols)
+    return _spectrum(tuple(diag[k] for k in perm), basis, mp)
 
 
 def solve2x2(A: Sequence[Sequence], b: Sequence, ctx: PrecisionContext):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fone, fzero, from_int, mpf_abs, mpf_gt, mpf_le
+from mpmath.libmp import fone, fzero, from_int, mpf_abs, mpf_ge, mpf_gt, mpf_le
 
 from feasikit.numerics import (
     FeasikitError,
@@ -28,6 +28,8 @@ from feasikit.numerics import (
     _raw_mul_int,
     _raw_norm,
     _raw_sub,
+    _spectrum,
+    _sym,
     eig_sym,
 )
 
@@ -211,12 +213,13 @@ class CurveGraph(FeasibilitySet):
 
 
 def project_psd(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
-    """Eigenvalue-thresholding projection onto the PSD cone."""
+    """Eigenvalue-thresholding projection onto the PSD cone; x itself when
+    its smallest eigenvalue is nonnegative."""
     spectrum = eig_sym(x, ctx)
-    if spectrum.eigenvalues[0] >= 0:
+    lam = spectrum.raw_eigenvalues
+    if mpf_ge(lam[0], fzero):
         return x
-    clipped = tuple(lam if lam > 0 else ctx.mp.zero for lam in spectrum.eigenvalues)
-    return spectrum.with_eigenvalues(clipped).reconstruct()
+    return _spectrum(_clip(lam), spectrum.raw_basis, spectrum.mp).reconstruct()
 
 
 def project_psd_boundary(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
@@ -226,26 +229,27 @@ def project_psd_boundary(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     smallest eigenvalue (first index, ascending order) is replaced by zero.
     """
     spectrum = eig_sym(x, ctx)
-    if spectrum.eigenvalues[0] <= 0:
-        mu = tuple(lam if lam > 0 else ctx.mp.zero for lam in spectrum.eigenvalues)
-    else:
-        mu = (ctx.mp.zero,) + spectrum.eigenvalues[1:]
-    return spectrum.with_eigenvalues(mu).reconstruct()
+    lam = spectrum.raw_eigenvalues
+    mu = _clip(lam) if mpf_le(lam[0], fzero) else (fzero,) + lam[1:]
+    return _spectrum(mu, spectrum.raw_basis, spectrum.mp).reconstruct()
+
+
+def _clip(lam) -> tuple:
+    """The raw eigenvalues lam with the negative ones set to zero."""
+    return tuple(x if mpf_gt(x, fzero) else fzero for x in lam)
 
 
 def project_diag_ones(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     """Fix the diagonal to 1; keep the off-diagonal entries."""
-    rows = [list(row) for row in x.entries]
-    for i in range(x.n):
-        rows[i][i] = ctx.mp.one
-    return SymMatrix.from_rows(rows)
+    n = x.n
+    raw = list(x.raw)
+    raw[::n + 1] = [fone] * n
+    return _sym(tuple(raw), n, ctx.mp)
 
 
 def project_entry11(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     """Fix the (1,1) entry to 1; keep the rest."""
-    rows = [list(row) for row in x.entries]
-    rows[0][0] = ctx.mp.one
-    return SymMatrix.from_rows(rows)
+    return _sym((fone,) + x.raw[1:], x.n, ctx.mp)
 
 
 class PsdCone(FeasibilitySet):

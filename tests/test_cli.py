@@ -9,8 +9,8 @@ import pytest
 
 import feasikit
 from feasikit.analysis import estimate_linear_rate, estimate_order
-from feasikit.cli import _point_from_payload, _point_payload, build_problem, main
-from feasikit.numerics import Point2, PrecisionContext
+from feasikit.cli import build_problem, main
+from feasikit.numerics import Point2
 from feasikit.sets import ProjectionError
 from feasikit.solvers import StopRule, run
 
@@ -213,14 +213,11 @@ class TestRunCommand:
 
 
 def point_bits(point):
+    """A point's raw tuples and precision; the worker side of
+    ``test_trial_points_exact``."""
     if isinstance(point, Point2):
-        return (point.x._mpf_, point.z._mpf_)
-    return tuple(tuple(v._mpf_ for v in row) for row in point.entries)
-
-
-def decoded_bits(payload):
-    """Worker side of ``test_trial_points_exact``."""
-    return point_bits(_point_from_payload(payload, PrecisionContext()))
+        return (point.x._mpf_, point.z._mpf_), point.mp.prec
+    return tuple(tuple(v._mpf_ for v in row) for row in point.entries), point.mp.prec
 
 
 TRIALS_HEADER = ("method,trial,iterations,terminated_by,q,c,residual,window_first,window_last,"
@@ -331,7 +328,7 @@ class TestBenchCommand:
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_parallel_matches_serial(self, tmp_path):
-        # psdb-s1 sends matrix payloads through the pool, as the acceptance
+        # psdb-s1 sends pickled matrices through the pool, as the acceptance
         # criteria run them
         for problem in (["circle-line"], ["psdb-s1", "--max-iter", "40"]):
             base = ["bench", "--problem", *problem, "--methods", "dr,lt", "--trials", "4",
@@ -389,15 +386,13 @@ class TestBenchCommand:
         }
 
     def test_trial_points_exact(self, ctx):
-        # the serial path decodes payloads in this process, --jobs 2 decodes
-        # pickled copies in worker processes; both must see the sampled bits
+        # the serial path runs the sampled points in this process, --jobs 2
+        # runs pickled copies in worker processes; both must see their bits
         for pid in ("circle-line", "graph:quad", "psdb-s1"):
             points = build_problem(pid, ctx, 3).sample(4, 9, ctx)
-            payloads = [_point_payload(p) for p in points]
-            serial = [point_bits(_point_from_payload(pl, ctx)) for pl in payloads]
             with ProcessPoolExecutor(max_workers=2) as pool:
-                parallel = list(pool.map(decoded_bits, payloads))
-            assert serial == parallel == [point_bits(p) for p in points]
+                parallel = list(pool.map(point_bits, points))
+            assert parallel == [point_bits(p) for p in points]
 
     def test_unconverged_auto_reference_warns(self, capsys):
         base = ["bench", "--methods", "dr,lt", "--trials", "2", "--max-iter", "40",
@@ -523,9 +518,18 @@ class TestGoldenOutput:
         (["run", "--problem", "graph:linear:-2", "--method", "lt", "--seed", "4",
           "--precision", "120", "--no-times"],
          "d1a28255f3a071137dccf47055f4a05e504cf24a269ab309ee7cbdd9e874b27c"),
+        # recorded before SymMatrix and the Jacobi spectrum held raw tuples:
+        # the n=3 DR orbit and its 400-step auto reference, and an n=5 orbit
+        (["run", "--problem", "psdb-s1", "--method", "dr", "--dim", "3", "--tol", "1e-20",
+          "--seed", "4", "--no-times"],
+         "1328f6caca8b01114bf6b13102062966b37a8daad9dbab849f50e4cfd598bdb4"),
+        (["run", "--problem", "psdb-s1", "--method", "plt", "--dim", "5", "--tol", "1e-30",
+          "--seed", "4", "--no-times"],
+         "6bb1b5c09d68dec1b751e9953a905ee18edcff442b27761e1d8df0e2c3993ff6"),
     ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad",
             "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt",
-            "run-graph-sin-shift-lt", "run-graph-cubic-plt", "run-graph-linear-neg2-lt"])
+            "run-graph-sin-shift-lt", "run-graph-cubic-plt", "run-graph-linear-neg2-lt",
+            "run-psdb-s1-dr-n3", "run-psdb-s1-plt-n5"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -544,4 +548,17 @@ class TestGoldenOutput:
         assert digests == {
             "trials": "0b2be6261481d16c90ad8070ced7411ac6ec0637b25b0468638ac8a640f71d24",
             "iters": "cc01533f6441130ed5f68d923c9e837e5224bf740241a5a033ed4eb31dcd0fc0",
+        }
+
+    def test_matrix_bench_tables_digest(self, tmp_path):
+        # recorded before SymMatrix held raw tuples and bench sent the
+        # sampled matrices to its trials as they are
+        out = tmp_path / "bench"
+        assert main(["bench", "--problem", "psdb-s1", "--dim", "3", "--methods", "dr,lt,plt",
+                     "--trials", "4", "--jobs", "1", "--seed", "3", "--out", str(out)]) == 0
+        digests = {suffix: hashlib.sha256((tmp_path / f"bench_{suffix}.csv").read_bytes())
+                   .hexdigest() for suffix in ("trials", "iters")}
+        assert digests == {
+            "trials": "aa9f0c40ded733ba3e1cbcc52a6d4b524c726e425e91be6fa3a82fe27f88687e",
+            "iters": "211457451564423cfcdb552aef35fcef80545cf8d09513a17a4e278cc8ae97a2",
         }

@@ -1,12 +1,13 @@
 import copy
 import operator
+import pickle
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import (
     ComplexResult, finf, fnan, fninf, fnone, fone, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
-    mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
+    mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
 )
 
 from feasikit.numerics import (
@@ -22,7 +23,7 @@ from feasikit.numerics import (
     _raw_mul_int,
     _raw_sqrt,
     _raw_sub,
-    _sorted_spectrum,
+    _rotate,
     dist,
     eig_sym,
     inner,
@@ -250,6 +251,22 @@ def mpf_eig_sym(X, ctx):
                     v[i][p] = c * vip - s * viq
                     v[i][q] = s * vip + c * viq
     raise NonConvergenceError("Jacobi sweeps exhausted")
+
+
+def _sorted_spectrum(diag, v, n) -> Spectrum:
+    perm = sorted(range(n), key=lambda k: diag[k])  # stable for ties
+    cols = []
+    for k in perm:
+        col = [v[i][k] for i in range(n)]
+        peak = 0
+        for i in range(1, n):
+            if abs(col[i]) > abs(col[peak]):
+                peak = i
+        if col[peak] < 0:
+            col = [-x for x in col]
+        cols.append(col)
+    basis = tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
+    return Spectrum(tuple(diag[k] for k in perm), basis)
 
 
 def mpf_reconstruct(spectrum):
@@ -504,6 +521,69 @@ class TestRawArith:
                 for n in (0, -2):
                     self.check(s, t, n, 402)
 
+    def test_zero_and_finite_operands(self):
+        # zero plus, minus or times a finite value of at most prec bits is
+        # that value, its negation or zero; a wider one is rounded
+        for digits in DIGITS:
+            prec = PrecisionContext(decimal_digits=digits).mp.prec
+            for man in (1, 12345, 2 ** prec - 1, 2 ** (prec + 1) - 1, 2 ** (prec + 7) + 1):
+                for x in ((0, man, -20, man.bit_length()), (1, man, 7, man.bit_length())):
+                    for s, t in ((fzero, x), (x, fzero), (fzero, fzero), (fzero, finf),
+                                 (fninf, fzero), (fzero, fnan), (fnan, x)):
+                        self.check(s, t, 3, prec)
+                    if x[3] <= prec:
+                        assert _raw_add(fzero, x, prec) == x == _raw_sub(x, fzero, prec)
+                        assert _raw_sub(fzero, x, prec) == mpf_neg(x)
+                        assert _raw_mul(fzero, x, prec) == fzero == _raw_mul(x, fzero, prec)
+
+
+def four_products(c, s, x, y, prec):
+    """``(c * x - s * y, s * x + c * y)`` through ``libmp``: the oracle for
+    ``_rotate``."""
+    rnd = round_nearest
+    return (
+        mpf_sub(mpf_mul(c, x, prec, rnd), mpf_mul(s, y, prec, rnd), prec, rnd),
+        mpf_add(mpf_mul(s, x, prec, rnd), mpf_mul(c, y, prec, rnd), prec, rnd),
+    )
+
+
+class TestRotate:
+    @given(
+        data=st.data(),
+        case=st.sampled_from(("free", "x zero", "y zero", "both zero", "c one")),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=400)
+    def test_matches_four_products(self, data, case, digits):
+        prec = PrecisionContext(decimal_digits=digits).mp.prec
+        c, s, x, y = (data.draw(raw_operand(prec)) for _ in range(4))
+        if case in ("x zero", "both zero"):
+            x = fzero
+        if case in ("y zero", "both zero"):
+            y = fzero
+        if case == "c one":
+            c = fone
+        assert _rotate(c, s, x, y, prec) == four_products(c, s, x, y, prec)
+
+    def test_shortcuts(self):
+        # a Jacobi rotation's c and s, and entries of at most prec bits
+        ctx = PrecisionContext()
+        prec = ctx.mp.prec
+        c, s = ctx.mpf("0.8")._mpf_, ctx.mpf("0.6")._mpf_
+        x, y = (ctx.mp.sqrt(ctx.mpf(k))._mpf_ for k in (2, 3))
+        tiny = ctx.pow10(-130)._mpf_
+        for args in ((c, s, x, y), (c, s, fzero, y), (c, s, x, fzero), (c, s, fzero, fzero),
+                     (fone, tiny, x, y), (fone, tiny, fzero, y), (c, s, finf, fzero),
+                     (c, s, fzero, fnan), (fnan, s, x, y)):
+            assert _rotate(*args, prec) == four_products(*args, prec)
+        # c == 1 with an x wider than prec rounds x first, as c * x does:
+        # x = 1 + 2^-prec is a tie that rounds to 1, but x + 2^-(prec + 50)
+        # rounds up
+        wide, nudge = (0, 2 ** prec + 1, -prec, prec + 1), (0, 1, -prec - 50, 1)
+        want = four_products(fone, nudge, wide, fnone, prec)
+        assert _rotate(fone, nudge, wide, fnone, prec) == want
+        assert want[0] == fone != _raw_sub(wide, mpf_neg(nudge), prec)
+
 
 def mpf_sub_points(a, b):
     """``a - b`` written with ``mpf`` operators: the oracle for the raw
@@ -702,3 +782,20 @@ class TestSolve2x2:
                 norm_a * norm_x + norm_b
             )
             checked += 1
+
+
+class TestPickle:
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_round_trip_keeps_value_bits_and_precision(self, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        p = differential_point("random", 7, -100, ctx)
+        m = differential_matrix("random", 3, 7, 20, ctx)
+        back_p, back_m = pickle.loads(pickle.dumps((p, m)))
+        assert back_p == p and back_m == m
+        assert point_bits(back_p) == point_bits(p)
+        assert raw(back_m.entries) == raw(m.entries) and back_m.n == 3
+        # rebuilt on the shared context of the precision
+        assert back_p.mp is back_m.mp is ctx.mp
+        assert copy.deepcopy(m).mp is copy.copy(p).mp is ctx.mp
+        ints = SymMatrix.from_rows([[2, -3], [-3, 1]])
+        assert pickle.loads(pickle.dumps(ints)).entries == ((2, -3), (-3, 1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feasikit.analysis import sample_disk
-from feasikit.numerics import Point2, PrecisionContext, SymMatrix, dist, norm
+from feasikit.numerics import Point2, PrecisionContext, Spectrum, SymMatrix, dist, norm
 from feasikit.sets import (
     CurveGraph,
     DiagOnes,
@@ -25,7 +25,10 @@ from feasikit.sets import (
 )
 from feasikit.theory import get_curve
 
-from test_numerics import differential_point, point_bits, raw, sym_random
+from test_numerics import (
+    DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_reconstruct, point_bits, raw,
+    sym_random,
+)
 
 
 def mat(ctx, rows):
@@ -371,6 +374,77 @@ class TestAffineProjectionsMatchAveraging:
         for new, old in ((project_diag_ones, averaging_diag_ones),
                          (project_entry11, averaging_entry11)):
             assert raw(new(x, ctx).entries) == raw(old(x, ctx).entries)
+
+
+def mpf_project_psd(x, ctx):
+    """``project_psd`` through the ``mpf`` Jacobi kernel and reconstruction,
+    on ``mpf`` eigenvalues: its oracle."""
+    spectrum = mpf_eig_sym(x, ctx)
+    if spectrum.eigenvalues[0] >= 0:
+        return x
+    clipped = tuple(lam if lam > 0 else ctx.mp.zero for lam in spectrum.eigenvalues)
+    return mpf_reconstruct(Spectrum(clipped, spectrum.basis))
+
+
+def mpf_project_psd_boundary(x, ctx):
+    """``project_psd_boundary`` written with ``mpf`` objects; its oracle."""
+    spectrum = mpf_eig_sym(x, ctx)
+    if spectrum.eigenvalues[0] <= 0:
+        mu = tuple(lam if lam > 0 else ctx.mp.zero for lam in spectrum.eigenvalues)
+    else:
+        mu = (ctx.mp.zero,) + spectrum.eigenvalues[1:]
+    return mpf_reconstruct(Spectrum(mu, spectrum.basis))
+
+
+def mpf_project_diag_ones(x, ctx):
+    """``project_diag_ones`` on ``mpf`` entries; its oracle."""
+    rows = [list(row) for row in x.entries]
+    for i in range(x.n):
+        rows[i][i] = ctx.mp.one
+    return SymMatrix.from_rows(rows)
+
+
+def mpf_project_entry11(x, ctx):
+    """``project_entry11`` on ``mpf`` entries; its oracle."""
+    rows = [list(row) for row in x.entries]
+    rows[0][0] = ctx.mp.one
+    return SymMatrix.from_rows(rows)
+
+
+MPF_MATRIX_PROJECTIONS = (
+    (project_psd, mpf_project_psd),
+    (project_psd_boundary, mpf_project_psd_boundary),
+    (project_diag_ones, mpf_project_diag_ones),
+    (project_entry11, mpf_project_entry11),
+)
+
+
+def differential_psd_input(kind, n, seed, scale_exp, ctx):
+    """``differential_matrix``, or with kind "psd" a random one shifted by
+    n 10^scale_exp I, which is positive definite."""
+    if kind != "psd":
+        return differential_matrix(kind, n, seed, scale_exp, ctx)
+    x = differential_matrix("random", n, seed, scale_exp, ctx)
+    return x + SymMatrix.diag([n] * n, ctx) * ctx.pow10(scale_exp)
+
+
+class TestMatrixProjectionsMatchMpf:
+    @given(
+        n=st.sampled_from((3, 5, 2)),
+        kind=st.sampled_from(("random", "psd", "sparse", "repeated", "diagonal", "zero")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=60)
+    def test_same_bits(self, n, kind, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        x = differential_psd_input(kind, n, seed, scale_exp, ctx)
+        for new, old in MPF_MATRIX_PROJECTIONS:
+            got, want = new(x, ctx), old(x, ctx)
+            assert raw(got.entries) == raw(want.entries)
+            # the cone projection hands back a PSD input itself
+            assert (got is x) == (want is x)
 
 
 class TestIdempotenceAndNonexpansiveness:

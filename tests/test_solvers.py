@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from feasikit.numerics import (
     norm,
     solve2x2,
 )
-from feasikit.sets import CurveGraph, DiagOnes, HorizontalLine, PsdCone, UnitCircle
+from feasikit.sets import (
+    CurveGraph, DiagOnes, EntryOne, HorizontalLine, PsdBoundary, PsdCone, UnitCircle,
+)
 from feasikit.solvers import (
     DrOperator,
     StopRule,
@@ -27,7 +30,13 @@ from feasikit.solvers import (
 )
 from feasikit.theory import get_curve, graph_operator
 
-from test_numerics import DIGITS, differential_point, mpf_inner, mpf_solve2x2, sym_random
+from test_numerics import (
+    DIGITS, differential_matrix, differential_point, mpf_entrywise, mpf_inner, mpf_solve2x2, raw,
+    sym_random,
+)
+from test_sets import (
+    mpf_project_diag_ones, mpf_project_entry11, mpf_project_psd, mpf_project_psd_boundary,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +64,35 @@ class TestDrStep:
         assert dist(circle_line.first.reflect(p, ctx), p, ctx) <= ctx.pow10(-100)
         assert dist(circle_line.second.reflect(p, ctx), p, ctx) <= ctx.pow10(-100)
         assert dist(dr_step(circle_line, p, ctx), p, ctx) <= ctx.pow10(-100)
+
+
+    @given(
+        setting=st.sampled_from((
+            (DiagOnes, mpf_project_diag_ones, PsdCone, mpf_project_psd),
+            (DiagOnes, mpf_project_diag_ones, PsdBoundary, mpf_project_psd_boundary),
+            (EntryOne, mpf_project_entry11, PsdBoundary, mpf_project_psd_boundary),
+        )),
+        n=st.sampled_from((3, 5, 2)),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=60)
+    def test_matrix_matches_mpf(self, setting, n, seed, scale_exp, digits):
+        # the three semidefinite settings' DR step, against the same step
+        # written with mpf entries and the mpf projections
+        ctx = PrecisionContext(decimal_digits=digits)
+        first, mpf_first, second, mpf_second = setting
+        x = differential_matrix("random", n, seed, scale_exp, ctx)
+
+        def mpf_reflect(project, p):
+            return mpf_entrywise(mpf_entrywise(project(p, ctx), 2, operator.mul), p, operator.sub)
+
+        reflected = mpf_reflect(mpf_second, mpf_reflect(mpf_first, x))
+        want = mpf_entrywise(mpf_entrywise(x, reflected, operator.add), ctx.mpf("0.5"),
+                             operator.mul)
+        got = dr_step(DrOperator(first(), second()), x, ctx)
+        assert raw(got.entries) == raw(want.entries)
 
 
 class TestLtStep:
