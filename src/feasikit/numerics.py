@@ -1,5 +1,6 @@
-"""Arbitrary-precision scalars, plane points, symmetric matrices and the
-small dense linear algebra the iteration engines are built on.
+"""Arbitrary-precision scalars, raw vectors (plane points and symmetric
+matrices) and the small dense linear algebra the iteration engines are
+built on.
 
 Every operation is a pure function of its inputs and an explicit
 :class:`PrecisionContext`; there is no global precision state.  Scalars are
@@ -12,14 +13,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fnone, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt, mpf_le, mpf_lt,
-    mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
+    fnone, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt, mpf_hash, mpf_le,
+    mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
 )
 
 
@@ -85,144 +86,141 @@ def _shared_context(decimal_digits: int):
     return mp, mp.mpf(10) ** (-(decimal_digits - 10))
 
 
-class Point2:
-    """A point (x, z) in the plane.
+class Vec:
+    """A vector of ``mpf`` values held raw: the base of :class:`Point2` and
+    :class:`SymMatrix`.
 
-    The coordinates are held as raw ``mpf._mpf_`` tuples ``rx`` and ``rz``
-    together with ``mp``, the mpmath context of x; ``x`` and ``z`` are
-    read-only ``mpf`` views of that context.  ``+``, ``-`` and ``*`` (by an
-    ``mpf`` or an ``int``) run on the raw tuples at the precision of ``mp``,
-    one raw call per coordinate, with the bits of the ``mpf`` operators;
-    unary minus is exact.  ``==`` compares by value.
+    ``raw`` is a flat tuple of raw ``mpf._mpf_`` tuples and ``mp`` the
+    mpmath context they belong to.  ``+``, ``-`` and ``*`` (by an ``mpf``
+    or an ``int``) run entry by entry on ``raw`` at the precision of
+    ``mp``, one raw call per entry, with the bits of the ``mpf`` operators,
+    and return a vector of the same type; unary minus is exact.  ``==``
+    compares two vectors of one type by value, and equal values hash
+    equally whatever their precision.  Pickling and copying rebuild the
+    vector on the shared context of its precision.
     """
 
-    __slots__ = ("rx", "rz", "mp")
+    __slots__ = ("raw", "mp")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return len(self.raw) == len(other.raw) and all(map(mpf_eq, self.raw, other.raw))
+
+    def __hash__(self):
+        return hash(tuple(map(mpf_hash, self.raw)))
+
+    def __reduce__(self):
+        return _with_context, (type(self), self.mp.dps, self.raw)
+
+    def __add__(self, other):
+        mp = self.mp
+        return _vec(type(self), tuple(map(_raw_add, self.raw, other.raw, repeat(mp.prec))), mp)
+
+    def __sub__(self, other):
+        mp = self.mp
+        return _vec(type(self),
+                    tuple(map(_raw_add, self.raw, other.raw, repeat(mp.prec), repeat(1))), mp)
+
+    def __mul__(self, scalar):
+        mp = self.mp
+        if isinstance(scalar, int):
+            raw = tuple(map(_raw_mul_int, self.raw, repeat(scalar), repeat(mp.prec)))
+        elif mp is None:
+            # int entries (see SymMatrix) times an mpf: mpf_mul_int(s, k)
+            mp = scalar.context
+            raw = tuple(map(_raw_mul_int, repeat(scalar._mpf_), self.raw, repeat(mp.prec)))
+        else:
+            raw = tuple(map(_raw_mul, self.raw, repeat(scalar._mpf_), repeat(mp.prec)))
+        return _vec(type(self), raw, mp)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _vec(type(self), tuple(map(mpf_neg, self.raw)), self.mp)
+
+
+def _vec(cls, raw, mp):
+    """The vector of type cls of the raw tuples raw in the mpmath context
+    mp."""
+    v = object.__new__(cls)
+    v.raw = raw
+    v.mp = mp
+    return v
+
+
+def _with_context(cls, decimal_digits, raw):
+    """``_vec(cls, raw, mp)`` with mp the shared mpmath context of
+    ``decimal_digits``: how a pickled or copied vector is rebuilt, since an
+    mpmath context (and its ``mpf`` class) does not pickle."""
+    return _vec(cls, raw, _shared_context(decimal_digits)[0])
+
+
+class Point2(Vec):
+    """A point (x, z) in the plane: a :class:`Vec` of length 2 in the
+    context of x; ``x`` and ``z`` are read-only ``mpf`` views."""
+
+    __slots__ = ()
 
     def __init__(self, x, z):
-        self.rx = x._mpf_
-        self.rz = z._mpf_
+        self.raw = (x._mpf_, z._mpf_)
         self.mp = x.context
 
     @property
     def x(self):
-        return self.mp.make_mpf(self.rx)
+        return self.mp.make_mpf(self.raw[0])
 
     @property
     def z(self):
-        return self.mp.make_mpf(self.rz)
+        return self.mp.make_mpf(self.raw[1])
 
     def __repr__(self) -> str:
         return f"Point2(x={self.x!r}, z={self.z!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Point2):
-            return NotImplemented
-        return mpf_eq(self.rx, other.rx) and mpf_eq(self.rz, other.rz)
-
-    def __hash__(self):
-        return hash((self.x, self.z))
-
-    def __reduce__(self):
-        return _with_context, (_point, self.mp.dps, self.rx, self.rz)
-
-    def __add__(self, other: "Point2") -> "Point2":
-        mp = self.mp
-        prec = mp.prec
-        return _point(_raw_add(self.rx, other.rx, prec), _raw_add(self.rz, other.rz, prec), mp)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        mp = self.mp
-        prec = mp.prec
-        return _point(_raw_sub(self.rx, other.rx, prec), _raw_sub(self.rz, other.rz, prec), mp)
-
-    def __mul__(self, scalar) -> "Point2":
-        mp = self.mp
-        prec = mp.prec
-        if isinstance(scalar, int):
-            return _point(_raw_mul_int(self.rx, scalar, prec),
-                          _raw_mul_int(self.rz, scalar, prec), mp)
-        s = scalar._mpf_
-        return _point(_raw_mul(self.rx, s, prec), _raw_mul(self.rz, s, prec), mp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Point2":
-        return _point(mpf_neg(self.rx), mpf_neg(self.rz), self.mp)
 
     @staticmethod
     def of(ctx: PrecisionContext, x, z) -> "Point2":
         return Point2(ctx.mpf(x), ctx.mpf(z))
 
 
-def _point(rx, rz, mp) -> Point2:
-    """The Point2 of raw tuples rx, rz in the mpmath context mp."""
-    p = object.__new__(Point2)
-    p.rx = rx
-    p.rz = rz
-    p.mp = mp
-    return p
-
-
-class SymMatrix:
+class SymMatrix(Vec):
     """An n x n symmetric matrix; symmetry is checked on construction.
 
-    The entries are held as ``raw``, a flat row-major tuple of raw
-    ``mpf._mpf_`` tuples, together with ``n`` and ``mp``, the mpmath
-    context of the first entry; ``entries`` (the rows) and ``m[i]`` (row i)
-    are ``mpf`` views of that context.  ``+``, ``-`` and ``*`` (by an
-    ``mpf`` or an ``int``) run on the raw tuples at the precision of
-    ``mp``, computed on the upper triangle and mirrored, with the bits of
-    the entrywise ``mpf`` operators; unary minus is exact.  ``==`` compares
-    by value.  A matrix of another number type (``int``, say) holds its
-    entries as they are, with ``mp`` None, and takes that type's operators.
+    A :class:`Vec` of length n^2, row-major, in the context of the first
+    entry; ``entries`` (the rows) and ``m[i]`` (row i) are ``mpf`` views.
+    A matrix of ``int`` entries holds them as they are, with ``mp`` None;
+    all it can do is be multiplied by an ``mpf``, which gives the matrix of
+    ``mpf`` entries of that scalar's context.
     """
 
-    __slots__ = ("raw", "n", "mp")
+    __slots__ = ()
 
     def __init__(self, entries):
         n = len(entries)
         for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        flat = [x for row in entries for x in row]
-        mp = getattr(flat[0], "context", None) if flat else None
-        raw = tuple(x._mpf_ for x in flat) if mp is not None else tuple(flat)
-        same = mpf_eq if mp is not None else operator.eq
         for i in range(n):
             for j in range(i + 1, n):
-                if not same(raw[i * n + j], raw[j * n + i]):
+                if entries[i][j] != entries[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
-        self.raw = raw
-        self.n = n
-        self.mp = mp
+        flat = [x for row in entries for x in row]
+        self.mp = getattr(flat[0], "context", None) if flat else None
+        self.raw = tuple(x._mpf_ for x in flat) if self.mp is not None else tuple(flat)
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(len(self.raw))
 
     @property
     def entries(self) -> tuple:
-        n, raw = self.n, self.raw
-        if self.mp is not None:
-            raw = tuple(map(self.mp.make_mpf, raw))
-        return tuple(raw[i * n:(i + 1) * n] for i in range(n))
+        n, flat = self.n, tuple(map(self.mp.make_mpf, self.raw))
+        return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
     def __getitem__(self, i):
         return self.entries[i]
 
     def __repr__(self) -> str:
         return f"SymMatrix(entries={self.entries!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        if self.mp is None or other.mp is None:
-            return self.entries == other.entries
-        return self.n == other.n and all(map(mpf_eq, self.raw, other.raw))
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __reduce__(self):
-        if self.mp is None:
-            return SymMatrix, (self.entries,)
-        return _with_context, (_sym, self.mp.dps, self.raw, self.n)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "SymMatrix":
@@ -238,61 +236,6 @@ class SymMatrix:
                 for i in range(len(vals))
             )
         )
-
-    def _entrywise(self, op, raw_op, other) -> "SymMatrix":
-        """``op`` entry by entry, with other a SymMatrix or a scalar: on raw
-        tuples, ``raw_op(x, y, prec)`` at the precision of ``mp`` on the
-        upper triangle, mirrored; on entries of another number type, ``op``
-        itself."""
-        n, mp = self.n, self.mp
-        if mp is None:
-            rows_b = other.entries if isinstance(other, SymMatrix) else [[other] * n] * n
-            return SymMatrix(tuple(tuple(op(x, y) for x, y in zip(ra, rb))
-                                   for ra, rb in zip(self.entries, rows_b)))
-        prec = mp.prec
-        a = self.raw
-        b = other.raw if isinstance(other, SymMatrix) else (getattr(other, "_mpf_", other),) * len(a)
-        out = list(a)
-        for i in range(n):
-            for j in range(i, n):
-                k = i * n + j
-                out[k] = out[j * n + i] = raw_op(a[k], b[k], prec)
-        return _sym(tuple(out), n, mp)
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return self._entrywise(operator.add, _raw_add, other)
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        return self._entrywise(operator.sub, _raw_sub, other)
-
-    def __mul__(self, scalar) -> "SymMatrix":
-        raw_op = _raw_mul_int if isinstance(scalar, int) else _raw_mul
-        return self._entrywise(operator.mul, raw_op, scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SymMatrix":
-        if self.mp is None:
-            return SymMatrix(tuple(tuple(-a for a in row) for row in self.entries))
-        return _sym(tuple(map(mpf_neg, self.raw)), self.n, self.mp)
-
-
-def _sym(raw, n, mp) -> SymMatrix:
-    """The SymMatrix of the flat row-major raw tuples raw, symmetric by
-    construction, in the mpmath context mp."""
-    m = object.__new__(SymMatrix)
-    m.raw = raw
-    m.n = n
-    m.mp = mp
-    return m
-
-
-def _with_context(build, decimal_digits, *fields):
-    """``build(*fields, mp)`` with mp the shared mpmath context of
-    ``decimal_digits``: how a pickled or copied Point2 or SymMatrix is
-    rebuilt, since an mpmath context (and its ``mpf`` class) does not
-    pickle."""
-    return build(*fields, _shared_context(decimal_digits)[0])
 
 
 class Spectrum:
@@ -347,7 +290,7 @@ class Spectrum:
             for j in range(i, n):
                 out[i * n + j] = out[j * n + i] = _raw_sum(
                     (_raw_mul(x, y, prec) for x, y in zip(scaled, rows[j])), prec)
-        return _sym(tuple(out), n, self.mp)
+        return _vec(SymMatrix, tuple(out), self.mp)
 
     def with_eigenvalues(self, eigenvalues: Sequence) -> "Spectrum":
         return _spectrum(tuple(x._mpf_ for x in eigenvalues), self.raw_basis, self.mp)
@@ -364,11 +307,9 @@ def _spectrum(raw_eigenvalues, raw_basis, mp) -> Spectrum:
 
 
 def _raw_inner(a, b, prec):
-    """``a.x * b.x + a.z * b.z`` on Point2, ``sum(x * y)`` over the entries
-    row by row on SymMatrix; raw."""
-    if isinstance(a, Point2):
-        return _raw_add(_raw_mul(a.rx, b.rx, prec), _raw_mul(a.rz, b.rz, prec), prec)
-    return _raw_sum((_raw_mul(x, y, prec) for x, y in zip(a.raw, b.raw)), prec)
+    """``sum(x * y)`` over the entries of two vectors, left to right from
+    the first product; raw.  On Point2 that is ``a.x * b.x + a.z * b.z``."""
+    return _raw_sum(map(_raw_mul, a.raw, b.raw, repeat(prec)), prec)
 
 
 def inner(a, b):
@@ -392,14 +333,8 @@ def dist(a, b, ctx: PrecisionContext):
     """``norm(a - b)``, raw, at the context's precision, without building
     ``a - b``."""
     prec = ctx.mp.prec
-    if isinstance(a, Point2):
-        dx = _raw_sub(a.rx, b.rx, prec)
-        dz = _raw_sub(a.rz, b.rz, prec)
-        sq = _raw_add(_raw_mul(dx, dx, prec), _raw_mul(dz, dz, prec), prec)
-    else:
-        diffs = (_raw_sub(x, y, prec) for x, y in zip(a.raw, b.raw))
-        sq = _raw_sum((_raw_mul(d, d, prec) for d in diffs), prec)
-    return ctx.mp.make_mpf(_raw_sqrt(sq, prec))
+    d = tuple(map(_raw_add, a.raw, b.raw, repeat(prec), repeat(1)))
+    return ctx.mp.make_mpf(_raw_sqrt(_raw_sum(map(_raw_mul, d, d, repeat(prec)), prec), prec))
 
 
 # Raw arithmetic.  ``_raw_add``, ``_raw_sub``, ``_raw_mul``,

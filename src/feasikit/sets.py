@@ -21,7 +21,6 @@ from feasikit.numerics import (
     Point2,
     PrecisionContext,
     SymMatrix,
-    _point,
     _raw_add,
     _raw_div,
     _raw_mul,
@@ -29,7 +28,7 @@ from feasikit.numerics import (
     _raw_norm,
     _raw_sub,
     _spectrum,
-    _sym,
+    _vec,
     eig_sym,
 )
 
@@ -97,8 +96,9 @@ def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
     prec = mp.prec
     r = _raw_norm(p, prec)
     if r == fzero:
-        return _point(fone, fzero, mp)
-    return _point(_raw_div(p.rx, r, prec), _raw_div(p.rz, r, prec), mp)
+        return _vec(Point2, (fone, fzero), mp)
+    rx, rz = p.raw
+    return _vec(Point2, (_raw_div(rx, r, prec), _raw_div(rz, r, prec)), mp)
 
 
 def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2:
@@ -127,7 +127,7 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     span = 2 * (1 + abs(pz))
     lo = px - span
     width = 2 * span
-    rpx, rpz, rlo, rwidth = p.rx, p.rz, lo._mpf_, width._mpf_
+    (rpx, rpz), rlo, rwidth = p.raw, lo._mpf_, width._mpf_
     res_tol = ctx.pow10(-(ctx.decimal_digits - 15))._mpf_
     escape = (abs(px) + span + 10)._mpf_
     thirty_two = from_int(32)
@@ -172,7 +172,7 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
         return dx * dx + dz * dz, root[0]
 
     t, ft = min(merged, key=objective_then_t)
-    return _point(t._mpf_, ft._mpf_, ctx.mp)
+    return _vec(Point2, (t._mpf_, ft._mpf_), ctx.mp)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class HorizontalLine(FeasibilitySet):
     height: object
 
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
-        return _point(p.rx, self.height._mpf_, p.mp)
+        return _vec(Point2, (p.raw[0], self.height._mpf_), p.mp)
 
     def reflect(self, p: Point2, ctx: PrecisionContext) -> Point2:
         """``project(p) * 2 - p`` in closed form, ``(x, 2 * h - z)``:
@@ -189,10 +189,11 @@ class HorizontalLine(FeasibilitySet):
         roundings."""
         mp = p.mp
         prec = mp.prec
-        rx = p.rx
+        rx, rz = p.raw
         if not 0 < rx[3] <= prec:
             rx = _raw_sub(_raw_mul_int(rx, 2, prec), rx, prec)
-        return _point(rx, _raw_sub(_raw_mul_int(self.height._mpf_, 2, prec), p.rz, prec), mp)
+        rz = _raw_sub(_raw_mul_int(self.height._mpf_, 2, prec), rz, prec)
+        return _vec(Point2, (rx, rz), mp)
 
 
 class UnitCircle(FeasibilitySet):
@@ -244,12 +245,12 @@ def project_diag_ones(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     n = x.n
     raw = list(x.raw)
     raw[::n + 1] = [fone] * n
-    return _sym(tuple(raw), n, ctx.mp)
+    return _vec(SymMatrix, tuple(raw), ctx.mp)
 
 
 def project_entry11(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     """Fix the (1,1) entry to 1; keep the rest."""
-    return _sym((fone,) + x.raw[1:], x.n, ctx.mp)
+    return _vec(SymMatrix, (fone,) + x.raw[1:], ctx.mp)
 
 
 class PsdCone(FeasibilitySet):

@@ -1,8 +1,8 @@
 """Iteration engines: Douglas-Rachford steps, the Lyapunov-surrogate (LT)
 update, its projected variant (PLT), and a trace-recording driver.
 
-The engines are generic over the point type: anything with vector
-arithmetic and an inner product (Point2, SymMatrix) works.
+The engines are generic over the point type: any ``numerics.Vec`` (a
+``Point2`` or a ``SymMatrix``) works.
 """
 
 from __future__ import annotations

@@ -89,10 +89,10 @@ class TestPoint2:
         x, z = ctx.mp.sqrt(ctx.mpf(2)), -ctx.mp.pi
         p = Point2(x, z)
         assert (p.x._mpf_, p.z._mpf_) == (x._mpf_, z._mpf_)
-        assert (p.rx, p.rz) == (x._mpf_, z._mpf_)
+        assert p.raw == (x._mpf_, z._mpf_)
         assert p.x.context is ctx.mp and p.z.context is ctx.mp
         assert (-p).x._mpf_ == (-x)._mpf_ and (-p).z._mpf_ == (-z)._mpf_
-        assert (copy.copy(p).rx, copy.deepcopy(p).rz) == (x._mpf_, z._mpf_)
+        assert (copy.copy(p).raw[0], copy.deepcopy(p).raw[1]) == (x._mpf_, z._mpf_)
 
     def test_equality_by_value(self, ctx):
         low = PrecisionContext(decimal_digits=40)
@@ -122,6 +122,35 @@ class TestPoint2:
         assert inner(p, p)._mpf_ == mpf_add(low.mpf(4)._mpf_, zz, prec, round_nearest)
 
 
+def sample_vec(kind, seed, ctx):
+    """A random Point2, or a random 3 x 3 SymMatrix, drawn from seed."""
+    if kind == "point":
+        return differential_point("random", seed, 0, ctx)
+    return differential_matrix("random", 3, seed, 0, ctx)
+
+
+class TestVec:
+    """What Point2 and SymMatrix share through Vec."""
+
+    @pytest.mark.parametrize("kind", ("point", "matrix"))
+    def test_arithmetic_keeps_the_type(self, kind, ctx):
+        a, b = sample_vec(kind, 1, ctx), sample_vec(kind, 2, ctx)
+        s = ctx.mpf(1) / 3
+        for got in (a + b, a - b, a * s, s * a, a * 2, -a):
+            assert type(got) is type(a)
+            if kind == "matrix":
+                assert got.n == a.n
+                assert raw(got.entries) == raw(tuple(zip(*got.entries)))
+
+    def test_point_never_equals_matrix(self, ctx):
+        # the matrices lead with the point's entries
+        p = Point2.of(ctx, 1, 0)
+        for m in (SymMatrix.diag([1], ctx), SymMatrix.diag([1, 0], ctx)):
+            assert p != m and m != p
+            assert not (p == m or m == p)
+        assert SymMatrix.diag([1], ctx) != SymMatrix.diag([1, 0], ctx)
+
+
 class TestSymMatrix:
     def test_rejects_asymmetric(self, ctx):
         with pytest.raises(ValueError):
@@ -131,12 +160,20 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix.from_rows([[ctx.mpf(1), ctx.mpf(2)]])
 
+    def test_equality_by_value(self, ctx):
+        # TestPoint2::test_equality_by_value for matrices
+        low = PrecisionContext(decimal_digits=40)
+
+        def build(c, z):
+            return SymMatrix.from_rows([[c.mpf("0.5"), c.mpf(z)], [c.mpf(z), c.mpf(2)]])
+
+        assert build(ctx, 3) == build(low, 3)
+        assert hash(build(ctx, 3)) == hash(build(low, 3))
+        assert build(ctx, 3) != build(ctx, -3)
+
     def test_arithmetic_on_int_entries(self, ctx):
-        # entries of another number type take the entrywise operators; an
-        # int matrix times an mpf becomes a matrix of mpf entries
+        # an int matrix times an mpf becomes a matrix of mpf entries
         a = SymMatrix.from_rows([[2, -3], [-3, 1]])
-        assert (a + a).entries == ((4, -6), (-6, 2))
-        assert (a - a * 2).entries == ((-2, 3), (3, -1))
         m = a * ctx.mpf(1)
         assert raw(m.entries) == raw([[ctx.mpf(2), ctx.mpf(-3)], [ctx.mpf(-3), ctx.mpf(1)]])
         assert raw((m + m).entries) == raw((a * ctx.mpf(2)).entries)
@@ -797,5 +834,3 @@ class TestPickle:
         # rebuilt on the shared context of the precision
         assert back_p.mp is back_m.mp is ctx.mp
         assert copy.deepcopy(m).mp is copy.copy(p).mp is ctx.mp
-        ints = SymMatrix.from_rows([[2, -3], [-3, 1]])
-        assert pickle.loads(pickle.dumps(ints)).entries == ((2, -3), (-3, 1))
