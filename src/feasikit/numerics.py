@@ -19,8 +19,8 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fnone, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt, mpf_hash, mpf_le,
-    mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
+    fhalf, fnone, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt, mpf_hash,
+    mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
 )
 
 
@@ -91,12 +91,12 @@ class Vec:
     :class:`SymMatrix`.
 
     ``raw`` is a flat tuple of raw ``mpf._mpf_`` tuples and ``mp`` the
-    mpmath context they belong to.  ``+``, ``-`` and ``*`` (by an ``mpf``
-    or an ``int``) run entry by entry on ``raw`` at the precision of
-    ``mp``, one raw call per entry, with the bits of the ``mpf`` operators,
-    and return a vector of the same type; unary minus is exact.  ``==``
-    compares two vectors of one type by value, and equal values hash
-    equally whatever their precision.  Pickling and copying rebuild the
+    mpmath context they belong to.  ``+``, ``-`` and ``*`` (by an ``mpf``;
+    any other scalar is a ``TypeError``) run entry by entry on ``raw`` at
+    the precision of ``mp``, one raw call per entry, with the bits of the
+    ``mpf`` operators, and return a vector of the same type; unary minus is
+    exact.  ``==`` compares two vectors of one type by value, and equal
+    values hash equally whatever their precision.  Pickling and copying rebuild the
     vector on the shared context of its precision.
     """
 
@@ -123,15 +123,16 @@ class Vec:
                     tuple(map(_raw_add, self.raw, other.raw, repeat(mp.prec), repeat(1))), mp)
 
     def __mul__(self, scalar):
+        s = getattr(scalar, "_mpf_", None)
+        if s is None:
+            return NotImplemented
         mp = self.mp
-        if isinstance(scalar, int):
-            raw = tuple(map(_raw_mul_int, self.raw, repeat(scalar), repeat(mp.prec)))
-        elif mp is None:
+        if mp is None:
             # int entries (see SymMatrix) times an mpf: mpf_mul_int(s, k)
             mp = scalar.context
-            raw = tuple(map(_raw_mul_int, repeat(scalar._mpf_), self.raw, repeat(mp.prec)))
+            raw = tuple(map(_raw_mul_int, repeat(s), self.raw, repeat(mp.prec)))
         else:
-            raw = tuple(map(_raw_mul, self.raw, repeat(scalar._mpf_), repeat(mp.prec)))
+            raw = tuple(map(_raw_mul, self.raw, repeat(s), repeat(mp.prec)))
         return _vec(type(self), raw, mp)
 
     __rmul__ = __mul__
@@ -455,6 +456,25 @@ def _raw_mul_int(s, n, prec):
         sign ^= 1
         n = -n
     return _round(sign, man * n, exp, prec)
+
+
+def _raw_reflect(q, x, prec):
+    """``mpf_sub(mpf_mul_int(q, 2, prec), x, prec)``, rounding to nearest:
+    the reflection ``2 * q - x`` of x through q.  Doubling a finite nonzero
+    q of at most prec bits only raises its exponent."""
+    sign, man, exp, bc = q
+    if 0 < bc <= prec:
+        return _raw_add((sign, man, exp + 1, bc), x, prec, 1)
+    return _raw_add(_raw_mul_int(q, 2, prec), x, prec, 1)
+
+
+def _raw_midpoint(s, t, prec):
+    """``mpf_mul(mpf_add(s, t, prec), fhalf, prec)``, rounding to nearest:
+    the sum is already rounded, so halving it only lowers its exponent."""
+    sign, man, exp, bc = total = _raw_add(s, t, prec)
+    if not man:
+        return mpf_mul(total, fhalf, prec, round_nearest)
+    return sign, man, exp - 1, bc
 
 
 def _raw_div(s, t, prec):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 from mpmath.ctx_mp import MPContext
@@ -26,6 +27,7 @@ from feasikit.numerics import (
     _raw_mul,
     _raw_mul_int,
     _raw_norm,
+    _raw_reflect,
     _raw_sub,
     _spectrum,
     _vec,
@@ -45,7 +47,11 @@ class FeasibilitySet(ABC):
         ...
 
     def reflect(self, p, ctx: PrecisionContext):
-        return self.project(p, ctx) * 2 - p
+        """``project(p) * 2 - p``, entry by entry at the precision of the
+        projection's context."""
+        q = self.project(p, ctx)
+        mp = q.mp
+        return _vec(type(q), tuple(map(_raw_reflect, q.raw, p.raw, repeat(mp.prec))), mp)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +191,13 @@ class HorizontalLine(FeasibilitySet):
     def reflect(self, p: Point2, ctx: PrecisionContext) -> Point2:
         """``project(p) * 2 - p`` in closed form, ``(x, 2 * h - z)``:
         ``2 * x - x`` is exactly x for a finite x of at most prec bits
-        (every point the toolkit builds); any other x takes the two
-        roundings."""
+        (every point the toolkit builds); any other x is rounded."""
         mp = p.mp
         prec = mp.prec
         rx, rz = p.raw
         if not 0 < rx[3] <= prec:
-            rx = _raw_sub(_raw_mul_int(rx, 2, prec), rx, prec)
-        rz = _raw_sub(_raw_mul_int(self.height._mpf_, 2, prec), rz, prec)
-        return _vec(Point2, (rx, rz), mp)
+            rx = _raw_reflect(rx, rx, prec)
+        return _vec(Point2, (rx, _raw_reflect(self.height._mpf_, rz, prec)), mp)
 
 
 class UnitCircle(FeasibilitySet):

@@ -14,14 +14,16 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from mpmath.libmp import fhalf, fzero, mpf_le, mpf_lt, to_str
+from mpmath.libmp import fzero, mpf_le, mpf_lt, to_str
 
 from feasikit.numerics import (
     PrecisionContext,
     SingularMatrixError,
     _raw_inner,
+    _raw_midpoint,
     _raw_mul,
     _raw_sub,
+    _vec,
     dist,
     solve2x2,
 )
@@ -65,9 +67,12 @@ class DrOperator:
 
 
 def dr_step(t: DrOperator, p, ctx: PrecisionContext):
+    """``(p + R_second(R_first(p))) * 0.5``, entry by entry at the precision
+    of p's context."""
     reflected = t.second.reflect(t.first.reflect(p, ctx), ctx)
-    # halving is exact, so the unparsed raw 1/2 gives the same bits
-    return (p + reflected) * ctx.mp.make_mpf(fhalf)
+    mp = p.mp
+    raw = tuple(map(_raw_midpoint, p.raw, reflected.raw, itertools.repeat(mp.prec)))
+    return _vec(type(p), raw, mp)
 
 
 @dataclass(frozen=True)

@@ -526,10 +526,23 @@ class TestGoldenOutput:
         (["run", "--problem", "psdb-s1", "--method", "plt", "--dim", "5", "--tol", "1e-30",
           "--seed", "4", "--no-times"],
          "6bb1b5c09d68dec1b751e9953a905ee18edcff442b27761e1d8df0e2c3993ff6"),
+        # recorded before the plane reflections and the DR midpoint took
+        # closed forms: a circle-line DR orbit to 1e-30, its PLT run, and
+        # the denominator probe
+        (["run", "--problem", "circle-line", "--method", "dr", "--seed", "4", "--tol", "1e-30",
+          "--precision", "120", "--no-times"],
+         "4a0fc6dfdd01f71a8cbbcaa377be91d2e624436647602809d500bbe45d3f30a7"),
+        (["run", "--problem", "circle-line", "--method", "plt", "--seed", "4", "--tol", "1e-30",
+          "--precision", "120", "--no-times"],
+         "f57a939300b30ac917c8bda367b5a7de197d8e4785393e397ba7adb18a80c0d1"),
+        (["probe", "denominator", "quad", "--n-radii", "3", "--n-angles", "4",
+          "--precision", "120"],
+         "81f7c9ee3a43a092249f32bb69bd97dee844a3d49a53eaf01a8d47cf882c7d56"),
     ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad",
             "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt",
             "run-graph-sin-shift-lt", "run-graph-cubic-plt", "run-graph-linear-neg2-lt",
-            "run-psdb-s1-dr-n3", "run-psdb-s1-plt-n5"])
+            "run-psdb-s1-dr-n3", "run-psdb-s1-plt-n5", "run-circle-line-dr",
+            "run-circle-line-plt", "probe-denominator-quad"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out

@@ -26,8 +26,8 @@ from feasikit.sets import (
 from feasikit.theory import get_curve
 
 from test_numerics import (
-    DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_reconstruct, point_bits, raw,
-    sym_random,
+    DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_project_circle,
+    mpf_reconstruct, point_bits, raw, sym_random,
 )
 
 
@@ -244,6 +244,22 @@ class TestReflection:
             h = ctx.mpf(height)
         want = Point2(p.x * 2 - p.x, h * 2 - p.z)
         assert point_bits(HorizontalLine(h).reflect(p, ctx)) == point_bits(want)
+
+    @given(
+        kind=st.sampled_from(("random", "axis", "origin")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=200)
+    def test_circle_matches_mpf_oracle(self, kind, seed, scale_exp, digits):
+        # the raw reflection against project_circle(p) * 2 - p in mpf; the
+        # origin reflects through the selector (1, 0)
+        ctx = PrecisionContext(decimal_digits=digits)
+        p = differential_point(kind, seed, scale_exp, ctx)
+        q = mpf_project_circle(p, ctx)
+        want = Point2(q.x * 2 - p.x, q.z * 2 - p.z)
+        assert point_bits(UnitCircle().reflect(p, ctx)) == point_bits(want)
 
     def test_line_rounds_an_x_it_cannot_keep(self, ctx):
         # x infinite, or longer than the working precision: 2x - x is not x

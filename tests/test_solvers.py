@@ -31,11 +31,12 @@ from feasikit.solvers import (
 from feasikit.theory import get_curve, graph_operator
 
 from test_numerics import (
-    DIGITS, differential_matrix, differential_point, mpf_entrywise, mpf_inner, mpf_solve2x2, raw,
-    sym_random,
+    DIGITS, differential_matrix, differential_point, mpf_entrywise, mpf_inner, mpf_project_circle,
+    mpf_solve2x2, point_bits, raw, sym_random,
 )
 from test_sets import (
     mpf_project_diag_ones, mpf_project_entry11, mpf_project_psd, mpf_project_psd_boundary,
+    separate_curve, separate_project_graph,
 )
 
 
@@ -64,6 +65,36 @@ class TestDrStep:
         assert dist(circle_line.first.reflect(p, ctx), p, ctx) <= ctx.pow10(-100)
         assert dist(circle_line.second.reflect(p, ctx), p, ctx) <= ctx.pow10(-100)
         assert dist(dr_step(circle_line, p, ctx), p, ctx) <= ctx.pow10(-100)
+
+    @given(
+        problem=st.sampled_from(("circle-line", "graph:quad")),
+        kind=st.sampled_from(("random", "axis", "origin")),
+        seed=st.integers(0, 2**32 - 1),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=60)
+    def test_plane_matches_mpf(self, problem, kind, seed, digits):
+        # the plane problems' DR step, against the same step written with
+        # mpf reflections through the mpf projections
+        ctx = PrecisionContext(decimal_digits=digits)
+        t = build_problem(problem, ctx).operator
+        if problem == "circle-line":
+            def mpf_second(p):
+                return mpf_project_circle(p, ctx)
+        else:
+            def mpf_second(p):
+                return separate_project_graph(p, *separate_curve("quad", ctx), ctx)
+        h = t.first.height
+        p = differential_point(kind, seed, 0, ctx)
+
+        def mpf_reflect(q, p):
+            return Point2(q.x * 2 - p.x, q.z * 2 - p.z)
+
+        first = mpf_reflect(Point2(p.x, h), p)
+        reflected = mpf_reflect(mpf_second(first), first)
+        half = ctx.mpf("0.5")
+        want = Point2((p.x + reflected.x) * half, (p.z + reflected.z) * half)
+        assert point_bits(dr_step(t, p, ctx)) == point_bits(want)
 
 
     @given(
