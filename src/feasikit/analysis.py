@@ -93,8 +93,6 @@ class ProfileCurve:
     tau of the best solver.  ``ratios`` holds the solver's finite
     performance ratios, sorted; failures count as +inf."""
 
-    solver: str
-    metric: str
     ratios: tuple
     n_problems: int
     n_failures: int
@@ -117,14 +115,13 @@ class ProfileResult:
     excluded: tuple  # indices of problems every solver failed on
 
 
-def performance_profile(
-    costs: Mapping[str, Sequence[float]], metric: str = "iterations"
-) -> ProfileResult:
+def performance_profile(costs: Mapping[str, Sequence[float]]) -> ProfileResult:
     """Dolan-More profiles from per-(solver, problem) costs.
 
     ``costs[solver][p]`` is the cost on problem p, with ``math.inf`` as the
-    failure sentinel.  Problems on which every solver failed are excluded
-    and reported in the result.
+    failure sentinel.  A cost equal to the best has ratio 1; where the best
+    cost is 0, a positive cost counts as a failure.  Problems on which every
+    solver failed are excluded and reported in the result.
     """
     solvers = list(costs)
     if len(solvers) < 2:
@@ -146,15 +143,15 @@ def performance_profile(
             continue
         for s in solvers:
             c = costs[s][p]
-            if math.isinf(c):
+            if c == best:
+                ratios[s].append(1.0)
+            elif math.isinf(c) or best == 0:
                 failures[s] += 1
             else:
                 ratios[s].append(c / best)
     n_included = n_total - len(excluded)
     curves = {
         s: ProfileCurve(
-            solver=s,
-            metric=metric,
             ratios=tuple(sorted(ratios[s])),
             n_problems=n_included,
             n_failures=failures[s],

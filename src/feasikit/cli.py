@@ -22,7 +22,6 @@ from feasikit.numerics import FeasikitError, Point2, PrecisionContext
 from feasikit.sets import (
     DiagOnes,
     EntryOne,
-    FeasibilitySet,
     HorizontalLine,
     PsdBoundary,
     PsdCone,
@@ -51,44 +50,40 @@ EXIT_FAILED, EXIT_USAGE, EXIT_NUMERICAL = 1, 2, 3
 
 @dataclass(frozen=True)
 class Problem:
-    """A catalog entry: operator order, designated affine set, reference
-    policy and trial distribution, which is the disk of ``radius`` about
-    ``center`` for plane problems and random symmetric ``dim`` x ``dim``
-    matrices for matrix problems (``dim`` > 0)."""
+    """A catalog entry: operator order (PLT projects onto its first set),
+    reference policy and trial distribution, which is the disk of
+    ``radius`` about the reference for plane problems and random symmetric
+    ``dim`` x ``dim`` matrices for matrix problems (``dim`` > 0)."""
 
     operator: DrOperator
-    affine: FeasibilitySet
     reference: Optional[object]  # known solution, or None for auto
-    center: Optional[Point2] = None
     radius: object = None
     dim: int = 0
 
     def sample(self, n: int, seed: int, ctx: PrecisionContext):
         if self.dim:
             return analysis.sample_sym(self.dim, n, seed, ctx)
-        return analysis.sample_disk(self.center, self.radius, n, seed, ctx)
+        return analysis.sample_disk(self.reference, self.radius, n, seed, ctx)
 
 
 def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Problem:
-    """Resolve a problem id to operators, affine set, reference policy and
-    trial distribution."""
+    """Resolve a problem id to its operator, reference policy and trial
+    distribution."""
     if problem_id == "circle-line":
         half = ctx.mpf("0.5")
         line = HorizontalLine(height=half)
         solution = Point2(ctx.mp.sqrt(3) / 2, half)
-        return Problem(DrOperator(first=line, second=UnitCircle()), line, solution,
-                       center=solution, radius=half)
+        return Problem(DrOperator(first=line, second=UnitCircle()), solution, radius=half)
     if problem_id.startswith("graph:"):
         t = theory.graph_operator(theory.get_curve(problem_id.split(":", 1)[1], ctx), ctx)
         # local disk about the intersection at the origin
-        origin = Point2(ctx.mp.zero, ctx.mp.zero)
-        return Problem(t, t.first, origin, center=origin, radius=ctx.mpf("0.05"))
+        return Problem(t, Point2(ctx.mp.zero, ctx.mp.zero), radius=ctx.mpf("0.05"))
     if problem_id in ("psd-s1", "psdb-s1", "psdb-s11"):
         if dim < 2:
             raise ValueError("matrix problems need --dim >= 2")
-        affine = DiagOnes() if problem_id.endswith("-s1") else EntryOne()
-        nonlinear = PsdCone() if problem_id == "psd-s1" else PsdBoundary()
-        return Problem(DrOperator(first=affine, second=nonlinear), affine, None, dim=dim)
+        first = DiagOnes() if problem_id.endswith("-s1") else EntryOne()
+        second = PsdCone() if problem_id == "psd-s1" else PsdBoundary()
+        return Problem(DrOperator(first, second), None, dim=dim)
     raise ValueError(f"unknown problem id: {problem_id!r} (known: {PROBLEM_IDS})")
 
 
@@ -117,9 +112,7 @@ def cmd_run(args) -> int:
     stop = StopRule(tol=args.tol, max_iter=args.max_iter)
     p0 = problem.sample(1, args.seed, ctx)[0]
     reference, ref_policy = resolve_reference(problem)
-    trace = run(
-        args.method, problem.operator, p0, stop, reference, ctx, affine=problem.affine
-    )
+    trace = run(args.method, problem.operator, p0, stop, reference, ctx)
     metadata = [
         ("method", args.method),
         ("problem", args.problem),
@@ -158,8 +151,7 @@ def _bench_trial(args) -> tuple:
     ctx = PrecisionContext(decimal_digits=precision)
     problem = build_problem(problem_id, ctx, dim)
     stop = StopRule(tol=tol, max_iter=max_iter)
-    trace = run(method, problem.operator, p0, stop, problem.reference, ctx,
-                affine=problem.affine)
+    trace = run(method, problem.operator, p0, stop, problem.reference, ctx)
     try:
         est = analysis.estimate_order(trace.errors, ctx)
         fit = (ctx.to_str(est.q), ctx.to_str(est.c), ctx.to_str(est.residual), *est.window)
@@ -185,6 +177,8 @@ def cmd_bench(args) -> int:
         if m not in METHODS:
             raise ValueError(f"unknown method: {m!r}")
     ctx = PrecisionContext(decimal_digits=args.precision)
+    # checked before any trial runs
+    tol = ctx.to_str(StopRule(tol=args.tol, max_iter=args.max_iter).resolved_tol(ctx))
     problem = build_problem(args.problem, ctx, args.dim)
     # one shared trial set; a point pickles as its raw tuples, so that the
     # serial and parallel paths both run the sampled points bit for bit
@@ -225,22 +219,21 @@ def cmd_bench(args) -> int:
                   f"{count} of {args.trials} trials (after {2 * args.max_iter} steps)",
                   file=sys.stderr)
 
-    stop = StopRule(tol=args.tol, max_iter=args.max_iter)
     metadata = [
         ("problem", args.problem),
         ("methods", ",".join(methods)),
         ("trials", args.trials),
         ("precision", args.precision),
         ("seed", args.seed),
-        ("tol", ctx.to_str(stop.resolved_tol(ctx))),
+        ("tol", tol),
         ("solved_means", "terminated by tolerance or exact_zero within max_iter"),
     ]
     iters_csv = analysis.profile_to_csv(
-        analysis.performance_profile(iter_costs, metric="iterations"),
+        analysis.performance_profile(iter_costs),
         metadata + [("metric", "iterations")],
     )
     time_csv = analysis.profile_to_csv(
-        analysis.performance_profile(time_costs, metric="seconds"),
+        analysis.performance_profile(time_costs),
         metadata + [("metric", "seconds")],
     )
     trials_csv = "\n".join([f"# {key}: {value}" for key, value in metadata]

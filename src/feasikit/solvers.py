@@ -52,15 +52,19 @@ class StopRule:
     def resolved_tol(self, ctx: PrecisionContext):
         if self.tol is None:
             return ctx.pow10(-(ctx.decimal_digits - 20))
-        tol = ctx.mpf(self.tol)
-        if not tol > 0:
-            raise ValueError("tol must be positive")
+        try:
+            tol = ctx.mpf(self.tol)
+        except ValueError:
+            raise ValueError(f"tol must be a number, got {self.tol!r}") from None
+        if not (tol > 0 and ctx.mp.isfinite(tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         return tol
 
 
 @dataclass(frozen=True)
 class DrOperator:
-    """T = (I + R_second o R_first) / 2; ``first`` is reflected first."""
+    """T = (I + R_second o R_first) / 2; ``first`` is reflected first, and
+    PLT projects onto it."""
 
     first: FeasibilitySet
     second: FeasibilitySet
@@ -131,9 +135,9 @@ def lt_step(t: DrOperator, p, ctx: PrecisionContext) -> LtUpdateRecord:
     return LtUpdateRecord(v0, v1, v2, u1, u2, eta, mu1, mu2, result, False)
 
 
-def plt_step(t: DrOperator, affine: FeasibilitySet, p, ctx: PrecisionContext):
-    """Projected LT: apply the LT update after projecting onto the affine set."""
-    return lt_step(t, affine.project(p, ctx), ctx).result
+def plt_step(t: DrOperator, p, ctx: PrecisionContext):
+    """Projected LT: apply the LT update after projecting onto ``t.first``."""
+    return lt_step(t, t.first.project(p, ctx), ctx).result
 
 
 METHODS = ("dr", "lt", "plt")
@@ -148,7 +152,6 @@ class Trace:
     for an automatic reference the orbit's last successive-iterate distance
     (above the arithmetic floor: not converged; None for a given reference)."""
 
-    method: str
     iterates: tuple
     errors: tuple
     step_times: tuple
@@ -168,31 +171,24 @@ class Trace:
         return sum(self.step_times)
 
 
-def _advance(method: str, t: DrOperator, affine, p, ctx: PrecisionContext):
+def _advance(method: str, t: DrOperator, p, ctx: PrecisionContext):
     if method == "dr":
         return dr_step(t, p, ctx)
     if method == "lt":
         return lt_step(t, p, ctx).result
-    return plt_step(t, affine, p, ctx)
+    return plt_step(t, p, ctx)
 
 
-def _orbit(method: str, t: DrOperator, affine, p, ctx: PrecisionContext):
+def _orbit(method: str, t: DrOperator, p, ctx: PrecisionContext):
     """Yield (iterate, step seconds) for every successor of p, without end."""
     while True:
         t0 = time.perf_counter()
-        p = _advance(method, t, affine, p, ctx)
+        p = _advance(method, t, p, ctx)
         yield p, time.perf_counter() - t0
 
 
-def run(
-    method: str,
-    t: DrOperator,
-    p0,
-    stop: StopRule,
-    reference,
-    ctx: PrecisionContext,
-    affine: FeasibilitySet = None,
-) -> Trace:
+def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
+        ctx: PrecisionContext) -> Trace:
     """Iterate ``method`` from p0, recording distances to ``reference``.
 
     ``reference=None`` takes the last iterate of the orbit itself, advanced
@@ -206,15 +202,13 @@ def run(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    if method == "plt" and affine is None:
-        raise ValueError("plt requires the affine set of the pair")
 
     # the stop tests compare raw mpf tuples
     tol = stop.resolved_tol(ctx)._mpf_
     floor = ctx.floor._mpf_
     cliff, near_floor = _stop_levels(ctx)
 
-    steps = _orbit(method, t, affine, p0, ctx)
+    steps = _orbit(method, t, p0, ctx)
     gap = None
     if reference is None:
         kept, last = [], p0
@@ -231,7 +225,7 @@ def run(
     errors = [dist(p0, reference, ctx)]
     step_times = []
     if mpf_le(errors[0]._mpf_, tol):
-        return Trace(method, tuple(iterates), tuple(errors), (), Termination.TOLERANCE, gap)
+        return Trace(tuple(iterates), tuple(errors), (), Termination.TOLERANCE, gap)
 
     terminated = Termination.MAX_ITER
     prev = errors[0]._mpf_
@@ -252,7 +246,7 @@ def run(
                 terminated = Termination.STAGNATION
                 break
         prev = e
-    return Trace(method, tuple(iterates), tuple(errors), tuple(step_times), terminated, gap)
+    return Trace(tuple(iterates), tuple(errors), tuple(step_times), terminated, gap)
 
 
 @functools.lru_cache(maxsize=None)

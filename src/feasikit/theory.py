@@ -50,7 +50,11 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     ``_raw_add(x, fone)``), so the jet is bit for bit that expression."""
     prec, rnd = ctx.mp.prec, round_nearest
     if ident.startswith("linear:"):
-        a = ctx.mpf(ident.split(":", 1)[1])
+        slope = ident.split(":", 1)[1]
+        try:
+            a = ctx.mpf(slope)
+        except ValueError:
+            raise ValueError(f"linear curve needs a numeric slope, got {slope!r}") from None
         if a == 0:
             raise ValueError("linear curve needs nonzero slope")
         a = a._mpf_
@@ -138,11 +142,11 @@ def _lt_from_w(w: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2
     return Point2(w.x - h * fx / dfx, w.z - h * w.z)
 
 
-def lt_closed_form(
-    y: Point2, t: DrOperator, curve: AnalyticCurve, ctx: PrecisionContext
-) -> Point2:
-    """The LT update computed from the closed form: w = T^2 y, then
-    (w_x - h f(w_x)/f'(w_x), w_z - h w_z) with h = h(w)."""
+def lt_closed_form(y: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2:
+    """The LT update computed from the closed form: w = T^2 y with T the
+    curve's ``graph_operator``, then (w_x - h f(w_x)/f'(w_x), w_z - h w_z)
+    with h = h(w)."""
+    t = graph_operator(curve, ctx)
     w = dr_step(t, dr_step(t, y, ctx), ctx)
     if w.x == 0 and w.z == 0:
         return w

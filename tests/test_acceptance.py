@@ -105,7 +105,7 @@ def test_criterion_3_closed_form_equivalence(ctx):
             phi = 2 * ctx.mp.pi * ctx.mpf(rng.random())
             y = Point2(r * ctx.mp.cos(phi), r * ctx.mp.sin(phi))
             deviation = dist(
-                lt_step(t, y, ctx).result, lt_closed_form(y, t, curve, ctx), ctx
+                lt_step(t, y, ctx).result, lt_closed_form(y, curve, ctx), ctx
             ) / max(norm(y, ctx), ctx.mp.one)
             if deviation > worst:
                 worst = deviation

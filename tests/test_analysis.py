@@ -115,6 +115,14 @@ class TestPerformanceProfile:
         assert result.excluded == (1,)
         assert result.curves["a"].rho(1.0) == 1.0
 
+    def test_zero_best_cost(self):
+        # a trial that starts inside the tolerance costs 0
+        result = performance_profile({"a": [0.0, 0.0, 2.0], "b": [0.0, 3.0, 4.0]})
+        assert result.curves["a"].ratios == (1.0, 1.0, 1.0)
+        assert result.curves["b"].ratios == (1.0, 2.0)
+        assert result.curves["b"].n_failures == 1
+        assert result.curves["b"].rho(math.inf) == 1.0
+
     def test_needs_two_solvers(self):
         with pytest.raises(ValueError):
             performance_profile({"only": [1.0]})

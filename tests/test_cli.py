@@ -10,8 +10,8 @@ import pytest
 import feasikit
 from feasikit.analysis import estimate_linear_rate, estimate_order
 from feasikit.cli import build_problem, main
-from feasikit.numerics import Point2
-from feasikit.sets import ProjectionError
+from feasikit.numerics import Point2, dist
+from feasikit.sets import DiagOnes, EntryOne, HorizontalLine, ProjectionError
 from feasikit.solvers import StopRule, run
 
 
@@ -151,6 +151,22 @@ class TestRunCommand:
             assert "finite" in err
             assert len(err.strip().splitlines()) == 1
 
+    def test_non_numeric_slope_rejected(self, capsys):
+        assert main(["run", "--problem", "graph:linear:abc"]) == 2
+        assert capsys.readouterr().err == (
+            "feasikit: linear curve needs a numeric slope, got 'abc'\n")
+
+    @pytest.mark.parametrize("tol, message", [
+        ("0", "positive and finite"), ("-1", "positive and finite"),
+        ("nan", "positive and finite"), ("inf", "positive and finite"),
+        ("abc", "a number"),
+    ])
+    def test_bad_tol_rejected(self, tol, message, capsys):
+        assert main(["run", "--problem", "circle-line", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"feasikit: tol must be {message}, got {tol!r}\n"
+        assert captured.out == ""
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def fail(p, curve, ctx):
             raise ProjectionError("Newton failed from every start")
@@ -266,6 +282,13 @@ class TestBenchCommand:
                 assert all(0.0 <= v <= 1.0 for v in vals)
                 assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_trials_inside_tol(self, capsys):
+        # every trial starts within --tol of the reference, at cost 0
+        assert main(["bench", "--problem", "circle-line", "--methods", "dr,lt",
+                     "--trials", "2", "--tol", "1", "--jobs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("tau,rho_dr,rho_lt\n1.0,1.0,1.0\n") == 2
+
     def test_single_method_rejected(self, capsys):
         code = main(["bench", "--problem", "circle-line", "--methods", "dr",
                      "--trials", "4"])
@@ -350,7 +373,7 @@ class TestBenchCommand:
         stop = StopRule(tol="1e-20", max_iter=40)
         for row in psdb_trials:
             trace = run(row["method"], problem.operator, points[int(row["trial"])], stop,
-                        problem.reference, ctx, affine=problem.affine)
+                        problem.reference, ctx)
             est = estimate_order(trace.errors, ctx)
             assert row["q"] == ctx.to_str(est.q)
             assert row["c"] == ctx.to_str(est.c)
@@ -463,7 +486,11 @@ class TestCatalog:
         for pid in ("circle-line", "graph:quad", "graph:linear:1", "psd-s1",
                     "psdb-s1", "psdb-s11"):
             problem = build_problem(pid, ctx, 3)
-            assert problem.operator.first is problem.affine or problem.affine is not None
+            # the set PLT projects onto
+            assert isinstance(problem.operator.first, (HorizontalLine, DiagOnes, EntryOne))
+            if not problem.dim:
+                for p in problem.sample(20, 1, ctx):
+                    assert dist(p, problem.reference, ctx) <= problem.radius
 
     def test_every_problem_runs_every_method_quickly(self, ctx):
         start = time.perf_counter()
@@ -472,8 +499,7 @@ class TestCatalog:
             problem = build_problem(pid, ctx, 3)
             p0 = problem.sample(1, 1, ctx)[0]
             for method in ("dr", "lt", "plt"):
-                trace = run(method, problem.operator, p0, stop, problem.reference,
-                            ctx, affine=problem.affine)
+                trace = run(method, problem.operator, p0, stop, problem.reference, ctx)
                 assert trace.iterations >= 0
         assert time.perf_counter() - start < 60
 
@@ -538,11 +564,20 @@ class TestGoldenOutput:
         (["probe", "denominator", "quad", "--n-radii", "3", "--n-angles", "4",
           "--precision", "120"],
          "81f7c9ee3a43a092249f32bb69bd97dee844a3d49a53eaf01a8d47cf882c7d56"),
+        # recorded before PLT took its projection from the operator's first
+        # set: PLT on the two matrix pairs no other golden runs it on
+        (["run", "--problem", "psdb-s11", "--method", "plt", "--dim", "3", "--tol", "1e-30",
+          "--seed", "4", "--no-times"],
+         "2cb7464f73cfd1afc9f3bc182ab01bcec8a3bf1c6ab6437072e3cb93a1c87d69"),
+        (["run", "--problem", "psd-s1", "--method", "plt", "--dim", "3", "--tol", "1e-140",
+          "--seed", "4", "--no-times"],
+         "76e2ebdcb79f962aaeb5e5f3426b8729439eaf8ea4c768ab690b72531f5206c3"),
     ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad",
             "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt",
             "run-graph-sin-shift-lt", "run-graph-cubic-plt", "run-graph-linear-neg2-lt",
             "run-psdb-s1-dr-n3", "run-psdb-s1-plt-n5", "run-circle-line-dr",
-            "run-circle-line-plt", "probe-denominator-quad"])
+            "run-circle-line-plt", "probe-denominator-quad", "run-psdb-s11-plt",
+            "run-psd-s1-plt"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out

@@ -247,22 +247,21 @@ class TestLtStep:
 
 class TestPltStep:
     def test_identity_on_affine(self, ctx, circle_line):
-        line = circle_line.first
         p = Point2.of(ctx, "0.7", "0.5")  # already on the line
-        assert plt_step(circle_line, line, p, ctx) == lt_step(circle_line, p, ctx).result
+        assert plt_step(circle_line, p, ctx) == lt_step(circle_line, p, ctx).result
 
     def test_compositional_oracle_matrix(self, ctx):
         t = DrOperator(first=DiagOnes(), second=PsdCone())
         rng = random.Random(43)
         for _ in range(5):
             p = sym_random(3, rng, ctx)
-            via_plt = plt_step(t, DiagOnes(), p, ctx)
+            via_plt = plt_step(t, p, ctx)
             projected = DiagOnes().project(p, ctx)
             assert via_plt == lt_step(t, projected, ctx).result
 
     def test_plane_composition(self, ctx, two_lines):
         p = Point2.of(ctx, 1, "0.7")
-        got = plt_step(two_lines, HorizontalLine(ctx.mp.zero), p, ctx)
+        got = plt_step(two_lines, p, ctx)
         assert norm(got, ctx) <= ctx.pow10(-100)
 
 
@@ -330,10 +329,6 @@ class TestRun:
         tail = trace.errors[5:]
         assert all(b <= a for a, b in zip(tail, tail[1:]))
 
-    def test_plt_requires_affine(self, ctx, circle_line):
-        with pytest.raises(ValueError):
-            run("plt", circle_line, Point2.of(ctx, 1, 1), StopRule(), Point2.of(ctx, 0, 0), ctx)
-
     def test_unknown_method(self, ctx, circle_line):
         with pytest.raises(ValueError):
             run("newton", circle_line, Point2.of(ctx, 1, 1), StopRule(), Point2.of(ctx, 0, 0), ctx)
@@ -341,8 +336,7 @@ class TestRun:
     def test_auto_reference_matches_known(self, ctx, circle_line):
         # tol below the floor: the trace runs on to its own reference
         p0 = Point2.of(ctx, "0.9", "0.6")
-        trace = run("lt", circle_line, p0, StopRule(tol="1e-200"), None, ctx,
-                    affine=circle_line.first)
+        trace = run("lt", circle_line, p0, StopRule(tol="1e-200"), None, ctx)
         assert trace.terminated_by is Termination.EXACT_ZERO
         assert trace.reference_gap <= ctx.pow10(-(ctx.decimal_digits - 10))
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
@@ -360,11 +354,11 @@ def two_pass_run(method, problem, p0, stop, ctx):
     agree to the arithmetic floor (at most 2*max_iter steps), take the last
     iterate as the reference, then recompute the orbit against it.
     Returns the trace and the last successive-iterate distance."""
-    t, affine = problem.operator, problem.affine
+    t = problem.operator
     step = {
         "dr": lambda p: dr_step(t, p, ctx),
         "lt": lambda p: lt_step(t, p, ctx).result,
-        "plt": lambda p: plt_step(t, affine, p, ctx),
+        "plt": lambda p: plt_step(t, p, ctx),
     }[method]
     floor = ctx.pow10(-(ctx.decimal_digits - 10))
     p = p0
@@ -374,7 +368,7 @@ def two_pass_run(method, problem, p0, stop, ctx):
         p = q
         if gap <= floor:
             break
-    return run(method, t, p0, stop, p, ctx, affine=affine), gap
+    return run(method, t, p0, stop, p, ctx), gap
 
 
 class TestAutoReference:
@@ -391,7 +385,7 @@ class TestAutoReference:
         p0 = problem.sample(1, seed, ctx)[0]
         stop = StopRule(tol=tol, max_iter=max_iter)
         old, old_gap = two_pass_run(method, problem, p0, stop, ctx)
-        new = run(method, problem.operator, p0, stop, None, ctx, affine=problem.affine)
+        new = run(method, problem.operator, p0, stop, None, ctx)
         assert new.iterates == old.iterates
         assert new.errors == old.errors
         assert new.terminated_by is old.terminated_by
@@ -406,7 +400,7 @@ class TestAutoReference:
         for problem_id in ("psd-s1", "psdb-s1"):
             problem = build_problem(problem_id, ctx, 3)
             p0 = problem.sample(1, 1, ctx)[0]
-            trace = run("dr", problem.operator, p0, stop, None, ctx, affine=problem.affine)
+            trace = run("dr", problem.operator, p0, stop, None, ctx)
             gaps[problem_id] = trace.reference_gap
         assert gaps["psd-s1"] <= floor < gaps["psdb-s1"]
 
@@ -446,7 +440,6 @@ class TestTraceCsv:
             StopRule(tol="1e-200", max_iter=60),
             ref,
             ctx,
-            affine=circle_line.first,
         )
         assert trace.terminated_by in (Termination.STAGNATION, Termination.EXACT_ZERO)
         assert trace.iterations < 60

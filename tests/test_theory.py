@@ -140,15 +140,13 @@ class TestClosedForms:
 class TestLtClosedForm:
     def test_linear_kills_both_coordinates(self, ctx):
         curve = get_curve("linear:2", ctx)
-        t = graph_operator(curve, ctx)
-        got = lt_closed_form(Point2.of(ctx, "0.3", "-0.1"), t, curve, ctx)
+        got = lt_closed_form(Point2.of(ctx, "0.3", "-0.1"), curve, ctx)
         assert norm(got, ctx) <= ctx.pow10(-100)
 
     def test_fixed_point(self, ctx):
         curve = get_curve("quad", ctx)
-        t = graph_operator(curve, ctx)
         origin = Point2.of(ctx, 0, 0)
-        assert lt_closed_form(origin, t, curve, ctx) == origin
+        assert lt_closed_form(origin, curve, ctx) == origin
 
     def test_matches_geometric_lt(self, ctx):
         rng = random.Random(73)
@@ -159,7 +157,7 @@ class TestLtClosedForm:
             for _ in range(10):
                 y = Point2.of(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.02, 0.02))
                 geometric = lt_step(t, y, ctx).result
-                closed = lt_closed_form(y, t, curve, ctx)
+                closed = lt_closed_form(y, curve, ctx)
                 assert dist(geometric, closed, ctx) <= bound * max(norm(y, ctx), ctx.mpf(1))
 
 
