@@ -293,9 +293,6 @@ class Spectrum:
                     (_raw_mul(x, y, prec) for x, y in zip(scaled, rows[j])), prec)
         return _vec(SymMatrix, tuple(out), self.mp)
 
-    def with_eigenvalues(self, eigenvalues: Sequence) -> "Spectrum":
-        return _spectrum(tuple(x._mpf_ for x in eigenvalues), self.raw_basis, self.mp)
-
 
 def _spectrum(raw_eigenvalues, raw_basis, mp) -> Spectrum:
     """The Spectrum of raw eigenvalues and a flat row-major raw basis in

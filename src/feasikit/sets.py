@@ -9,13 +9,14 @@ reflections are ``R = 2 P - I``.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fone, fzero, from_int, mpf_abs, mpf_ge, mpf_gt, mpf_le
+from mpmath.libmp import fone, fzero, from_int, mpf_abs, mpf_cmp, mpf_ge, mpf_gt, mpf_le
 
 from feasikit.numerics import (
     FeasikitError,
@@ -121,7 +122,10 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     context's precision, rounding to nearest; each call gives the bits of
     the ``mpf`` operation it replaces, so the roots are bit for bit those
     of the same loop written with ``mpf`` objects (pinned by a
-    differential test against that version).
+    differential test against that version).  The product ``dz * f''``
+    shifts an exponent when f'' is a power of two (``_raw_mul_pow2``), and
+    the residual and escape tests compare magnitudes (``_abs_le``,
+    ``_abs_gt``); both give the bits of the call they replace.
     """
     if curve.mp.prec != ctx.mp.prec:
         raise ValueError(
@@ -134,27 +138,27 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     lo = px - span
     width = 2 * span
     (rpx, rpz), rlo, rwidth = p.raw, lo._mpf_, width._mpf_
-    res_tol = ctx.pow10(-(ctx.decimal_digits - 15))._mpf_
+    res_tol, merge_tol = _graph_levels(ctx)
     escape = (abs(px) + span + 10)._mpf_
     thirty_two = from_int(32)
 
-    roots = []  # (t, f(t)) at each converged start
+    roots = set()  # (t, f(t)) at each converged start, without repeats
     for k in range(33):
         t = _raw_add(rlo, _raw_div(_raw_mul_int(rwidth, k, prec), thirty_two, prec), prec)
         for _ in range(200):
             ft, dft, ddft = jet(t)
             dz = _raw_sub(ft, rpz, prec)
             gt = _raw_add(_raw_sub(t, rpx, prec), _raw_mul(dz, dft, prec), prec)
-            if mpf_le(mpf_abs(gt), res_tol):
-                roots.append((ctx.mp.make_mpf(t), ctx.mp.make_mpf(ft)))
+            if _abs_le(gt, res_tol):
+                roots.add((t, ft))
                 break
             # dft ** 2: mpf_pow_int(dft, 2) has the bits of dft * dft
             slope = _raw_add(_raw_add(_raw_mul(dft, dft, prec), fone, prec),
-                             _raw_mul(dz, ddft, prec), prec)
+                             _raw_mul_pow2(dz, ddft, prec), prec)
             if slope == fzero:
                 break
             t = _raw_sub(t, _raw_div(gt, slope, prec), prec)
-            if mpf_gt(mpf_abs(t), escape):
+            if _abs_gt(t, escape):
                 break
     if not roots:
         def show(v):
@@ -164,21 +168,78 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
             f"graph projection of ({show(px)}, {show(pz)}): Newton failed from all 33 "
             f"starts on [{show(lo)}, {show(px + span)}]"
         )
+    return _vec(Point2, _nearest_root(roots, p.raw, merge_tol, prec), ctx.mp)
 
-    roots.sort()
-    merge_tol = ctx.pow10(-(ctx.decimal_digits - 20))
-    merged = [roots[0]]
-    for t, ft in roots[1:]:
-        if abs(t - merged[-1][0]) > merge_tol * (1 + abs(t)):
-            merged.append((t, ft))
 
-    def objective_then_t(root):
-        dx = root[0] - px
-        dz = root[1] - pz
-        return dx * dx + dz * dz, root[0]
+@functools.lru_cache(maxsize=None)
+def _graph_levels(ctx: PrecisionContext):
+    """``project_graph``'s residual tolerance 10^-(digits - 15) and root
+    merge tolerance 10^-(digits - 20) as raw tuples, built once per
+    precision."""
+    return (ctx.pow10(-(ctx.decimal_digits - 15))._mpf_,
+            ctx.pow10(-(ctx.decimal_digits - 20))._mpf_)
 
-    t, ft = min(merged, key=objective_then_t)
-    return _vec(Point2, (t._mpf_, ft._mpf_), ctx.mp)
+
+def _abs_le(x, bound):
+    """``mpf_le(mpf_abs(x), bound)`` for a positive finite bound.  A
+    nonzero x lies in [2^(m-1), 2^m) in magnitude, m = exp + bc, so
+    unequal m decide the test; equal ones, zero and special values go to
+    ``libmp``."""
+    _, man, exp, bc = x
+    if man:
+        m, mb = exp + bc, bound[2] + bound[3]
+        if m != mb:
+            return m < mb
+    return mpf_le(mpf_abs(x), bound)
+
+
+def _abs_gt(x, bound):
+    """``mpf_gt(mpf_abs(x), bound)`` for a positive finite bound, decided
+    by magnitude as in ``_abs_le``."""
+    _, man, exp, bc = x
+    if man:
+        m, mb = exp + bc, bound[2] + bound[3]
+        if m != mb:
+            return m > mb
+    return mpf_gt(mpf_abs(x), bound)
+
+
+def _raw_mul_pow2(s, t, prec):
+    """``_raw_mul(s, t, prec)``, adding exponents when t is a power of two
+    (mantissa 1) and s is finite, nonzero and of at most prec bits: the
+    product is exact and already normalized."""
+    ssign, sman, sexp, sbc = s
+    if t[1] == 1 and 0 < sbc <= prec:
+        return ssign ^ t[0], sman, sexp + t[2], sbc
+    return _raw_mul(s, t, prec)
+
+
+# raw roots (t, f(t)) in the order of ``mpf`` pairs: by t, then by f(t)
+_by_root = functools.cmp_to_key(lambda a, b: mpf_cmp(a[0], b[0]) or mpf_cmp(a[1], b[1]))
+
+
+def _nearest_root(roots, p, merge_tol, prec):
+    """The raw root (t, f(t)) nearest the raw point p = (x, z).
+
+    In ascending order of t, a root is merged into the last kept one,
+    its head, when |t - head| <= merge_tol * (1 + |t|).  Among the heads
+    the least (t - x)^2 + (f(t) - z)^2 wins, and on an exact tie the
+    smaller t, which comes first.  Every raw call has the bits of the
+    ``mpf`` operation of that formula."""
+    px, pz = p
+    best = head = None
+    for t, ft in sorted(roots, key=_by_root):
+        if head is not None and not mpf_gt(
+                mpf_abs(_raw_sub(t, head, prec)),
+                _raw_mul(merge_tol, _raw_add(mpf_abs(t), fone, prec), prec)):
+            continue
+        head = t
+        dx = _raw_sub(t, px, prec)
+        dz = _raw_sub(ft, pz, prec)
+        objective = _raw_add(_raw_mul(dx, dx, prec), _raw_mul(dz, dz, prec), prec)
+        if best is None or mpf_gt(least, objective):
+            best, least = (t, ft), objective
+    return best
 
 
 @dataclass(frozen=True)

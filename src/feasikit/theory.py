@@ -62,12 +62,14 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
         jet = lambda t: (_raw_mul(a, t, prec), a, fzero)
     elif ident == "quad":
         two = from_int(2)
-        # (t + t * t, 1 + 2 * t, 2)
-        jet = lambda t: (
-            _raw_add(t, _raw_mul(t, t, prec), prec),
-            _raw_add(_raw_mul_int(t, 2, prec), fone, prec),
-            two,
-        )
+
+        def jet(t):
+            # (t + t * t, 1 + 2 * t, 2); doubling a finite nonzero t of at
+            # most prec bits only raises its exponent
+            sign, man, exp, bc = t
+            double = (sign, man, exp + 1, bc) if 0 < bc <= prec else _raw_mul_int(t, 2, prec)
+            return _raw_add(t, _raw_mul(t, t, prec), prec), _raw_add(double, fone, prec), two
+
     elif ident == "cubic":
         two = from_int(2)
         # (2 * t + t**3, 2 + 3 * t * t, 6 * t)

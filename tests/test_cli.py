@@ -572,12 +572,25 @@ class TestGoldenOutput:
         (["run", "--problem", "psd-s1", "--method", "plt", "--dim", "3", "--tol", "1e-140",
           "--seed", "4", "--no-times"],
          "76e2ebdcb79f962aaeb5e5f3426b8729439eaf8ea4c768ab690b72531f5206c3"),
+        # recorded before the graph projection ranked its roots on raw
+        # tuples and its Newton step doubled and compared by exponent: three
+        # graph runs at the default tol
+        (["run", "--problem", "graph:quad", "--method", "lt", "--seed", "4",
+          "--precision", "120", "--no-times"],
+         "efc42cd852ac89618d8106afb30f9e5f405efef967560aeb67fcc7da0b3106b1"),
+        (["run", "--problem", "graph:sin-shift", "--method", "plt", "--seed", "4",
+          "--precision", "120", "--no-times"],
+         "911dd1a3a6817b8171c163e7443a3c409cf5a1081a69e1d56c3e863c30520990"),
+        (["run", "--problem", "graph:cubic", "--method", "lt", "--seed", "4",
+          "--precision", "120", "--no-times"],
+         "b8592714cada7530097734b384f0e091a4b07fd3228305c265e50ae89401abc8"),
     ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad",
             "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt",
             "run-graph-sin-shift-lt", "run-graph-cubic-plt", "run-graph-linear-neg2-lt",
             "run-psdb-s1-dr-n3", "run-psdb-s1-plt-n5", "run-circle-line-dr",
             "run-circle-line-plt", "probe-denominator-quad", "run-psdb-s11-plt",
-            "run-psd-s1-plt"])
+            "run-psd-s1-plt", "run-graph-quad-lt", "run-graph-sin-shift-plt",
+            "run-graph-cubic-lt"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out

@@ -26,6 +26,7 @@ from feasikit.numerics import (
     _raw_sqrt,
     _raw_sub,
     _rotate,
+    _spectrum,
     dist,
     eig_sym,
     inner,
@@ -377,7 +378,7 @@ class TestRawKernelsMatchMpf:
         # the eigenvalue maps of project_psd and project_psd_boundary
         clipped = tuple(lam if lam > 0 else zero for lam in got.eigenvalues)
         for mu in (got.eigenvalues, clipped, (zero,) + got.eigenvalues[1:]):
-            s = got.with_eigenvalues(mu)
+            s = _spectrum(tuple(x._mpf_ for x in mu), got.raw_basis, got.mp)
             assert raw(s.reconstruct().entries) == raw(mpf_reconstruct(s).entries)
 
     def test_empty_reconstruct(self):

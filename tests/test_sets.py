@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import (
+    fhalf, fone, from_int, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_mul, mpf_mul_int,
+    round_nearest,
+)
 
 from feasikit.analysis import sample_disk
-from feasikit.numerics import Point2, PrecisionContext, Spectrum, SymMatrix, dist, norm
+from feasikit.numerics import Point2, PrecisionContext, Spectrum, SymMatrix, _raw_mul, dist, norm
 from feasikit.sets import (
     CurveGraph,
     DiagOnes,
@@ -22,12 +26,17 @@ from feasikit.sets import (
     project_graph,
     project_psd,
     project_psd_boundary,
+    _abs_gt,
+    _abs_le,
+    _graph_levels,
+    _nearest_root,
+    _raw_mul_pow2,
 )
 from feasikit.theory import get_curve
 
 from test_numerics import (
     DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_project_circle,
-    mpf_reconstruct, point_bits, raw, sym_random,
+    mpf_reconstruct, odd_mantissa, point_bits, raw, raw_operand, sym_random,
 )
 
 
@@ -108,8 +117,8 @@ def separate_curve(ident, ctx):
 
 def separate_project_graph(p, f, df, ddf, ctx):
     """The former graph selector, which evaluated f and f' twice and f''
-    once per Newton step and f again at each merged root; the oracle for
-    ``project_graph``."""
+    once per Newton step and f again at each converged root; the oracle
+    for ``project_graph``."""
     px, pz = p.x, p.z
     res_tol = ctx.pow10(-(ctx.decimal_digits - 15))
     span = 2 * (1 + abs(pz))
@@ -133,20 +142,27 @@ def separate_project_graph(p, f, df, ddf, ctx):
                 break
     if not roots:
         raise ProjectionError("Newton failed from every start")
+    return Point2(*mpf_nearest_root([(t, f(t)) for t in roots], px, pz, ctx))
 
-    roots.sort()
+
+def mpf_nearest_root(roots, px, pz, ctx):
+    """The former root ranking on ``mpf`` pairs (t, f(t)): sorted, each
+    root within 10^-(digits - 20) * (1 + |t|) of the last kept one merged
+    into it, then the least squared distance to (px, pz) and on a tie the
+    least t; the oracle for ``sets._nearest_root``."""
+    roots = sorted(roots)
+    merge_tol = ctx.pow10(-(ctx.decimal_digits - 20))
     merged = [roots[0]]
-    for t in roots[1:]:
-        if abs(t - merged[-1]) > ctx.pow10(-(ctx.decimal_digits - 20)) * (1 + abs(t)):
-            merged.append(t)
+    for t, ft in roots[1:]:
+        if abs(t - merged[-1][0]) > merge_tol * (1 + abs(t)):
+            merged.append((t, ft))
 
-    def objective(t):
-        dx = t - px
-        dz = f(t) - pz
-        return dx * dx + dz * dz
+    def objective_then_t(root):
+        dx = root[0] - px
+        dz = root[1] - pz
+        return dx * dx + dz * dz, root[0]
 
-    best = min(merged, key=lambda t: (objective(t), t))
-    return Point2(best, f(best))
+    return min(merged, key=objective_then_t)
 
 
 def bits(*values):
@@ -211,6 +227,136 @@ class TestGraphJet:
         p = Point2.of(ctx, "0.01", "0.02")
         with pytest.raises(ValueError, match="built at 40 digits, not 120"):
             project_graph(p, get_curve("quad", PrecisionContext(decimal_digits=40)), ctx)
+
+
+@st.composite
+def positive_bound(draw, x):
+    """A positive raw bound: of x's magnitude exp + bc, one off it, or
+    anywhere; with the mantissa 1 (a power of two) or a random odd one;
+    or |x| itself."""
+    if x[1] and draw(st.booleans()):
+        return (0,) + x[1:]
+    man = 1 if draw(st.booleans()) else odd_mantissa(draw, draw(st.integers(2, 500)))
+    bc = man.bit_length()
+    mag = x[2] + x[3] if x[1] else draw(st.integers(-600, 600))
+    mag += draw(st.sampled_from((0, 0, -1, 1, draw(st.integers(-700, 700)))))
+    return (0, man, mag - bc, bc)
+
+
+@st.composite
+def power_of_two(draw):
+    """A raw +-2^k, or zero (the f'' of a linear curve)."""
+    if draw(st.integers(0, 4)) == 0:
+        return fzero
+    return (draw(st.integers(0, 1)), 1, draw(st.integers(-600, 600)), 1)
+
+
+class TestGraphFastPaths:
+    """The shortcuts of the graph projection's Newton step and root
+    ranking against the calls they replace, at 40, 120 and 200 digits."""
+
+    @given(data=st.data(), digits=st.sampled_from(DIGITS))
+    @settings(max_examples=400)
+    def test_magnitude_compare_matches_libmp(self, data, digits):
+        prec = PrecisionContext(decimal_digits=digits).mp.prec
+        x = data.draw(raw_operand(prec))
+        bound = data.draw(positive_bound(x))
+        assert _abs_le(x, bound) == mpf_le(mpf_abs(x), bound)
+        assert _abs_gt(x, bound) == mpf_gt(mpf_abs(x), bound)
+
+    def test_magnitude_compare_edges(self):
+        for digits in DIGITS:
+            ctx = PrecisionContext(decimal_digits=digits)
+            res_tol, merge_tol = _graph_levels(ctx)
+            escape = (ctx.mpf("0.3") + 12)._mpf_
+            for bound in (res_tol, merge_tol, escape, fone):
+                sign, man, exp, bc = bound
+                # |x| equal to the bound, next to it on either side, in the
+                # adjacent binades, and zero
+                xs = [fzero, (1, man, exp, bc), (0, man, exp + 1, bc), (1, man, exp - 1, bc),
+                      (0, 1, exp + bc, 1), (1, 1, exp + bc - 1, 1)]
+                xs += [(0, m, exp - 1, m.bit_length()) for m in (2 * man - 1, 2 * man + 1)]
+                for x in xs:
+                    assert _abs_le(x, bound) == mpf_le(mpf_abs(x), bound), (digits, x, bound)
+                    assert _abs_gt(x, bound) == mpf_gt(mpf_abs(x), bound), (digits, x, bound)
+
+    @given(data=st.data(), digits=st.sampled_from(DIGITS))
+    @settings(max_examples=400)
+    def test_power_of_two_product_matches_raw_mul(self, data, digits):
+        prec = PrecisionContext(decimal_digits=digits).mp.prec
+        s = data.draw(raw_operand(prec))
+        t = data.draw(power_of_two() | raw_operand(prec))
+        assert _raw_mul_pow2(s, t, prec) == _raw_mul(s, t, prec) == mpf_mul(s, t, prec, round_nearest)
+
+    def test_power_of_two_product_at_full_width(self):
+        for digits in DIGITS:
+            prec = PrecisionContext(decimal_digits=digits).mp.prec
+            for man in (2 ** prec - 1, 2 ** (prec - 1) + 1, 2 ** prec + 1):
+                for sign in (0, 1):
+                    s = (sign, man, -prec, man.bit_length())
+                    for t in (from_int(2), from_int(-2), fhalf, fzero, from_int(6)):
+                        assert _raw_mul_pow2(s, t, prec) == mpf_mul(s, t, prec, round_nearest)
+
+    @given(data=st.data(), digits=st.sampled_from(DIGITS))
+    @settings(max_examples=200)
+    def test_quad_jet_doubling_matches_mpf(self, data, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        prec = ctx.mp.prec
+        t = data.draw(raw_operand(prec))
+        want = (mpf_add(t, mpf_mul(t, t, prec, round_nearest), prec, round_nearest),
+                mpf_add(mpf_mul_int(t, 2, prec, round_nearest), fone, prec, round_nearest),
+                from_int(2))
+        assert get_curve("quad", ctx).raw_jet(t) == want
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        digits=st.sampled_from(DIGITS),
+        mirrored=st.booleans(),
+        heads=st.integers(1, 4),
+        members=st.integers(0, 4),
+    )
+    @settings(max_examples=150)
+    def test_ranking_matches_mpf_ranking(self, seed, digits, mirrored, heads, members):
+        # clusters whose later members lie within merge_tol of the head
+        # (the last possibly beyond it), repeated roots, and with p at the
+        # origin the mirror image (-t, f(t)) of each root, at the same
+        # squared distance
+        ctx = PrecisionContext(decimal_digits=digits)
+        rng = random.Random(seed)
+        tol = ctx.pow10(-(digits - 20))
+        p = Point2.of(ctx, 0, 0) if mirrored else Point2.of(ctx, rng.uniform(-1, 1), rng.uniform(-1, 1))
+        roots = []
+        for _ in range(heads):
+            head = ctx.mpf(rng.uniform(-3, 3)) / 7
+            for k in range(members + 1):
+                t = head + tol * ctx.mpf(rng.uniform(0, 2 if k == members else 0.9)) if k else head
+                roots.append((t, t + t * t))
+                if mirrored:
+                    roots.append((-t, t + t * t))
+        roots += rng.choices(roots, k=rng.randint(0, len(roots)))
+        rng.shuffle(roots)
+        want = bits(*mpf_nearest_root(roots, p.x, p.z, ctx))
+        raw_roots = {bits(t, ft) for t, ft in roots}
+        assert _nearest_root(raw_roots, p.raw, _graph_levels(ctx)[1], ctx.mp.prec) == want
+
+    def test_ranking_ties_and_merges(self):
+        for digits in DIGITS:
+            ctx = PrecisionContext(decimal_digits=digits)
+            merge_tol, prec = _graph_levels(ctx)[1], ctx.mp.prec
+            origin = Point2.of(ctx, 0, 0)
+            t, ft = ctx.mpf("0.25"), ctx.mpf("0.5")
+            # equal squared distances: the smaller t wins
+            tie = [(t, ft), (-t, ft)]
+            assert _nearest_root({bits(*r) for r in tie}, origin.raw, merge_tol, prec) == bits(-t, ft)
+            # a later member within merge_tol of its head is merged away,
+            # even when it lies nearer the point
+            near = t - ctx.mpf(merge_tol) / 2
+            cluster = [(near - ctx.mpf(merge_tol) / 4, ft), (near, ft)]
+            assert _nearest_root({bits(*r) for r in cluster}, Point2(near, ft).raw, merge_tol,
+                                 prec) == bits(*cluster[0])
+            for roots, p in ((tie, origin), (cluster, Point2(near, ft))):
+                assert bits(*mpf_nearest_root(roots, p.x, p.z, ctx)) == _nearest_root(
+                    {bits(*r) for r in roots}, p.raw, merge_tol, prec)
 
 
 class TestReflection:
@@ -312,12 +458,13 @@ class TestMatrixProjections:
         assert_mat_close(ctx, got, [[0, 0], [0, 2]], 10 * ctx.floor)
 
     def test_boundary_tie_zeroes_first_index(self, ctx):
-        from feasikit.numerics import eig_sym
+        from feasikit.numerics import _spectrum, eig_sym
 
         x = SymMatrix.diag([2, 2], ctx)
         got = project_psd_boundary(x, ctx)
         spectrum = eig_sym(x, ctx)
-        expected = spectrum.with_eigenvalues((ctx.mp.zero, spectrum.eigenvalues[1])).reconstruct()
+        raw_eigs = (ctx.mp.zero._mpf_, spectrum.raw_eigenvalues[1])
+        expected = _spectrum(raw_eigs, spectrum.raw_basis, spectrum.mp).reconstruct()
         assert got == expected
 
     def test_boundary_lambda_min_small(self, ctx):
