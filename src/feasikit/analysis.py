@@ -7,8 +7,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from feasikit.numerics import FeasikitError, Point2, PrecisionContext, SymMatrix
 
@@ -29,8 +28,7 @@ def _usable_pairs(errors, ctx: PrecisionContext):
     ]
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
+class OrderEstimate(NamedTuple):
     """Fit of log e_{n+1} = q log e_n + log c over a tail window of pairs."""
 
     q: object
@@ -87,8 +85,7 @@ def estimate_linear_rate(errors, ctx: PrecisionContext):
 # performance profiles
 
 
-@dataclass(frozen=True)
-class ProfileCurve:
+class ProfileCurve(NamedTuple):
     """Step function rho(tau): fraction of problems solved within a factor
     tau of the best solver.  ``ratios`` holds the solver's finite
     performance ratios, sorted; failures count as +inf."""
@@ -109,8 +106,7 @@ class ProfileCurve:
         return tuple(sorted(set(self.ratios)))
 
 
-@dataclass(frozen=True)
-class ProfileResult:
+class ProfileResult(NamedTuple):
     curves: Mapping[str, ProfileCurve]
     excluded: tuple  # indices of problems every solver failed on
 

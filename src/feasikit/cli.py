@@ -14,10 +14,9 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from feasikit import analysis, theory
+from feasikit import analysis
 from feasikit.numerics import FeasikitError, Point2, PrecisionContext
 from feasikit.sets import (
     DiagOnes,
@@ -36,11 +35,13 @@ from feasikit.solvers import (
 )
 
 PROBLEM_IDS = ("circle-line", "graph:<curve-id>", "psd-s1", "psdb-s1", "psdb-s11")
+# probe id -> the probe function's name in ``theory``, which only graph
+# problems and probes import
 PROBES = {
-    "zeta": theory.probe_zeta_limit,
-    "denominator": theory.probe_denominator_limit,
-    "one-minus-h": theory.probe_one_minus_h,
-    "ratio": theory.probe_ratio,
+    "zeta": "probe_zeta_limit",
+    "denominator": "probe_denominator_limit",
+    "one-minus-h": "probe_one_minus_h",
+    "ratio": "probe_ratio",
 }
 DEFAULT_PRECISION_ENV = "FEASIKIT_PRECISION"
 # nonzero exit codes: unsolved run or failed probe, usage or input error,
@@ -48,8 +49,7 @@ DEFAULT_PRECISION_ENV = "FEASIKIT_PRECISION"
 EXIT_FAILED, EXIT_USAGE, EXIT_NUMERICAL = 1, 2, 3
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """A catalog entry: operator order (PLT projects onto its first set),
     reference policy and trial distribution, which is the disk of
     ``radius`` about the reference for plane problems and random symmetric
@@ -75,6 +75,8 @@ def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Probl
         solution = Point2(ctx.mp.sqrt(3) / 2, half)
         return Problem(DrOperator(first=line, second=UnitCircle()), solution, radius=half)
     if problem_id.startswith("graph:"):
+        from feasikit import theory
+
         t = theory.graph_operator(theory.get_curve(problem_id.split(":", 1)[1], ctx), ctx)
         # local disk about the intersection at the origin
         return Problem(t, Point2(ctx.mp.zero, ctx.mp.zero), radius=ctx.mpf("0.05"))
@@ -109,7 +111,9 @@ def _write(text: str, out: Optional[str]):
 def cmd_run(args) -> int:
     ctx = PrecisionContext(decimal_digits=args.precision)
     problem = build_problem(args.problem, ctx, args.dim)
-    stop = StopRule(tol=args.tol, max_iter=args.max_iter)
+    # resolved once: run takes the mpf as it is, and the header prints it
+    tol = StopRule(tol=args.tol, max_iter=args.max_iter).resolved_tol(ctx)
+    stop = StopRule(tol=tol, max_iter=args.max_iter)
     p0 = problem.sample(1, args.seed, ctx)[0]
     reference, ref_policy = resolve_reference(problem)
     trace = run(args.method, problem.operator, p0, stop, reference, ctx)
@@ -118,7 +122,7 @@ def cmd_run(args) -> int:
         ("problem", args.problem),
         ("precision", args.precision),
         ("seed", args.seed),
-        ("tol", ctx.to_str(stop.resolved_tol(ctx))),
+        ("tol", ctx.to_str(tol)),
         ("reference", ref_policy),
         ("terminated_by", trace.terminated_by.value),
     ]
@@ -249,6 +253,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from feasikit import theory
+
     ctx = PrecisionContext(decimal_digits=args.precision)
     curve = theory.get_curve(args.curve, ctx)
     grid = theory.ProbeGrid.default(
@@ -258,7 +264,7 @@ def cmd_probe(args) -> int:
         log10_r_max=args.log10_r_max,
         log10_r_min=args.log10_r_min,
     )
-    report = PROBES[args.probe](grid, curve, ctx)
+    report = getattr(theory, PROBES[args.probe])(grid, curve, ctx)
     _write(report.to_csv(ctx), args.out)
     return 0 if report.passed else EXIT_FAILED
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
 
@@ -40,8 +39,41 @@ class SingularMatrixError(FeasikitError):
         super().__init__(f"singular 2x2 system, det={determinant}")
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class Frozen:
+    """Base of the immutable ``__slots__`` classes that check their
+    arguments: ``__init__`` sets each slot once with ``object.__setattr__``.
+    Equality, hash, repr, copies and pickles follow ``_fields``, the
+    ``__init__`` arguments in order."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PrecisionContext(Frozen):
     """Working precision plus the arithmetic floor derived from it.
 
     ``floor`` = 10^-(decimal_digits - 10) is the relative tolerance the
@@ -52,17 +84,17 @@ class PrecisionContext:
 
     All contexts of one precision share one mpmath context and one floor
     (built once per process); nothing may set that context's ``dps`` or
-    ``prec``.
+    ``prec``.  Contexts of one precision are equal and hash equal.
     """
 
-    decimal_digits: int = 120
-    mp: MPContext = field(default=None, init=False, repr=False, compare=False)
-    floor: object = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("decimal_digits", "mp", "floor")
+    _fields = ("decimal_digits",)
 
-    def __post_init__(self):
-        if self.decimal_digits < 30:
-            raise ValueError(f"decimal_digits must be >= 30, got {self.decimal_digits}")
-        mp, floor = _shared_context(self.decimal_digits)
+    def __init__(self, decimal_digits: int = 120):
+        if decimal_digits < 30:
+            raise ValueError(f"decimal_digits must be >= 30, got {decimal_digits}")
+        mp, floor = _shared_context(decimal_digits)
+        object.__setattr__(self, "decimal_digits", decimal_digits)
         object.__setattr__(self, "mp", mp)
         object.__setattr__(self, "floor", floor)
 

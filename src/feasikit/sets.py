@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import functools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import fone, fzero, from_int, mpf_abs, mpf_cmp, mpf_ge, mpf_gt, mpf_le
 
 from feasikit.numerics import (
     FeasikitError,
+    Frozen,
     Point2,
     PrecisionContext,
     SymMatrix,
@@ -43,6 +43,8 @@ class ProjectionError(FeasikitError):
 class FeasibilitySet(ABC):
     """Abstract capability: project a point onto the set."""
 
+    __slots__ = ()
+
     @abstractmethod
     def project(self, p, ctx: PrecisionContext):
         ...
@@ -59,8 +61,7 @@ class FeasibilitySet(ABC):
 # plane sets
 
 
-@dataclass(frozen=True)
-class AnalyticCurve:
+class AnalyticCurve(NamedTuple):
     """An analytic function t -> f(t) with f(0) = 0 and f'(0) != 0.
 
     ``raw_jet(t)`` maps a raw ``mpf._mpf_`` tuple t to the raw tuples
@@ -71,7 +72,7 @@ class AnalyticCurve:
 
     raw_jet: Callable
     a: object
-    mp: MPContext = field(repr=False)
+    mp: MPContext
     ident: str = ""
 
     @classmethod
@@ -242,9 +243,11 @@ def _nearest_root(roots, p, merge_tol, prec):
     return best
 
 
-@dataclass(frozen=True)
-class HorizontalLine(FeasibilitySet):
-    height: object
+class HorizontalLine(Frozen, FeasibilitySet):
+    __slots__ = _fields = ("height",)
+
+    def __init__(self, height):
+        object.__setattr__(self, "height", height)
 
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
         return _vec(Point2, (p.raw[0], self.height._mpf_), p.mp)
@@ -266,9 +269,11 @@ class UnitCircle(FeasibilitySet):
         return project_circle(p, ctx)
 
 
-@dataclass(frozen=True)
-class CurveGraph(FeasibilitySet):
-    curve: AnalyticCurve
+class CurveGraph(Frozen, FeasibilitySet):
+    __slots__ = _fields = ("curve",)
+
+    def __init__(self, curve: AnalyticCurve):
+        object.__setattr__(self, "curve", curve)
 
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
         return project_graph(p, self.curve, ctx)

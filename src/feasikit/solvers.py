@@ -11,12 +11,12 @@ import enum
 import functools
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mpmath.libmp import fzero, mpf_le, mpf_lt, to_str
 
 from feasikit.numerics import (
+    Frozen,
     PrecisionContext,
     SingularMatrixError,
     _raw_inner,
@@ -37,17 +37,17 @@ class Termination(enum.Enum):
     STAGNATION = "stagnation"
 
 
-@dataclass(frozen=True)
-class StopRule:
+class StopRule(Frozen):
     """Stopping parameters.  ``tol`` defaults to 10^-(decimal_digits - 20)
     when left as None (resolved against the run's context)."""
 
-    tol: object = None
-    max_iter: int = 200
+    __slots__ = _fields = ("tol", "max_iter")
 
-    def __post_init__(self):
-        if self.max_iter < 1:
+    def __init__(self, tol=None, max_iter: int = 200):
+        if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_iter", max_iter)
 
     def resolved_tol(self, ctx: PrecisionContext):
         if self.tol is None:
@@ -61,8 +61,7 @@ class StopRule:
         return tol
 
 
-@dataclass(frozen=True)
-class DrOperator:
+class DrOperator(NamedTuple):
     """T = (I + R_second o R_first) / 2; ``first`` is reflected first, and
     PLT projects onto it."""
 
@@ -79,8 +78,7 @@ def dr_step(t: DrOperator, p, ctx: PrecisionContext):
     return _vec(type(p), raw, mp)
 
 
-@dataclass(frozen=True)
-class LtUpdateRecord:
+class LtUpdateRecord(NamedTuple):
     """One LT update: the two trial DR steps, the Gram data of the
     difference vectors, and the resulting point.
 
@@ -145,8 +143,7 @@ METHODS = ("dr", "lt", "plt")
 STAGNATION_WINDOW = 5
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Record of one run: every iterate, the distance to the reference
     point, per-step wall time (len(step_times) == len(iterates) - 1), and
     for an automatic reference the orbit's last successive-iterate distance

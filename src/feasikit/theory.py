@@ -9,13 +9,13 @@ universal constants are assumed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from mpmath.libmp import fone, from_int, fzero, mpf_cos_sin, mpf_neg, mpf_pow_int, round_nearest
 
 from feasikit.numerics import (
     FeasikitError,
+    Frozen,
     Point2,
     PrecisionContext,
     _raw_add,
@@ -184,20 +184,20 @@ def linear_rate(curve: AnalyticCurve, ctx: PrecisionContext):
 # probe grids and reports
 
 
-@dataclass(frozen=True)
-class ProbeGrid:
+class ProbeGrid(Frozen):
     """Decreasing radii and pole-avoiding angles for the limit probes."""
 
-    radii: tuple
-    angles: tuple
+    __slots__ = _fields = ("radii", "angles")
 
-    def __post_init__(self):
-        if not self.radii or not all(r > 0 for r in self.radii):
+    def __init__(self, radii: tuple, angles: tuple):
+        if not radii or not all(r > 0 for r in radii):
             raise ValueError("radii must be positive")
-        if any(b >= a for a, b in zip(self.radii, self.radii[1:])):
+        if any(b >= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly decreasing")
-        if not self.angles:
+        if not angles:
             raise ValueError("the probe grid needs at least one angle")
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "angles", angles)
 
     @classmethod
     def default(
@@ -222,8 +222,7 @@ class ProbeGrid:
         return cls(radii=radii, angles=angles)
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     """One grid point.  Banded probes fill ``target`` and ``abs_err``; the
     ratio probe leaves them None, and ``value`` None marks an unbounded
     ratio."""
@@ -235,8 +234,7 @@ class ProbeRow:
     abs_err: Optional[object] = None
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """A probe's rows, the grid points it skipped and its verdict.
 
     Banded probes summarise by ``max_violation``, the worst excess over

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -92,6 +93,12 @@ class TestRunCommand:
         done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                               stdout=subprocess.DEVNULL)
         assert done.returncode == 0
+
+    def test_zero_max_iter_is_a_usage_error(self, capsys):
+        assert main(["run", "--problem", "circle-line", "--max-iter", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "feasikit: max_iter must be >= 1\n"
+        assert captured.out == ""
 
     def test_missing_out_directory(self, tmp_path, capsys):
         missing = tmp_path / "missing"
@@ -504,97 +511,135 @@ class TestCatalog:
         assert time.perf_counter() - start < 60
 
 
+# (argv, sha256 of stdout) for TestGoldenOutput
+GOLDEN_STDOUT = [
+    (["run", "--problem", "circle-line", "--method", "lt", "--seed", "4",
+      "--max-iter", "10", "--precision", "120", "--no-times"],
+     "1655ca5dbe94f1a3c6d9c6b6fd9e34630c39fe898798e98f406bb2c7fa5ff56d"),
+    (["run", "--problem", "graph:quad", "--method", "plt", "--seed", "4",
+      "--max-iter", "4", "--precision", "120", "--no-times"],
+     "c3e87384db0dbb612d35d80804fe564a513f8271da3f98e01364f5f60e57c13b"),
+    (["run", "--problem", "psd-s1", "--method", "dr", "--seed", "4",
+      "--max-iter", "10", "--precision", "120", "--no-times"],
+     "481844a86313233182d7ce2e4046b629f11b892ef6f80bfd7920751abefaf46f"),
+    (["probe", "ratio", "quad", "--n-radii", "3", "--n-angles", "4",
+      "--precision", "120"],
+     "eecdbc4b610747d7dd54373169e6b4ba07eb740b94d69b52f16994f25f4dd574"),
+    # recorded before the arithmetic floor moved into PrecisionContext and
+    # nu read f''(0) from the jet: nu, the floor in lt_step, solve2x2,
+    # eig_sym and the auto reference
+    (["probe", "zeta", "quad", "--n-radii", "3", "--n-angles", "4",
+      "--precision", "120"],
+     "fe7e63801c20ece0f5c001f5385539f914e347710ca912a87ae0926621dd84c7"),
+    (["probe", "one-minus-h", "sin-shift", "--n-radii", "3", "--n-angles", "4",
+      "--precision", "120"],
+     "2c47588e35a07ba4e61bed4d6f1af640e53f949003b393993c9d2849a52ac914"),
+    (["run", "--problem", "psdb-s11", "--method", "lt", "--seed", "4",
+      "--max-iter", "40", "--tol", "1e-30", "--precision", "120", "--no-times"],
+     "ce6003c0a4d74982f65b0a3608ce8c1e10ae4efbb064fa2e6de0f94ccb45f653"),
+    # recorded before the graph projection's Newton loop and the curve
+    # jets moved onto raw mpf tuples
+    (["run", "--problem", "graph:sin-shift", "--method", "lt", "--seed", "4",
+      "--precision", "120", "--no-times"],
+     "d6b043a9df913bb558c061fc85479ed0b28393b4675804971590fe023eee4a7c"),
+    (["run", "--problem", "graph:cubic", "--method", "plt", "--seed", "4",
+      "--precision", "120", "--no-times"],
+     "dace42f9b7df7b658e26b912c24ad1b673ee49fc8fe405824b59c983e16ddc76"),
+    (["run", "--problem", "graph:linear:-2", "--method", "lt", "--seed", "4",
+      "--precision", "120", "--no-times"],
+     "d1a28255f3a071137dccf47055f4a05e504cf24a269ab309ee7cbdd9e874b27c"),
+    # recorded before SymMatrix and the Jacobi spectrum held raw tuples:
+    # the n=3 DR orbit and its 400-step auto reference, and an n=5 orbit
+    (["run", "--problem", "psdb-s1", "--method", "dr", "--dim", "3", "--tol", "1e-20",
+      "--seed", "4", "--no-times"],
+     "1328f6caca8b01114bf6b13102062966b37a8daad9dbab849f50e4cfd598bdb4"),
+    (["run", "--problem", "psdb-s1", "--method", "plt", "--dim", "5", "--tol", "1e-30",
+      "--seed", "4", "--no-times"],
+     "6bb1b5c09d68dec1b751e9953a905ee18edcff442b27761e1d8df0e2c3993ff6"),
+    # recorded before the plane reflections and the DR midpoint took
+    # closed forms: a circle-line DR orbit to 1e-30, its PLT run, and
+    # the denominator probe
+    (["run", "--problem", "circle-line", "--method", "dr", "--seed", "4", "--tol", "1e-30",
+      "--precision", "120", "--no-times"],
+     "4a0fc6dfdd01f71a8cbbcaa377be91d2e624436647602809d500bbe45d3f30a7"),
+    (["run", "--problem", "circle-line", "--method", "plt", "--seed", "4", "--tol", "1e-30",
+      "--precision", "120", "--no-times"],
+     "f57a939300b30ac917c8bda367b5a7de197d8e4785393e397ba7adb18a80c0d1"),
+    (["probe", "denominator", "quad", "--n-radii", "3", "--n-angles", "4",
+      "--precision", "120"],
+     "81f7c9ee3a43a092249f32bb69bd97dee844a3d49a53eaf01a8d47cf882c7d56"),
+    # recorded before PLT took its projection from the operator's first
+    # set: PLT on the two matrix pairs no other golden runs it on
+    (["run", "--problem", "psdb-s11", "--method", "plt", "--dim", "3", "--tol", "1e-30",
+      "--seed", "4", "--no-times"],
+     "2cb7464f73cfd1afc9f3bc182ab01bcec8a3bf1c6ab6437072e3cb93a1c87d69"),
+    (["run", "--problem", "psd-s1", "--method", "plt", "--dim", "3", "--tol", "1e-140",
+      "--seed", "4", "--no-times"],
+     "76e2ebdcb79f962aaeb5e5f3426b8729439eaf8ea4c768ab690b72531f5206c3"),
+    # recorded before the graph projection ranked its roots on raw
+    # tuples and its Newton step doubled and compared by exponent: three
+    # graph runs at the default tol
+    (["run", "--problem", "graph:quad", "--method", "lt", "--seed", "4",
+      "--precision", "120", "--no-times"],
+     "efc42cd852ac89618d8106afb30f9e5f405efef967560aeb67fcc7da0b3106b1"),
+    (["run", "--problem", "graph:sin-shift", "--method", "plt", "--seed", "4",
+      "--precision", "120", "--no-times"],
+     "911dd1a3a6817b8171c163e7443a3c409cf5a1081a69e1d56c3e863c30520990"),
+    (["run", "--problem", "graph:cubic", "--method", "lt", "--seed", "4",
+      "--precision", "120", "--no-times"],
+     "b8592714cada7530097734b384f0e091a4b07fd3228305c265e50ae89401abc8"),
+]
+GOLDEN_IDS = [
+    "run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad",
+    "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt",
+    "run-graph-sin-shift-lt", "run-graph-cubic-plt", "run-graph-linear-neg2-lt",
+    "run-psdb-s1-dr-n3", "run-psdb-s1-plt-n5", "run-circle-line-dr", "run-circle-line-plt",
+    "probe-denominator-quad", "run-psdb-s11-plt", "run-psd-s1-plt", "run-graph-quad-lt",
+    "run-graph-sin-shift-plt", "run-graph-cubic-lt",
+]
+
+
 class TestGoldenOutput:
     """sha256 of stdout, recorded before the catalog, the set ids and the
     probe dispatch were consolidated; any change to a reported byte fails."""
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["run", "--problem", "circle-line", "--method", "lt", "--seed", "4",
-          "--max-iter", "10", "--precision", "120", "--no-times"],
-         "1655ca5dbe94f1a3c6d9c6b6fd9e34630c39fe898798e98f406bb2c7fa5ff56d"),
-        (["run", "--problem", "graph:quad", "--method", "plt", "--seed", "4",
-          "--max-iter", "4", "--precision", "120", "--no-times"],
-         "c3e87384db0dbb612d35d80804fe564a513f8271da3f98e01364f5f60e57c13b"),
-        (["run", "--problem", "psd-s1", "--method", "dr", "--seed", "4",
-          "--max-iter", "10", "--precision", "120", "--no-times"],
-         "481844a86313233182d7ce2e4046b629f11b892ef6f80bfd7920751abefaf46f"),
-        (["probe", "ratio", "quad", "--n-radii", "3", "--n-angles", "4",
-          "--precision", "120"],
-         "eecdbc4b610747d7dd54373169e6b4ba07eb740b94d69b52f16994f25f4dd574"),
-        # recorded before the arithmetic floor moved into PrecisionContext and
-        # nu read f''(0) from the jet: nu, the floor in lt_step, solve2x2,
-        # eig_sym and the auto reference
-        (["probe", "zeta", "quad", "--n-radii", "3", "--n-angles", "4",
-          "--precision", "120"],
-         "fe7e63801c20ece0f5c001f5385539f914e347710ca912a87ae0926621dd84c7"),
-        (["probe", "one-minus-h", "sin-shift", "--n-radii", "3", "--n-angles", "4",
-          "--precision", "120"],
-         "2c47588e35a07ba4e61bed4d6f1af640e53f949003b393993c9d2849a52ac914"),
-        (["run", "--problem", "psdb-s11", "--method", "lt", "--seed", "4",
-          "--max-iter", "40", "--tol", "1e-30", "--precision", "120", "--no-times"],
-         "ce6003c0a4d74982f65b0a3608ce8c1e10ae4efbb064fa2e6de0f94ccb45f653"),
-        # recorded before the graph projection's Newton loop and the curve
-        # jets moved onto raw mpf tuples
-        (["run", "--problem", "graph:sin-shift", "--method", "lt", "--seed", "4",
-          "--precision", "120", "--no-times"],
-         "d6b043a9df913bb558c061fc85479ed0b28393b4675804971590fe023eee4a7c"),
-        (["run", "--problem", "graph:cubic", "--method", "plt", "--seed", "4",
-          "--precision", "120", "--no-times"],
-         "dace42f9b7df7b658e26b912c24ad1b673ee49fc8fe405824b59c983e16ddc76"),
-        (["run", "--problem", "graph:linear:-2", "--method", "lt", "--seed", "4",
-          "--precision", "120", "--no-times"],
-         "d1a28255f3a071137dccf47055f4a05e504cf24a269ab309ee7cbdd9e874b27c"),
-        # recorded before SymMatrix and the Jacobi spectrum held raw tuples:
-        # the n=3 DR orbit and its 400-step auto reference, and an n=5 orbit
-        (["run", "--problem", "psdb-s1", "--method", "dr", "--dim", "3", "--tol", "1e-20",
-          "--seed", "4", "--no-times"],
-         "1328f6caca8b01114bf6b13102062966b37a8daad9dbab849f50e4cfd598bdb4"),
-        (["run", "--problem", "psdb-s1", "--method", "plt", "--dim", "5", "--tol", "1e-30",
-          "--seed", "4", "--no-times"],
-         "6bb1b5c09d68dec1b751e9953a905ee18edcff442b27761e1d8df0e2c3993ff6"),
-        # recorded before the plane reflections and the DR midpoint took
-        # closed forms: a circle-line DR orbit to 1e-30, its PLT run, and
-        # the denominator probe
-        (["run", "--problem", "circle-line", "--method", "dr", "--seed", "4", "--tol", "1e-30",
-          "--precision", "120", "--no-times"],
-         "4a0fc6dfdd01f71a8cbbcaa377be91d2e624436647602809d500bbe45d3f30a7"),
-        (["run", "--problem", "circle-line", "--method", "plt", "--seed", "4", "--tol", "1e-30",
-          "--precision", "120", "--no-times"],
-         "f57a939300b30ac917c8bda367b5a7de197d8e4785393e397ba7adb18a80c0d1"),
-        (["probe", "denominator", "quad", "--n-radii", "3", "--n-angles", "4",
-          "--precision", "120"],
-         "81f7c9ee3a43a092249f32bb69bd97dee844a3d49a53eaf01a8d47cf882c7d56"),
-        # recorded before PLT took its projection from the operator's first
-        # set: PLT on the two matrix pairs no other golden runs it on
-        (["run", "--problem", "psdb-s11", "--method", "plt", "--dim", "3", "--tol", "1e-30",
-          "--seed", "4", "--no-times"],
-         "2cb7464f73cfd1afc9f3bc182ab01bcec8a3bf1c6ab6437072e3cb93a1c87d69"),
-        (["run", "--problem", "psd-s1", "--method", "plt", "--dim", "3", "--tol", "1e-140",
-          "--seed", "4", "--no-times"],
-         "76e2ebdcb79f962aaeb5e5f3426b8729439eaf8ea4c768ab690b72531f5206c3"),
-        # recorded before the graph projection ranked its roots on raw
-        # tuples and its Newton step doubled and compared by exponent: three
-        # graph runs at the default tol
-        (["run", "--problem", "graph:quad", "--method", "lt", "--seed", "4",
-          "--precision", "120", "--no-times"],
-         "efc42cd852ac89618d8106afb30f9e5f405efef967560aeb67fcc7da0b3106b1"),
-        (["run", "--problem", "graph:sin-shift", "--method", "plt", "--seed", "4",
-          "--precision", "120", "--no-times"],
-         "911dd1a3a6817b8171c163e7443a3c409cf5a1081a69e1d56c3e863c30520990"),
-        (["run", "--problem", "graph:cubic", "--method", "lt", "--seed", "4",
-          "--precision", "120", "--no-times"],
-         "b8592714cada7530097734b384f0e091a4b07fd3228305c265e50ae89401abc8"),
-    ], ids=["run-circle-line-lt", "run-graph-quad-plt", "run-psd-s1-dr", "probe-ratio-quad",
-            "probe-zeta-quad", "probe-one-minus-h-sin-shift", "run-psdb-s11-lt",
-            "run-graph-sin-shift-lt", "run-graph-cubic-plt", "run-graph-linear-neg2-lt",
-            "run-psdb-s1-dr-n3", "run-psdb-s1-plt-n5", "run-circle-line-dr",
-            "run-circle-line-plt", "probe-denominator-quad", "run-psdb-s11-plt",
-            "run-psd-s1-plt", "run-graph-quad-lt", "run-graph-sin-shift-plt",
-            "run-graph-cubic-lt"])
+    @pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=GOLDEN_IDS)
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_import_graph(self):
+        # in a fresh interpreter: importing the CLI and a plane run load
+        # neither theory nor dataclasses (nor inspect, which it imports); a
+        # graph run and a probe load theory, and all three print the goldens
+        golden = dict(zip(GOLDEN_IDS, GOLDEN_STDOUT))
+        names = ("run-circle-line-lt", "run-graph-quad-plt", "probe-ratio-quad")
+        code = (
+            "import contextlib, hashlib, io, json, sys\n"
+            "def loaded():\n"
+            "    return [m for m in ('dataclasses', 'inspect', 'feasikit.theory')\n"
+            "            if m in sys.modules]\n"
+            "from feasikit.cli import main\n"
+            "seen = [loaded()]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(argv)\n"
+            "    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+            "    seen.append([code, digest, loaded()])\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(feasikit.__file__)))
+        argvs = json.dumps([golden[name][0] for name in names])
+        done = subprocess.run([sys.executable, "-c", code, argvs], env=env, timeout=120,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [
+            [],
+            [0, golden["run-circle-line-lt"][1], []],
+            [0, golden["run-graph-quad-plt"][1], ["feasikit.theory"]],
+            [0, golden["probe-ratio-quad"][1], ["feasikit.theory"]],
+        ]
 
     def test_bench_tables_digest(self, tmp_path):
         # recorded before Point2 held raw tuples, which changed the path the

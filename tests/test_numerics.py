@@ -57,6 +57,24 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             PrecisionContext(decimal_digits=20)
 
+    def test_equal_by_precision(self):
+        # sets._graph_levels and solvers._stop_levels are caches keyed on it
+        a, b = PrecisionContext(120), PrecisionContext(120)
+        assert a == b and hash(a) == hash(b)
+        assert PrecisionContext(120) != PrecisionContext(40)
+
+    def test_immutable(self):
+        ctx = PrecisionContext(120)
+        for name in ("decimal_digits", "mp", "floor"):
+            with pytest.raises(AttributeError):
+                setattr(ctx, name, None)
+        assert ctx.decimal_digits == 120
+
+    def test_copies_and_pickles_share_the_context(self):
+        ctx = PrecisionContext(40)
+        for again in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+            assert again == ctx and again.mp is ctx.mp and again.floor is ctx.floor
+
     def test_no_global_state(self, ctx):
         other = PrecisionContext(decimal_digits=40)
         x = ctx.mp.sqrt(ctx.mpf(2))

@@ -348,6 +348,23 @@ class TestRun:
         assert trace.reference_gap is None
 
 
+class TestRecords:
+    def test_stop_rule_needs_a_step(self):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            StopRule(max_iter=0)
+
+    def test_fields_are_read_only(self, ctx):
+        line = HorizontalLine(height=ctx.mpf("0.5"))
+        operator = DrOperator(first=line, second=UnitCircle())
+        ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
+        trace = run("dr", operator, ref, StopRule(), ref, ctx)
+        for record, name in ((StopRule(), "tol"), (StopRule(), "max_iter"),
+                             (operator, "first"), (trace, "errors")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert operator.first is line and trace.errors == (ctx.mpf(0),)
+
+
 def two_pass_run(method, problem, p0, stop, ctx):
     """The former auto-reference algorithm, kept as the oracle for ``run``
     with ``reference=None``: iterate the method until successive iterates
