@@ -177,6 +177,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"duplicate method in --methods: {','.join(methods)}")
     if args.trials < 2:
         raise ValueError("bench needs at least two trials")
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method: {m!r}")
@@ -198,7 +200,10 @@ def cmd_bench(args) -> int:
         # imported here: loading the pool machinery costs every other command
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        from feasikit.helper import stay_serial
+
+        # workers run each graph projection's Newton starts themselves
+        with ProcessPoolExecutor(max_workers=workers, initializer=stay_serial) as pool:
             results = list(pool.map(_bench_trial, cells, chunksize=4))
     else:
         results = [_bench_trial(c) for c in cells]

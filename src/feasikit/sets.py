@@ -127,6 +127,11 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     shifts an exponent when f'' is a power of two (``_raw_mul_pow2``), and
     the residual and escape tests compare magnitudes (``_abs_le``,
     ``_abs_gt``); both give the bits of the call they replace.
+
+    The starts share no state, so the odd ones run in a helper process
+    where one can (see ``feasikit.helper``) while the caller runs the even
+    ones; the union of the two root sets is the set of one loop over all
+    33, so the selected point is the same bit for bit.
     """
     if curve.mp.prec != ctx.mp.prec:
         raise ValueError(
@@ -141,15 +146,35 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     (rpx, rpz), rlo, rwidth = p.raw, lo._mpf_, width._mpf_
     res_tol, merge_tol = _graph_levels(ctx)
     escape = (abs(px) + span + 10)._mpf_
-    thirty_two = from_int(32)
+    from feasikit import helper  # loaded by the first graph projection only
 
-    roots = set()  # (t, f(t)) at each converged start, without repeats
-    for k in range(33):
-        t = _raw_add(rlo, _raw_div(_raw_mul_int(rwidth, k, prec), thirty_two, prec), prec)
+    roots = helper.graph_roots(jet, (rlo, rwidth, rpx, rpz, res_tol, escape, prec))
+    if not roots:
+        def show(v):
+            return ctx.mp.nstr(v, 17)
+
+        raise ProjectionError(
+            f"graph projection of ({show(px)}, {show(pz)}): Newton failed from all 33 "
+            f"starts on [{show(lo)}, {show(px + span)}]"
+        )
+    return _vec(Point2, _nearest_root(roots, p.raw, merge_tol, prec), ctx.mp)
+
+
+_THIRTY_TWO = from_int(32)
+
+
+def _newton_roots(jet, starts, lo, width, px, pz, res_tol, escape, prec) -> set:
+    """The roots (t, f(t)), without repeats, that ``project_graph``'s
+    Newton steps reach from the starts ``lo + width * k / 32`` for k in
+    ``starts``.  Every argument but the jet and the starts is a raw tuple
+    or the precision."""
+    roots = set()
+    for k in starts:
+        t = _raw_add(lo, _raw_div(_raw_mul_int(width, k, prec), _THIRTY_TWO, prec), prec)
         for _ in range(200):
             ft, dft, ddft = jet(t)
-            dz = _raw_sub(ft, rpz, prec)
-            gt = _raw_add(_raw_sub(t, rpx, prec), _raw_mul(dz, dft, prec), prec)
+            dz = _raw_sub(ft, pz, prec)
+            gt = _raw_add(_raw_sub(t, px, prec), _raw_mul(dz, dft, prec), prec)
             if _abs_le(gt, res_tol):
                 roots.add((t, ft))
                 break
@@ -161,15 +186,7 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
             t = _raw_sub(t, _raw_div(gt, slope, prec), prec)
             if _abs_gt(t, escape):
                 break
-    if not roots:
-        def show(v):
-            return ctx.mp.nstr(v, 17)
-
-        raise ProjectionError(
-            f"graph projection of ({show(px)}, {show(pz)}): Newton failed from all 33 "
-            f"starts on [{show(lo)}, {show(px + span)}]"
-        )
-    return _vec(Point2, _nearest_root(roots, p.raw, merge_tol, prec), ctx.mp)
+    return roots
 
 
 @functools.lru_cache(maxsize=None)

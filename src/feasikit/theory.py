@@ -9,6 +9,7 @@ universal constants are assumed).
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional
 
 from mpmath.libmp import fone, from_int, fzero, mpf_cos_sin, mpf_neg, mpf_pow_int, round_nearest
@@ -44,11 +45,13 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     ``cubic`` (2t + t^3) or ``sin-shift`` (sin(t) + t).
 
     Each curve is one jet t -> (f(t), f'(t), f''(t)) on raw ``mpf._mpf_``
-    tuples at the context's precision, rounding to nearest.  Each raw call
-    has the bits of the ``mpf`` operation in the comment that it replaces
+    tuples at the context's precision, rounding to nearest: a module-level
+    function bound to its raw parameters with ``functools.partial``, which
+    ``project_graph`` can send to its helper process.  Each raw call has
+    the bits of the ``mpf`` operation in the comment that it replaces
     (``2 * t`` is ``_raw_mul_int(t, 2)``, ``1 + x`` is
     ``_raw_add(x, fone)``), so the jet is bit for bit that expression."""
-    prec, rnd = ctx.mp.prec, round_nearest
+    prec = ctx.mp.prec
     if ident.startswith("linear:"):
         slope = ident.split(":", 1)[1]
         try:
@@ -57,37 +60,46 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
             raise ValueError(f"linear curve needs a numeric slope, got {slope!r}") from None
         if a == 0:
             raise ValueError("linear curve needs nonzero slope")
-        a = a._mpf_
-        # (a * t, a, 0)
-        jet = lambda t: (_raw_mul(a, t, prec), a, fzero)
-    elif ident == "quad":
-        two = from_int(2)
-
-        def jet(t):
-            # (t + t * t, 1 + 2 * t, 2); doubling a finite nonzero t of at
-            # most prec bits only raises its exponent
-            sign, man, exp, bc = t
-            double = (sign, man, exp + 1, bc) if 0 < bc <= prec else _raw_mul_int(t, 2, prec)
-            return _raw_add(t, _raw_mul(t, t, prec), prec), _raw_add(double, fone, prec), two
-
-    elif ident == "cubic":
-        two = from_int(2)
-        # (2 * t + t**3, 2 + 3 * t * t, 6 * t)
-        jet = lambda t: (
-            _raw_add(_raw_mul_int(t, 2, prec), mpf_pow_int(t, 3, prec, rnd), prec),
-            _raw_add(_raw_mul(_raw_mul_int(t, 3, prec), t, prec), two, prec),
-            _raw_mul_int(t, 6, prec),
-        )
-    elif ident == "sin-shift":
-
-        def jet(t):
-            # c, s = cos_sin(t); (s + t, c + 1, -s)
-            c, s = mpf_cos_sin(t, prec, rnd)
-            return _raw_add(s, t, prec), _raw_add(c, fone, prec), mpf_neg(s, prec, rnd)
-
+        jet = functools.partial(_linear_jet, a._mpf_, prec)
+    elif ident in _JETS:
+        jet = functools.partial(_JETS[ident], prec)
     else:
         raise ValueError(f"unknown curve id: {ident!r}")
     return AnalyticCurve.checked(jet, ctx, ident)
+
+
+_TWO = from_int(2)
+
+
+def _linear_jet(a, prec, t):
+    # (a * t, a, 0)
+    return _raw_mul(a, t, prec), a, fzero
+
+
+def _quad_jet(prec, t):
+    # (t + t * t, 1 + 2 * t, 2); doubling a finite nonzero t of at most
+    # prec bits only raises its exponent
+    sign, man, exp, bc = t
+    double = (sign, man, exp + 1, bc) if 0 < bc <= prec else _raw_mul_int(t, 2, prec)
+    return _raw_add(t, _raw_mul(t, t, prec), prec), _raw_add(double, fone, prec), _TWO
+
+
+def _cubic_jet(prec, t):
+    # (2 * t + t**3, 2 + 3 * t * t, 6 * t)
+    return (
+        _raw_add(_raw_mul_int(t, 2, prec), mpf_pow_int(t, 3, prec, round_nearest), prec),
+        _raw_add(_raw_mul(_raw_mul_int(t, 3, prec), t, prec), _TWO, prec),
+        _raw_mul_int(t, 6, prec),
+    )
+
+
+def _sin_shift_jet(prec, t):
+    # c, s = cos_sin(t); (s + t, c + 1, -s)
+    c, s = mpf_cos_sin(t, prec, round_nearest)
+    return _raw_add(s, t, prec), _raw_add(c, fone, prec), mpf_neg(s, prec, round_nearest)
+
+
+_JETS = {"quad": _quad_jet, "cubic": _cubic_jet, "sin-shift": _sin_shift_jet}
 
 
 def graph_operator(curve: AnalyticCurve, ctx: PrecisionContext) -> DrOperator:

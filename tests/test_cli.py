@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,19 @@ from feasikit.cli import build_problem, main
 from feasikit.numerics import Point2, dist
 from feasikit.sets import DiagOnes, EntryOne, HorizontalLine, ProjectionError
 from feasikit.solvers import StopRule, run
+
+
+SRC = os.path.dirname(os.path.dirname(feasikit.__file__))
+# whether a process here may fork the graph projection's helper
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
+
+
+def without_time_profile(out):
+    """``bench`` stdout less its wall-time profile, the second of its
+    three blocks."""
+    blocks = re.split(r"(?m)^(?=# problem: )", out)
+    assert len(blocks) == 4 and blocks[0] == ""
+    return blocks[1] + blocks[3]
 
 
 def read(path):
@@ -312,6 +326,18 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err == "feasikit: duplicate method in --methods: dr,lt,dr\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected_before_sampling(self, jobs, monkeypatch, capsys):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the jobs check")
+
+        monkeypatch.setattr("feasikit.analysis.sample_disk", no_sampling)
+        assert main(["bench", "--problem", "circle-line", "--methods", "dr,lt",
+                     "--trials", "4", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"feasikit: jobs must be >= 1, got {jobs}\n"
+        assert captured.out == ""
+
     def test_missing_out_directory_rejected_before_sampling(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -331,7 +357,7 @@ class TestBenchCommand:
 
             sizes = []
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 self.sizes.append(max_workers)
 
             def __enter__(self):
@@ -368,6 +394,38 @@ class TestBenchCommand:
             assert main(base + ["--jobs", "2", "--out", str(b)]) == 0
             for suffix in ("_iters.csv", "_trials.csv"):
                 assert read(str(a) + suffix) == read(str(b) + suffix)
+
+    def test_pool_workers_start_no_helper(self, tmp_path, capsys):
+        # a sitecustomize on the path logs the pid of every process that
+        # calls os.fork; the pool's workers are forked by the bench process
+        # (fork) or the fork server (forkserver), or not at all (spawn), and
+        # a worker that forked a helper would log its own pid
+        log = tmp_path / "forks.log"
+        (tmp_path / "sitecustomize.py").write_text(
+            "import os\n"
+            "def _log():\n"
+            f"    with open({str(log)!r}, 'a') as fh:\n"
+            "        fh.write(f'{os.getpid()}\\n')\n"
+            "os.register_at_fork(after_in_parent=_log)\n"
+        )
+        code = ("import multiprocessing, sys\n"
+                "multiprocessing.set_start_method(sys.argv[1])\n"
+                "from feasikit.cli import main\n"
+                "sys.exit(main(sys.argv[2:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
+        argv = ["bench", "--problem", "graph:quad", "--methods", "lt,plt", "--trials", "4",
+                "--seed", "3"]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = without_time_profile(capsys.readouterr().out)
+        for method in ("fork", "forkserver", "spawn"):
+            log.unlink(missing_ok=True)
+            done = subprocess.run([sys.executable, "-c", code, method, *argv, "--jobs", "2"],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert without_time_profile(done.stdout) == serial, method
+            forks = log.read_text().split() if log.exists() else []
+            assert len(set(forks)) <= 1 and len(forks) <= 2, (method, forks)
+            assert forks if method != "spawn" else not forks, method
 
     def test_trials_table_in_cell_order(self, psdb_trials):
         assert [(r["method"], r["trial"]) for r in psdb_trials] == [
@@ -610,15 +668,23 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_import_graph(self):
-        # in a fresh interpreter: importing the CLI and a plane run load
-        # neither theory nor dataclasses (nor inspect, which it imports); a
-        # graph run and a probe load theory, and all three print the goldens
+        # in a fresh interpreter: importing the CLI and plane and matrix
+        # runs load neither theory, the graph helper nor dataclasses (nor
+        # inspect, which it imports) and fork nothing; a graph run and a
+        # probe load theory and the helper module, and the graph run forks
+        # the helper where it may; no run loads the process pool or pickle,
+        # and all four print the goldens
         golden = dict(zip(GOLDEN_IDS, GOLDEN_STDOUT))
-        names = ("run-circle-line-lt", "run-graph-quad-plt", "probe-ratio-quad")
+        names = ("run-circle-line-lt", "run-psd-s1-dr", "run-graph-quad-plt",
+                 "probe-ratio-quad")
         code = (
-            "import contextlib, hashlib, io, json, sys\n"
+            "import contextlib, hashlib, io, json, os, sys\n"
+            "forks = []\n"
+            "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
             "def loaded():\n"
-            "    return [m for m in ('dataclasses', 'inspect', 'feasikit.theory')\n"
+            "    return [m for m in ('dataclasses', 'inspect', 'feasikit.theory',\n"
+            "                        'feasikit.helper', 'multiprocessing',\n"
+            "                        'concurrent.futures', 'pickle')\n"
             "            if m in sys.modules]\n"
             "from feasikit.cli import main\n"
             "seen = [loaded()]\n"
@@ -627,19 +693,39 @@ class TestGoldenOutput:
             "    with contextlib.redirect_stdout(out):\n"
             "        code = main(argv)\n"
             "    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
-            "    seen.append([code, digest, loaded()])\n"
+            "    seen.append([code, digest, loaded(), len(forks)])\n"
             "print(json.dumps(seen))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(feasikit.__file__)))
+        env = dict(os.environ, PYTHONPATH=SRC)
         argvs = json.dumps([golden[name][0] for name in names])
         done = subprocess.run([sys.executable, "-c", code, argvs], env=env, timeout=120,
                               capture_output=True, text=True, check=True)
+        helpers = int(TWO_CPUS)
         assert json.loads(done.stdout) == [
             [],
-            [0, golden["run-circle-line-lt"][1], []],
-            [0, golden["run-graph-quad-plt"][1], ["feasikit.theory"]],
-            [0, golden["probe-ratio-quad"][1], ["feasikit.theory"]],
+            [0, golden["run-circle-line-lt"][1], [], 0],
+            [0, golden["run-psd-s1-dr"][1], [], 0],
+            [0, golden["run-graph-quad-plt"][1], ["feasikit.theory", "feasikit.helper"], helpers],
+            [0, golden["probe-ratio-quad"][1], ["feasikit.theory", "feasikit.helper"], helpers],
         ]
+
+    def test_graph_run_leaves_no_helper(self):
+        # the helper holds the captured stdout and stderr pipes too, so the
+        # run returns only once the helper is gone
+        code = ("import sys\n"
+                "from feasikit import cli, helper\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "print(helper._helper.pid if helper._helper else 0)\n"
+                "sys.exit(code)\n")
+        argv = GOLDEN_STDOUT[GOLDEN_IDS.index("run-graph-quad-lt")][0]
+        done = subprocess.run([sys.executable, "-c", code, *argv],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=60, check=True)
+        pid = int(done.stdout.splitlines()[-1])
+        assert bool(pid) == TWO_CPUS
+        if pid:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_bench_tables_digest(self, tmp_path):
         # recorded before Point2 held raw tuples, which changed the path the

@@ -1,4 +1,8 @@
+import contextlib
+import functools
+import os
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -9,9 +13,11 @@ from mpmath.libmp import (
     round_nearest,
 )
 
+from feasikit import helper, sets
 from feasikit.analysis import sample_disk
 from feasikit.numerics import Point2, PrecisionContext, Spectrum, SymMatrix, _raw_mul, dist, norm
 from feasikit.sets import (
+    AnalyticCurve,
     CurveGraph,
     DiagOnes,
     EntryOne,
@@ -32,7 +38,7 @@ from feasikit.sets import (
     _nearest_root,
     _raw_mul_pow2,
 )
-from feasikit.theory import get_curve
+from feasikit.theory import _quad_jet, get_curve
 
 from test_numerics import (
     DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_project_circle,
@@ -181,6 +187,39 @@ JET_CURVES = ("quad", "cubic", "sin-shift", "linear:1", "linear:-2", "linear:0.3
 
 
 DIGITS = (40, 120, 200)
+# points in the 0.05 disk the graph problems sample from, or anywhere with
+# |x|, |z| <= 3 (scaled by 1 - 1/q for full-length mantissas)
+FAR_POINTS = st.none() | st.tuples(*[st.floats(-3, 3)] * 2)
+# whether this process may fork the graph projection's helper
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
+
+
+@contextlib.contextmanager
+def graph_helper(allowed):
+    """Graph projections in the block may use the helper (started on first
+    use), or run all 33 starts in this process."""
+    owner = helper._owner
+    if allowed:
+        helper._owner = os.getpid()
+    else:
+        helper.stay_serial()
+    try:
+        yield
+    finally:
+        helper._owner = owner
+
+
+def check_selector(ident, seed, far):
+    for digits in DIGITS:
+        ctx = PrecisionContext(decimal_digits=digits)
+        if far is None:
+            p = sample_disk(Point2.of(ctx, 0, 0), "0.05", 1, seed, ctx)[0]
+        else:
+            shrink = 1 - ctx.mpf(1) / 999983
+            p = Point2(ctx.mpf(far[0]) * shrink, ctx.mpf(far[1]) * shrink)
+        curve = get_curve(ident, ctx)
+        old = selector_bits(lambda: separate_project_graph(p, *separate_curve(ident, ctx), ctx))
+        assert selector_bits(lambda: project_graph(p, curve, ctx)) == old, digits
 
 
 class TestGraphJet:
@@ -205,28 +244,186 @@ class TestGraphJet:
 
     @pytest.mark.parametrize("ident", JET_CURVES)
     @settings(max_examples=25)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        far=st.none() | st.tuples(*[st.floats(-3, 3)] * 2),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), far=FAR_POINTS)
     def test_project_graph_matches_separate_selector(self, ident, seed, far):
-        # points in the 0.05 disk the graph problems sample from, or anywhere
-        # with |x|, |z| <= 3 (scaled by 1 - 1/q for full-length mantissas)
-        for digits in DIGITS:
-            ctx = PrecisionContext(decimal_digits=digits)
-            if far is None:
-                p = sample_disk(Point2.of(ctx, 0, 0), "0.05", 1, seed, ctx)[0]
-            else:
-                shrink = 1 - ctx.mpf(1) / 999983
-                p = Point2(ctx.mpf(far[0]) * shrink, ctx.mpf(far[1]) * shrink)
-            curve = get_curve(ident, ctx)
-            old = selector_bits(lambda: separate_project_graph(p, *separate_curve(ident, ctx), ctx))
-            assert selector_bits(lambda: project_graph(p, curve, ctx)) == old, digits
+        with graph_helper(True):
+            check_selector(ident, seed, far)
+            assert helper._helper is not None or not TWO_CPUS
+
+    @pytest.mark.parametrize("ident", JET_CURVES)
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), far=FAR_POINTS)
+    def test_project_graph_without_helper_matches_separate_selector(self, ident, seed, far):
+        with graph_helper(False):
+            check_selector(ident, seed, far)
+            assert helper._helper is None
 
     def test_curve_from_another_precision_rejected(self, ctx):
         p = Point2.of(ctx, "0.01", "0.02")
         with pytest.raises(ValueError, match="built at 40 digits, not 120"):
             project_graph(p, get_curve("quad", PrecisionContext(decimal_digits=40)), ctx)
+
+
+def _flat_jet(big, bend, t):
+    # on the graph only at t = 0; elsewhere f(t) = big swallows p.z, and
+    # f'' = -(1 + f'^2) / f makes every Newton slope exactly zero
+    return (fzero, fone, fzero) if t == fzero else (big, fone, bend)
+
+
+def _quad_jet_in(owner, prec, t):
+    # the quad jet in the process ``owner``, an error in any other
+    if os.getpid() != owner:
+        raise RuntimeError("not the owner")
+    return _quad_jet(prec, t)
+
+
+class Interrupt(BaseException):
+    """Escapes ``project_graph`` as a KeyboardInterrupt would."""
+
+
+class StartsSpy:
+    """Stands in for ``sets._newton_roots`` in this process: records each
+    call's starts and arguments, and raises ``fail`` once from the even
+    starts.  ``answers`` collects what ``_Helper.answer`` returned."""
+
+    def __init__(self, real):
+        self.real, self.calls, self.answers, self.fail = real, [], [], None
+
+    def __call__(self, jet, starts, *args):
+        self.calls.append((starts, args))
+        if self.fail is not None and starts == helper._EVEN:
+            exc, self.fail = self.fail, None
+            raise exc
+        return self.real(jet, starts, *args)
+
+    def starts(self):
+        return [starts for starts, _ in self.calls]
+
+    def odd_roots(self, jet, call=0):
+        """The odd starts' roots for the arguments of a recorded call."""
+        return self.real(jet, helper._ODD, *self.calls[call][1])
+
+
+needs_helper = pytest.mark.skipif(not TWO_CPUS, reason="the helper needs two CPUs")
+
+
+class TestGraphHelper:
+    """``project_graph`` with its odd Newton starts in the forked helper
+    against all 33 starts in this process: the same bits, whatever
+    happens to the helper."""
+
+    @pytest.fixture(autouse=True)
+    def spy(self, monkeypatch):
+        with graph_helper(True):
+            spy = StartsSpy(sets._newton_roots)
+            monkeypatch.setattr(sets, "_newton_roots", spy)
+            real_answer = helper._Helper.answer
+
+            def answer(helper):
+                spy.answers.append(real_answer(helper))
+                return spy.answers[-1]
+
+            monkeypatch.setattr(helper._Helper, "answer", answer)
+            yield spy
+
+    @staticmethod
+    def points(ctx):
+        return [*sample_disk(Point2.of(ctx, 0, 0), "0.05", 4, 11, ctx),
+                Point2.of(ctx, "1.5", "-2"), Point2.of(ctx, "-3", "0.25")]
+
+    @staticmethod
+    def in_process(p, curve, ctx):
+        """``project_graph`` with the curve's jet wrapped in a lambda, so
+        that all 33 starts run here."""
+        lam = AnalyticCurve.checked(lambda t: curve.raw_jet(t), ctx, curve.ident)
+        return project_graph(p, lam, ctx).raw
+
+    @needs_helper
+    def test_helper_runs_the_odd_starts(self, spy, ctx):
+        for ident in ("quad", "sin-shift"):
+            curve = get_curve(ident, ctx)
+            for p in self.points(ctx):
+                want = self.in_process(p, curve, ctx)
+                del spy.calls[:]
+                assert project_graph(p, curve, ctx).raw == want
+                assert spy.starts() == [helper._EVEN]
+                assert spy.answers[-1] == spy.odd_roots(curve.raw_jet)
+
+    def test_lambda_jet_runs_every_start_in_process(self, spy, ctx):
+        curve = get_curve("cubic", ctx)
+        for p in self.points(ctx):
+            want = project_graph(p, curve, ctx).raw
+            del spy.calls[:]
+            assert self.in_process(p, curve, ctx) == want
+            assert spy.starts() == [helper._ALL]
+
+    def test_projection_error_text_unchanged(self, spy, ctx):
+        big, bend = (0, 1, 1000, 1), (1, 1, -999, 1)
+        p = Point2.of(ctx, "0.25", "-0.5")
+        show = functools.partial(ctx.mp.nstr, n=17)
+        span = 2 * (1 + abs(p.z))
+        want = (f"graph projection of ({show(p.x)}, {show(p.z)}): Newton failed from all 33 "
+                f"starts on [{show(p.x - span)}, {show(p.x + span)}]")
+        for jet, starts in ((lambda t: _flat_jet(big, bend, t), helper._ALL),
+                            (functools.partial(_flat_jet, big, bend),
+                             helper._EVEN if TWO_CPUS else helper._ALL)):
+            del spy.calls[:]
+            with pytest.raises(ProjectionError) as info:
+                project_graph(p, AnalyticCurve.checked(jet, ctx, "flat"), ctx)
+            assert str(info.value) == want
+            assert spy.starts() == [starts]
+
+    @needs_helper
+    def test_failed_helper_request_runs_every_start(self, spy, ctx):
+        curve = get_curve("quad", ctx)
+        jet = functools.partial(_quad_jet_in, os.getpid(), ctx.mp.prec)
+        failing = AnalyticCurve.checked(jet, ctx, "quad")
+        for p in self.points(ctx):
+            want = self.in_process(p, curve, ctx)
+            del spy.calls[:]
+            assert project_graph(p, failing, ctx).raw == want
+            assert spy.starts() == [helper._EVEN, helper._ALL]
+            assert spy.answers[-1] is None
+        assert helper._helper is not None
+
+    @needs_helper
+    def test_killed_helper_is_reaped_and_replaced(self, spy, ctx):
+        curve = get_curve("sin-shift", ctx)
+        p, q, r = self.points(ctx)[:3]
+        project_graph(p, curve, ctx)
+        pid = helper._helper.pid
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
+        for point, starts in ((q, helper._ALL), (r, helper._EVEN)):
+            want = self.in_process(point, curve, ctx)
+            del spy.calls[:]
+            assert project_graph(point, curve, ctx).raw == want
+            assert spy.starts() == [starts]
+            if starts == helper._ALL:
+                assert helper._helper is None
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+        assert helper._helper.pid != pid
+
+    @needs_helper
+    @pytest.mark.parametrize("exc", [Interrupt(), RuntimeError("jet failed")],
+                             ids=["base", "error"])
+    def test_no_stale_reply_after_an_exception(self, spy, ctx, exc):
+        curve = get_curve("quad", ctx)
+        p, q = Point2.of(ctx, "2", "1"), Point2.of(ctx, "0.01", "-0.02")
+        project_graph(p, curve, ctx)  # the helper is up
+        spy.fail = exc
+        if isinstance(exc, Exception):
+            # all 33 starts again, in start order
+            assert project_graph(p, curve, ctx).raw == self.in_process(p, curve, ctx)
+        else:
+            with pytest.raises(Interrupt):
+                project_graph(p, curve, ctx)
+        want = self.in_process(q, curve, ctx)
+        del spy.calls[:]
+        assert project_graph(q, curve, ctx).raw == want
+        assert spy.starts() == [helper._EVEN]
+        assert spy.answers[-1] == spy.odd_roots(curve.raw_jet)
 
 
 @st.composite
