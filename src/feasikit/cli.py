@@ -317,7 +317,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--methods", default="dr,lt",
                          help="comma-separated list, at least two")
     bench_p.add_argument("--trials", type=int, default=100)
-    bench_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    # the CPUs this process may run on, which taskset or a cpuset can narrow
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    bench_p.add_argument("--jobs", type=int, default=cpus)
     bench_p.set_defaults(handler=cmd_bench)
     common(bench_p)
 

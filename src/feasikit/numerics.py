@@ -337,21 +337,21 @@ def _spectrum(raw_eigenvalues, raw_basis, mp) -> Spectrum:
 
 
 def _raw_inner(a, b, prec):
-    """``sum(x * y)`` over the entries of two vectors, left to right from
-    the first product; raw.  On Point2 that is ``a.x * b.x + a.z * b.z``."""
-    return _raw_sum(map(_raw_mul, a.raw, b.raw, repeat(prec)), prec)
+    """``sum(x * y)`` over two raw tuples of entries, left to right from
+    the first product.  On Point2 entries that is ``a.x * b.x + a.z * b.z``."""
+    return _raw_sum(map(_raw_mul, a, b, repeat(prec)), prec)
 
 
 def inner(a, b):
     """Inner product: Euclidean on Point2, Frobenius on SymMatrix; raw, at
     the precision of a's context."""
     mp = a.mp
-    return mp.make_mpf(_raw_inner(a, b, mp.prec))
+    return mp.make_mpf(_raw_inner(a.raw, b.raw, mp.prec))
 
 
 def _raw_norm(a, prec):
     """``sqrt(inner(a, a))``, raw."""
-    return _raw_sqrt(_raw_inner(a, a, prec), prec)
+    return _raw_sqrt(_raw_inner(a.raw, a.raw, prec), prec)
 
 
 def norm(a, ctx: PrecisionContext):
@@ -364,7 +364,7 @@ def dist(a, b, ctx: PrecisionContext):
     ``a - b``."""
     prec = ctx.mp.prec
     d = tuple(map(_raw_add, a.raw, b.raw, repeat(prec), repeat(1)))
-    return ctx.mp.make_mpf(_raw_sqrt(_raw_sum(map(_raw_mul, d, d, repeat(prec)), prec), prec))
+    return ctx.mp.make_mpf(_raw_sqrt(_raw_inner(d, d, prec), prec))
 
 
 # Raw arithmetic.  ``_raw_add``, ``_raw_sub``, ``_raw_mul``,

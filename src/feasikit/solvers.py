@@ -19,6 +19,7 @@ from feasikit.numerics import (
     Frozen,
     PrecisionContext,
     SingularMatrixError,
+    _raw_add,
     _raw_inner,
     _raw_midpoint,
     _raw_mul,
@@ -78,59 +79,50 @@ def dr_step(t: DrOperator, p, ctx: PrecisionContext):
     return _vec(type(p), raw, mp)
 
 
-class LtUpdateRecord(NamedTuple):
-    """One LT update: the two trial DR steps, the Gram data of the
-    difference vectors, and the resulting point.
+class LtUpdate(NamedTuple):
+    """One LT update seeded at p, with ``v1 = T p``, ``v2 = T v1``,
+    ``u1 = v1 - p`` and ``u2 = v2 - p``.
 
-    In the non-collinear case ``result = v0 + mu1*u1 + mu2*u2`` is the
-    unique point with ``<result - v1, v1 - v0> = <result - v2, v2 - v1> = 0``;
+    In the non-collinear case ``result = p + mu1*u1 + mu2*u2`` is the
+    unique point with ``<result - v1, v1 - p> = <result - v2, v2 - v1> = 0``;
     otherwise (``collinear``) the update falls back to ``v1``.
     """
 
-    v0: object
-    v1: object
-    v2: object
-    u1: object
-    u2: object
-    eta: object
-    mu1: Optional[object]
-    mu2: Optional[object]
     result: object
     collinear: bool
 
 
-def lt_step(t: DrOperator, p, ctx: PrecisionContext) -> LtUpdateRecord:
+def lt_step(t: DrOperator, p, ctx: PrecisionContext) -> LtUpdate:
     """One Lyapunov-surrogate update seeded at p.
 
-    The Gram terms run on raw tuples at the context's precision, one raw
-    call per ``mpf`` operation of ``eta = nsq1 * nsq2 - g * g``, the
-    collinearity test ``eta <= floor * nsq1 * nsq2`` and the 2x2 entries.
+    Runs on raw tuples at the context's precision from the two DR steps to
+    the result, one raw call per ``mpf`` operation of the differences,
+    ``eta = nsq1 * nsq2 - g * g``, the collinearity test
+    ``eta <= floor * nsq1 * nsq2``, the 2x2 entries and
+    ``p + u1 * mu1 + u2 * mu2``; only ``solve2x2`` takes ``mpf`` values.
     """
-    v0 = p
-    v1 = dr_step(t, v0, ctx)
+    v1 = dr_step(t, p, ctx)
     v2 = dr_step(t, v1, ctx)
-    u1 = v1 - v0
-    u2 = v2 - v0
     prec, make = ctx.mp.prec, ctx.mp.make_mpf
+    u1 = tuple(map(_raw_sub, v1.raw, p.raw, itertools.repeat(prec)))
+    u2 = tuple(map(_raw_sub, v2.raw, p.raw, itertools.repeat(prec)))
     nsq1 = _raw_inner(u1, u1, prec)
     nsq2 = _raw_inner(u2, u2, prec)
     g = _raw_inner(u1, u2, prec)
-    eta = make(_raw_sub(_raw_mul(nsq1, nsq2, prec), _raw_mul(g, g, prec), prec))
-
-    def fallback():
-        return LtUpdateRecord(v0, v1, v2, u1, u2, eta, None, None, v1, True)
-
+    eta = _raw_sub(_raw_mul(nsq1, nsq2, prec), _raw_mul(g, g, prec), prec)
     # relative collinearity test; eta == 0 exactly only in exact arithmetic
-    if mpf_le(eta._mpf_, _raw_mul(_raw_mul(ctx.floor._mpf_, nsq1, prec), nsq2, prec)):
-        return fallback()
+    if mpf_le(eta, _raw_mul(_raw_mul(ctx.floor._mpf_, nsq1, prec), nsq2, prec)):
+        return LtUpdate(v1, True)
     entries = (nsq1, g, _raw_sub(g, nsq1, prec), _raw_sub(nsq2, g, prec))
     a00, a01, a10, a11 = (make(x) for x in entries)
     try:
         mu1, mu2 = solve2x2(((a00, a01), (a10, a11)), (a00, a11), ctx)
     except SingularMatrixError:
-        return fallback()
-    result = v0 + u1 * mu1 + u2 * mu2
-    return LtUpdateRecord(v0, v1, v2, u1, u2, eta, mu1, mu2, result, False)
+        return LtUpdate(v1, True)
+    m1, m2 = mu1._mpf_, mu2._mpf_
+    raw = tuple(_raw_add(_raw_add(x, _raw_mul(a, m1, prec), prec), _raw_mul(b, m2, prec), prec)
+                for x, a, b in zip(p.raw, u1, u2))
+    return LtUpdate(_vec(type(p), raw, p.mp), False)
 
 
 def plt_step(t: DrOperator, p, ctx: PrecisionContext):

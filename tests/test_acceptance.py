@@ -19,7 +19,7 @@ from feasikit.sets import (
     PsdCone,
     UnitCircle,
 )
-from feasikit.solvers import DrOperator, StopRule, lt_step, run
+from feasikit.solvers import DrOperator, StopRule, dr_step, lt_step, run
 from feasikit.theory import (
     ProbeGrid,
     get_curve,
@@ -283,10 +283,13 @@ def test_criterion_9_property_suites(ctx):
         rec = lt_step(t, p, ctx)
         if rec.collinear:
             continue
-        scale = max(inner(rec.u1, rec.u1), inner(rec.u2, rec.u2), ctx.mp.one)
+        v1 = dr_step(t, p, ctx)
+        v2 = dr_step(t, v1, ctx)
+        u1, u2 = v1 - p, v2 - p
+        scale = max(inner(u1, u1), inner(u2, u2), ctx.mp.one)
         if (
-            abs(inner(rec.result - rec.v1, rec.v1 - rec.v0)) > bound * scale
-            or abs(inner(rec.result - rec.v2, rec.v2 - rec.v1)) > bound * scale
+            abs(inner(rec.result - v1, u1)) > bound * scale
+            or abs(inner(rec.result - v2, v2 - v1)) > bound * scale
         ):
             failures.append("lt orthogonality")
             break

@@ -10,6 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import feasikit
+from feasikit import cli
 from feasikit.analysis import estimate_linear_rate, estimate_order
 from feasikit.cli import build_problem, main
 from feasikit.numerics import Point2, dist
@@ -350,6 +351,17 @@ class TestBenchCommand:
                      "--jobs", "1", "--out", str(missing / "b.csv")]) == 2
         err = capsys.readouterr().err
         assert err == f"feasikit: output directory does not exist: {missing}\n"
+
+    def test_jobs_default_is_the_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU runs one worker, however many the
+        # machine has
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cli._build_parser.cache_clear()
+        try:
+            args = cli._build_parser().parse_args(["bench", "--problem", "circle-line"])
+        finally:
+            cli._build_parser.cache_clear()
+        assert args.jobs == 1
 
     def test_workers_capped_at_cells(self, monkeypatch, capsys):
         class Recorder:

@@ -32,7 +32,7 @@ from feasikit.theory import get_curve, graph_operator
 
 from test_numerics import (
     DIGITS, differential_matrix, differential_point, mpf_entrywise, mpf_inner, mpf_project_circle,
-    mpf_solve2x2, point_bits, raw, sym_random,
+    mpf_solve2x2, mpf_sub_points, point_bits, raw, sym_random,
 )
 from test_sets import (
     mpf_project_diag_ones, mpf_project_entry11, mpf_project_psd, mpf_project_psd_boundary,
@@ -126,25 +126,53 @@ class TestDrStep:
         assert raw(got.entries) == raw(want.entries)
 
 
+def dr_pair(t, p, ctx):
+    """The two DR steps an LT update at p takes: ``v1 = T p``, ``v2 = T v1``."""
+    v1 = dr_step(t, p, ctx)
+    return v1, dr_step(t, v1, ctx)
+
+
+def mpf_entries(v):
+    """The entries of a Point2 or a SymMatrix as ``mpf`` values, in the
+    order of ``v.raw``."""
+    return (v.x, v.z) if isinstance(v, Point2) else [x for row in v.entries for x in row]
+
+
+def mpf_lt_step(t, p, ctx):
+    """``lt_step`` written with ``mpf`` operators after its two DR steps;
+    its oracle.  Returns the raw result and the collinear flag."""
+    v1, v2 = dr_pair(t, p, ctx)
+    u1, u2 = mpf_sub_points(v1, p), mpf_sub_points(v2, p)
+    nsq1, nsq2, g = mpf_inner(u1, u1), mpf_inner(u2, u2), mpf_inner(u1, u2)
+    eta = nsq1 * nsq2 - g * g
+    if eta <= ctx.floor * nsq1 * nsq2:
+        return v1.raw, True
+    try:
+        mu1, mu2 = mpf_solve2x2(((nsq1, g), (g - nsq1, nsq2 - g)), (nsq1, nsq2 - g), ctx)
+    except SingularMatrixError:
+        return v1.raw, True
+    entries = zip(*map(mpf_entries, (p, u1, u2)))
+    return tuple((x + a * mu1 + b * mu2)._mpf_ for x, a, b in entries), False
+
+
 class TestLtStep:
     def test_worked_example(self, ctx, two_lines):
-        rec = lt_step(two_lines, Point2.of(ctx, 1, 0), ctx)
+        p = Point2.of(ctx, 1, 0)
+        v1, v2 = dr_pair(two_lines, p, ctx)
+        assert dist(v1, Point2.of(ctx, "0.5", "0.5"), ctx) <= ctx.pow10(-100)
+        assert dist(v2, Point2.of(ctx, 0, "0.5"), ctx) <= ctx.pow10(-100)
+        rec = lt_step(two_lines, p, ctx)
         assert not rec.collinear
-        assert dist(rec.v1, Point2.of(ctx, "0.5", "0.5"), ctx) <= ctx.pow10(-100)
-        assert dist(rec.v2, Point2.of(ctx, 0, "0.5"), ctx) <= ctx.pow10(-100)
-        assert abs(rec.mu1 + 2) <= ctx.pow10(-100)
-        assert abs(rec.mu2 - 2) <= ctx.pow10(-100)
         assert norm(rec.result, ctx) <= ctx.pow10(-100)
 
     def test_collinear_fallback_identity_operator(self, ctx):
+        # T is the x-axis projection composed with itself through the half sum
         axis = HorizontalLine(ctx.mp.zero)
         t = DrOperator(first=axis, second=axis)
         p = Point2.of(ctx, "1.3", "-0.2")
         rec = lt_step(t, p, ctx)
         assert rec.collinear
-        assert rec.result == rec.v1
-        # T is the x-axis projection composed with itself through the half sum
-        assert rec.eta <= ctx.floor
+        assert rec.result == dr_step(t, p, ctx)
 
     def test_one_step_on_any_slope(self, ctx):
         for a in ("0.5", "-3", "7"):
@@ -160,19 +188,11 @@ class TestLtStep:
             rec = lt_step(circle_line, p, ctx)
             if rec.collinear:
                 continue
-            scale = max(norm(rec.u1, ctx) ** 2, norm(rec.u2, ctx) ** 2, ctx.mpf(1))
-            assert abs(inner(rec.result - rec.v1, rec.v1 - rec.v0)) <= bound * scale
-            assert abs(inner(rec.result - rec.v2, rec.v2 - rec.v1)) <= bound * scale
-
-    def test_gram_invariants(self, ctx, circle_line):
-        rec = lt_step(circle_line, Point2.of(ctx, "0.9", "0.6"), ctx)
-        assert rec.u1 == rec.v1 - rec.v0
-        assert rec.u2 == rec.v2 - rec.v0
-        n1, n2 = inner(rec.u1, rec.u1), inner(rec.u2, rec.u2)
-        g = inner(rec.u1, rec.u2)
-        assert rec.eta == n1 * n2 - g * g
-        assert rec.eta >= 0
-        assert rec.result == rec.v0 + rec.u1 * rec.mu1 + rec.u2 * rec.mu2
+            v1, v2 = dr_pair(circle_line, p, ctx)
+            u1, u2 = v1 - p, v2 - p
+            scale = max(norm(u1, ctx) ** 2, norm(u2, ctx) ** 2, ctx.mpf(1))
+            assert abs(inner(rec.result - v1, u1)) <= bound * scale
+            assert abs(inner(rec.result - v2, v2 - v1)) <= bound * scale
 
     @given(
         problem=st.sampled_from(("circle-line", "graph:quad", "graph:linear:1", "psd-s1",
@@ -181,9 +201,9 @@ class TestLtStep:
         digits=st.sampled_from(DIGITS),
     )
     @settings(max_examples=60)
-    def test_gram_terms_match_mpf(self, problem, seed, digits):
-        """eta, the collinearity test and the mu-system of ``lt_step``
-        against the same terms written with ``mpf`` operators."""
+    def test_update_matches_mpf(self, problem, seed, digits):
+        """The whole update, bit for bit against ``mpf_lt_step``; a
+        collinear update returns the first DR step itself."""
         ctx = PrecisionContext(decimal_digits=digits)
         if problem == "axis-axis":  # T is the identity on the axis: collinear
             axis = HorizontalLine(ctx.mp.zero)
@@ -192,19 +212,9 @@ class TestLtStep:
             prob = build_problem(problem, ctx, dim=2 + seed % 2)
             t, p = prob.operator, prob.sample(1, seed, ctx)[0]
         rec = lt_step(t, p, ctx)
-        nsq1, nsq2 = mpf_inner(rec.u1, rec.u1), mpf_inner(rec.u2, rec.u2)
-        g = mpf_inner(rec.u1, rec.u2)
-        eta = nsq1 * nsq2 - g * g
-        assert rec.eta._mpf_ == eta._mpf_
-        mu = None
-        if not eta <= ctx.floor * nsq1 * nsq2:
-            try:
-                mu = mpf_solve2x2(((nsq1, g), (g - nsq1, nsq2 - g)), (nsq1, nsq2 - g), ctx)
-            except SingularMatrixError:
-                pass
-        assert rec.collinear == (mu is None)
-        if mu is not None:
-            assert (rec.mu1._mpf_, rec.mu2._mpf_) == (mu[0]._mpf_, mu[1]._mpf_)
+        assert (rec.result.raw, rec.collinear) == mpf_lt_step(t, p, ctx)
+        if rec.collinear:
+            assert rec.result == dr_step(t, p, ctx)
 
     def test_mu_matches_adjugate_closed_form(self, ctx):
         # the orthogonality system versus the inverted-Gram closed form
