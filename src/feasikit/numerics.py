@@ -321,8 +321,7 @@ class Spectrum:
         for i in range(n):
             scaled = [_raw_mul(x, y, prec) for x, y in zip(rows[i], lam)]
             for j in range(i, n):
-                out[i * n + j] = out[j * n + i] = _raw_sum(
-                    (_raw_mul(x, y, prec) for x, y in zip(scaled, rows[j])), prec)
+                out[i * n + j] = out[j * n + i] = _raw_inner(scaled, rows[j], prec)
         return _vec(SymMatrix, tuple(out), self.mp)
 
 
@@ -337,9 +336,15 @@ def _spectrum(raw_eigenvalues, raw_basis, mp) -> Spectrum:
 
 
 def _raw_inner(a, b, prec):
-    """``sum(x * y)`` over two raw tuples of entries, left to right from
-    the first product.  On Point2 entries that is ``a.x * b.x + a.z * b.z``."""
-    return _raw_sum(map(_raw_mul, a, b, repeat(prec)), prec)
+    """``sum(x * y)`` over two sequences of raw entries, left to right
+    from the first product, in one loop; the first product is kept as it
+    is, which is the sum from zero, since it is already rounded.  On
+    Point2 entries that is ``a.x * b.x + a.z * b.z``."""
+    acc = None
+    for x, y in zip(a, b):
+        term = _raw_mul(x, y, prec)
+        acc = term if acc is None else _raw_add(acc, term, prec)
+    return fzero if acc is None else acc
 
 
 def inner(a, b):
@@ -349,22 +354,47 @@ def inner(a, b):
     return mp.make_mpf(_raw_inner(a.raw, b.raw, mp.prec))
 
 
-def _raw_norm(a, prec):
-    """``sqrt(inner(a, a))``, raw."""
-    return _raw_sqrt(_raw_inner(a.raw, a.raw, prec), prec)
-
-
 def norm(a, ctx: PrecisionContext):
     """``sqrt(inner(a, a))``, raw, at the context's precision."""
-    return ctx.mp.make_mpf(_raw_norm(a, ctx.mp.prec))
+    prec = ctx.mp.prec
+    return ctx.mp.make_mpf(_raw_sqrt(_raw_inner(a.raw, a.raw, prec), prec))
 
 
 def dist(a, b, ctx: PrecisionContext):
-    """``norm(a - b)``, raw, at the context's precision, without building
-    ``a - b``."""
+    """``norm(a - b)``, raw, at the context's precision, in one loop over
+    the entries: each difference is squared and added to the sum of the
+    squares before it, as ``_raw_inner`` adds its products."""
     prec = ctx.mp.prec
-    d = tuple(map(_raw_add, a.raw, b.raw, repeat(prec), repeat(1)))
-    return ctx.mp.make_mpf(_raw_sqrt(_raw_inner(d, d, prec), prec))
+    acc = None
+    for x, y in zip(a.raw, b.raw):
+        d = _raw_add(x, y, prec, 1)
+        d = _raw_mul(d, d, prec)
+        acc = d if acc is None else _raw_add(acc, d, prec)
+    return ctx.mp.make_mpf(_raw_sqrt(fzero if acc is None else acc, prec))
+
+
+def _abs_le(x, bound):
+    """``mpf_le(mpf_abs(x), bound)`` for a positive finite bound.  A
+    nonzero x lies in [2^(m-1), 2^m) in magnitude, m = exp + bc, so
+    unequal m decide the test; equal ones, zero and special values go to
+    ``libmp``."""
+    _, man, exp, bc = x
+    if man:
+        m, mb = exp + bc, bound[2] + bound[3]
+        if m != mb:
+            return m < mb
+    return mpf_le(mpf_abs(x), bound)
+
+
+def _abs_gt(x, bound):
+    """``mpf_gt(mpf_abs(x), bound)`` for a positive finite bound, decided
+    by magnitude as in ``_abs_le``."""
+    _, man, exp, bc = x
+    if man:
+        m, mb = exp + bc, bound[2] + bound[3]
+        if m != mb:
+            return m > mb
+    return mpf_gt(mpf_abs(x), bound)
 
 
 # Raw arithmetic.  ``_raw_add``, ``_raw_sub``, ``_raw_mul``,
@@ -553,21 +583,10 @@ def _raw_sqrt(s, prec):
     return _round(0, man, (exp - shift) // 2, prec)
 
 
-def _raw_sum(terms, prec):
-    """``sum(terms)`` over an iterator of raw mpf tuples, left to right
-    from the first term, which is returned as it is: every term must
-    already be rounded to prec (the result is then that of a sum from
-    zero)."""
-    acc = next(terms, fzero)
-    for term in terms:
-        acc = _raw_add(acc, term, prec)
-    return acc
-
-
 def _off_diagonal_sq(a, n, prec):
     """``2 * sum(a[p][q] * a[p][q] for p < q)``, raw."""
-    squares = (_raw_mul(a[p][q], a[p][q], prec) for p in range(n) for q in range(p + 1, n))
-    return _raw_mul_int(_raw_sum(squares, prec), 2, prec)
+    off = [a[p][q] for p in range(n) for q in range(p + 1, n)]
+    return _raw_mul_int(_raw_inner(off, off, prec), 2, prec)
 
 
 def _sqrt_one_plus_sq(x, prec):
@@ -623,7 +642,7 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     a = [list(X.raw[i * n:(i + 1) * n]) for i in range(n)]
     v = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
 
-    norm_x = _raw_sqrt(_raw_sum((_raw_mul(x, x, prec) for x in X.raw), prec), prec)
+    norm_x = _raw_sqrt(_raw_inner(X.raw, X.raw, prec), prec)
     if n == 1 or norm_x == fzero:
         return _sorted_spectrum(a, v, n, ctx.mp)
 
@@ -698,7 +717,8 @@ def solve2x2(A: Sequence[Sequence], b: Sequence, ctx: PrecisionContext):
     (a00, a01), (a10, a11) = ((x._mpf_ for x in row) for row in A)
     b0, b1 = b[0]._mpf_, b[1]._mpf_
     det = _raw_sub(_raw_mul(a00, a11, prec), _raw_mul(a01, a10, prec), prec)
-    scale = _raw_sum((_raw_mul(x, x, prec) for x in (a00, a01, a10, a11)), prec)
+    entries = (a00, a01, a10, a11)
+    scale = _raw_inner(entries, entries, prec)
     if mpf_le(mpf_abs(det, prec, round_nearest), _raw_mul(ctx.floor._mpf_, scale, prec)):
         raise SingularMatrixError(make(det))
     return (

@@ -4,7 +4,7 @@ Plane sets: horizontal lines (the x-axis is the line at height 0), the
 unit circle and graphs of analytic curves.  Matrix sets: the PSD cone, its boundary, and the affine
 sets fixing the diagonal (all ones) or the (1,1) entry.  Projections are
 single-valued selectors, so ``project(project(p)) == project(p)``;
-reflections are ``R = 2 P - I``.
+reflections are ``R = 2 P - I``, taking and returning raw entries.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ from feasikit.numerics import (
     Point2,
     PrecisionContext,
     SymMatrix,
+    _abs_gt,
+    _abs_le,
     _raw_add,
     _raw_div,
     _raw_mul,
     _raw_mul_int,
-    _raw_norm,
     _raw_reflect,
+    _raw_sqrt,
     _raw_sub,
     _spectrum,
     _vec,
@@ -41,20 +43,24 @@ class ProjectionError(FeasikitError):
 
 
 class FeasibilitySet(ABC):
-    """Abstract capability: project a point onto the set."""
+    """Abstract capability: project a point, of type ``vector``, onto the
+    set, and reflect the raw entries of a point through it."""
 
     __slots__ = ()
+    vector = None
 
     @abstractmethod
     def project(self, p, ctx: PrecisionContext):
         ...
 
-    def reflect(self, p, ctx: PrecisionContext):
-        """``project(p) * 2 - p``, entry by entry at the precision of the
-        projection's context."""
-        q = self.project(p, ctx)
-        mp = q.mp
-        return _vec(type(q), tuple(map(_raw_reflect, q.raw, p.raw, repeat(mp.prec))), mp)
+    def raw_reflect(self, raw: tuple, ctx: PrecisionContext) -> tuple:
+        """The raw entries of ``project(p) * 2 - p``, entry by entry at the
+        context's precision, for the point p of raw entries ``raw``: p is
+        built as a ``vector`` and projected, and each entry is reflected
+        through the projection's (``_raw_reflect``)."""
+        mp = ctx.mp
+        q = self.project(_vec(self.vector, raw, mp), ctx)
+        return tuple(map(_raw_reflect, q.raw, raw, repeat(mp.prec)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +107,19 @@ def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
     call per ``mpf`` operation of ``r = sqrt(x * x + z * z)``,
     ``(x / r, z / r)``."""
     mp = ctx.mp
-    prec = mp.prec
-    r = _raw_norm(p, prec)
+    return _vec(Point2, _raw_circle_point(p.raw, mp.prec), mp)
+
+
+def _raw_circle_point(raw, prec):
+    """``project_circle`` on the raw entries (x, z): ``(x / r, z / r)``
+    with ``r = sqrt(x * x + z * z)``, or (1, 0) where r is zero.  The two
+    squares and their sum are ``_raw_inner(raw, raw)`` written out,
+    without its loop."""
+    x, z = raw
+    r = _raw_sqrt(_raw_add(_raw_mul(x, x, prec), _raw_mul(z, z, prec), prec), prec)
     if r == fzero:
-        return _vec(Point2, (fone, fzero), mp)
-    rx, rz = p.raw
-    return _vec(Point2, (_raw_div(rx, r, prec), _raw_div(rz, r, prec)), mp)
+        return fone, fzero
+    return _raw_div(x, r, prec), _raw_div(z, r, prec)
 
 
 def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Point2:
@@ -198,30 +211,6 @@ def _graph_levels(ctx: PrecisionContext):
             ctx.pow10(-(ctx.decimal_digits - 20))._mpf_)
 
 
-def _abs_le(x, bound):
-    """``mpf_le(mpf_abs(x), bound)`` for a positive finite bound.  A
-    nonzero x lies in [2^(m-1), 2^m) in magnitude, m = exp + bc, so
-    unequal m decide the test; equal ones, zero and special values go to
-    ``libmp``."""
-    _, man, exp, bc = x
-    if man:
-        m, mb = exp + bc, bound[2] + bound[3]
-        if m != mb:
-            return m < mb
-    return mpf_le(mpf_abs(x), bound)
-
-
-def _abs_gt(x, bound):
-    """``mpf_gt(mpf_abs(x), bound)`` for a positive finite bound, decided
-    by magnitude as in ``_abs_le``."""
-    _, man, exp, bc = x
-    if man:
-        m, mb = exp + bc, bound[2] + bound[3]
-        if m != mb:
-            return m > mb
-    return mpf_gt(mpf_abs(x), bound)
-
-
 def _raw_mul_pow2(s, t, prec):
     """``_raw_mul(s, t, prec)``, adding exponents when t is a power of two
     (mantissa 1) and s is finite, nonzero and of at most prec bits: the
@@ -269,25 +258,34 @@ class HorizontalLine(Frozen, FeasibilitySet):
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
         return _vec(Point2, (p.raw[0], self.height._mpf_), p.mp)
 
-    def reflect(self, p: Point2, ctx: PrecisionContext) -> Point2:
+    def raw_reflect(self, raw: tuple, ctx: PrecisionContext) -> tuple:
         """``project(p) * 2 - p`` in closed form, ``(x, 2 * h - z)``:
-        ``2 * x - x`` is exactly x for a finite x of at most prec bits
-        (every point the toolkit builds); any other x is rounded."""
-        mp = p.mp
-        prec = mp.prec
-        rx, rz = p.raw
+        ``2 * x - x`` is exactly x for a finite nonzero x of at most prec
+        bits (every point the toolkit builds); any other x is rounded."""
+        prec = ctx.mp.prec
+        rx, rz = raw
         if not 0 < rx[3] <= prec:
             rx = _raw_reflect(rx, rx, prec)
-        return _vec(Point2, (rx, _raw_reflect(self.height._mpf_, rz, prec)), mp)
+        return rx, _raw_reflect(self.height._mpf_, rz, prec)
 
 
 class UnitCircle(FeasibilitySet):
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
         return project_circle(p, ctx)
 
+    def raw_reflect(self, raw: tuple, ctx: PrecisionContext) -> tuple:
+        """``project(p) * 2 - p`` without building the projection: the
+        radial point of ``project_circle``, each entry doubled and less
+        p's."""
+        prec = ctx.mp.prec
+        qx, qz = _raw_circle_point(raw, prec)
+        rx, rz = raw
+        return _raw_reflect(qx, rx, prec), _raw_reflect(qz, rz, prec)
+
 
 class CurveGraph(Frozen, FeasibilitySet):
     __slots__ = _fields = ("curve",)
+    vector = Point2
 
     def __init__(self, curve: AnalyticCurve):
         object.__setattr__(self, "curve", curve)
@@ -341,21 +339,29 @@ def project_entry11(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
 
 
 class PsdCone(FeasibilitySet):
+    vector = SymMatrix
+
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
         return project_psd(x, ctx)
 
 
 class PsdBoundary(FeasibilitySet):
+    vector = SymMatrix
+
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
         return project_psd_boundary(x, ctx)
 
 
 class DiagOnes(FeasibilitySet):
+    vector = SymMatrix
+
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
         return project_diag_ones(x, ctx)
 
 
 class EntryOne(FeasibilitySet):
+    vector = SymMatrix
+
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
         return project_entry11(x, ctx)
 

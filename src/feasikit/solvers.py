@@ -13,12 +13,14 @@ import itertools
 import time
 from typing import NamedTuple, Optional, Sequence
 
-from mpmath.libmp import fzero, mpf_le, mpf_lt, to_str
+from mpmath.libmp import fzero, mpf_le, to_str
 
 from feasikit.numerics import (
     Frozen,
     PrecisionContext,
     SingularMatrixError,
+    _abs_gt,
+    _abs_le,
     _raw_add,
     _raw_inner,
     _raw_midpoint,
@@ -71,12 +73,13 @@ class DrOperator(NamedTuple):
 
 
 def dr_step(t: DrOperator, p, ctx: PrecisionContext):
-    """``(p + R_second(R_first(p))) * 0.5``, entry by entry at the precision
-    of p's context."""
-    reflected = t.second.reflect(t.first.reflect(p, ctx), ctx)
-    mp = p.mp
-    raw = tuple(map(_raw_midpoint, p.raw, reflected.raw, itertools.repeat(mp.prec)))
-    return _vec(type(p), raw, mp)
+    """``(p + R_second(R_first(p))) * 0.5``, entry by entry at the
+    context's precision.  The reflections take and return raw entries, so
+    the step builds only its result."""
+    raw = p.raw
+    reflected = t.second.raw_reflect(t.first.raw_reflect(raw, ctx), ctx)
+    mp = ctx.mp
+    return _vec(type(p), tuple(map(_raw_midpoint, raw, reflected, itertools.repeat(mp.prec))), mp)
 
 
 class LtUpdate(NamedTuple):
@@ -192,7 +195,8 @@ def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
 
-    # the stop tests compare raw mpf tuples
+    # the stop tests compare raw mpf tuples of nonnegative errors and
+    # gaps by magnitude (``_abs_le``, ``_abs_gt``)
     tol = stop.resolved_tol(ctx)._mpf_
     floor = ctx.floor._mpf_
     cliff, near_floor = _stop_levels(ctx)
@@ -204,7 +208,7 @@ def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
         for p, seconds in itertools.islice(steps, 2 * stop.max_iter):
             kept.append((p, seconds))
             gap, last = dist(p, last, ctx), p
-            if mpf_le(gap._mpf_, floor):
+            if _abs_le(gap._mpf_, floor):
                 break
         reference = kept[-1][0]
         # the reference is hit at error 0, so the loop below stops there
@@ -213,7 +217,7 @@ def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
     iterates = [p0]
     errors = [dist(p0, reference, ctx)]
     step_times = []
-    if mpf_le(errors[0]._mpf_, tol):
+    if _abs_le(errors[0]._mpf_, tol):
         return Trace(tuple(iterates), tuple(errors), (), Termination.TOLERANCE, gap)
 
     terminated = Termination.MAX_ITER
@@ -224,13 +228,13 @@ def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
         err = dist(p, reference, ctx)
         errors.append(err)
         e = err._mpf_
-        if e == fzero or (mpf_le(e, floor) and mpf_lt(cliff, prev)):
+        if e == fzero or (_abs_le(e, floor) and _abs_gt(prev, cliff)):
             terminated = Termination.EXACT_ZERO
             break
-        if mpf_le(e, tol):
+        if _abs_le(e, tol):
             terminated = Termination.TOLERANCE
             break
-        if len(errors) > STAGNATION_WINDOW and mpf_le(e, near_floor):
+        if len(errors) > STAGNATION_WINDOW and _abs_le(e, near_floor):
             if min(errors[-STAGNATION_WINDOW:]) >= min(errors[:-STAGNATION_WINDOW]):
                 terminated = Termination.STAGNATION
                 break

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per acceptance criterion, each checked at its
 stated tolerance and reported as a pass/fail line (visible with pytest -s)."""
 
+import contextlib
+import io
 import math
 import random
+import re
 import time
 
 import pytest
@@ -24,6 +27,7 @@ from feasikit.theory import (
     ProbeGrid,
     get_curve,
     graph_operator,
+    linear_rate,
     lt_closed_form,
     probe_denominator_limit,
     probe_one_minus_h,
@@ -33,6 +37,7 @@ from feasikit.theory import (
 
 from test_cli import read, trials_table
 from test_numerics import sym_random
+from test_sets import reflect
 
 
 def report(number: int, passed: bool, detail: str):
@@ -79,6 +84,20 @@ def test_criterion_1_dr_linear_rate(ctx, fifty_trials):
         f"DR circle-line linear rate in [0.45, 0.55] for {len(fitted)}/50 trials "
         f"({spread}), runtime {elapsed:.1f}s < 120s",
     )
+
+
+@pytest.mark.parametrize("ident", ("quad", "cubic", "sin-shift", "linear:2"))
+def test_dr_rate_on_every_graph_curve(ctx, tmp_path, ident):
+    # DR's fitted rate on each graph curve is the local linear rate
+    # 1/sqrt(1 + f'(0)^2); tol 1e-20 keeps quad (120-124 steps) under
+    # max_iter
+    rows = bench(ctx, tmp_path / "rate", f"graph:{ident}", "dr,lt", "--trials", "4",
+                 "--seed", "5", "--tol", "1e-20", "--max-iter", "600")
+    target = linear_rate(get_curve(ident, ctx), ctx)
+    rates = column(rows, "dr", "rate", ctx)
+    assert len(rates) == 4 and None not in rates, rates
+    worst = max(abs(r / target - 1) for r in rates)
+    assert worst <= ctx.mpf("1e-10"), (ident, ctx.mp.nstr(worst, 3))
 
 
 def test_criterion_2_lt_quadratic_order(ctx, fifty_trials):
@@ -169,8 +188,16 @@ def test_criterion_5_one_step_on_two_lines(ctx):
 
 
 def test_criterion_6_setting2_orders(ctx, tmp_path):
-    rows = bench(ctx, tmp_path / "setting2", "psdb-s1", "dr,lt,plt",
-                 "--trials", "20", "--seed", "2026")
+    warnings = io.StringIO()
+    with contextlib.redirect_stderr(warnings):
+        rows = bench(ctx, tmp_path / "setting2", "psdb-s1", "dr,lt,plt",
+                     "--trials", "20", "--seed", "2026")
+    # bench warns once per method whose auto reference did not converge in
+    # some trials; the fits of those trials are against that reference
+    unconverged = dict.fromkeys(("dr", "lt", "plt"), 0)
+    for method, count in re.findall(r"warning: (\w+): auto reference not converged in (\d+) of",
+                                    warnings.getvalue()):
+        unconverged[method] = int(count)
 
     def frac_in(method, lo, hi):
         qs = column(rows, method, "q", ctx)
@@ -186,7 +213,9 @@ def test_criterion_6_setting2_orders(ctx, tmp_path):
         6,
         ok,
         f"Setting 2 (n=3, 20 trials): DR q in [0.8,1.2] {dr_good}/{n}, "
-        f"LT {lt_good}/{n}, PLT q in [1.7,2.3] {plt_good}/{n} (need >= {need})",
+        f"LT {lt_good}/{n}, PLT q in [1.7,2.3] {plt_good}/{n} (need >= {need}); "
+        f"auto reference not converged: DR {unconverged['dr']}/{n}, "
+        f"LT {unconverged['lt']}/{n}, PLT {unconverged['plt']}/{n}",
     )
 
 
@@ -266,11 +295,11 @@ def test_criterion_9_property_suites(ctx):
     for i in range(1000):
         if i % 3 == 0:
             p = Point2.of(ctx, rng.uniform(-4, 4), rng.uniform(-4, 4))
-            rr = affine_plane.reflect(affine_plane.reflect(p, ctx), ctx)
+            rr = reflect(affine_plane, reflect(affine_plane, p, ctx), ctx)
         else:
             s = DiagOnes() if i % 3 == 1 else EntryOne()
             p = sym_random(3, rng, ctx)
-            rr = s.reflect(s.reflect(p, ctx), ctx)
+            rr = reflect(s, reflect(s, p, ctx), ctx)
         if dist(rr, p, ctx) > tol * max(norm(p, ctx), ctx.mp.one):
             failures.append("reflection involution")
             break

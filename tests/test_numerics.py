@@ -728,7 +728,7 @@ class TestRawPlaneMatchesMpf:
         assert point_bits(project_circle(origin, ctx)) == point_bits(Point2.of(ctx, 1, 0))
 
     @given(
-        n=st.sampled_from((3, 5, 2, 1)),
+        n=st.sampled_from((3, 5, 2, 1, 4)),
         kind=st.sampled_from(("random", "sparse", "diagonal", "zero")),
         seed=st.integers(0, 2**32 - 1),
         scale_exp=st.sampled_from((0, -100, 20)),

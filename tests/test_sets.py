@@ -3,6 +3,7 @@ import functools
 import os
 import random
 import signal
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from mpmath.libmp import (
 
 from feasikit import helper, sets
 from feasikit.analysis import sample_disk
-from feasikit.numerics import Point2, PrecisionContext, Spectrum, SymMatrix, _raw_mul, dist, norm
+from feasikit.numerics import (
+    Point2, PrecisionContext, Spectrum, SymMatrix, _abs_gt, _abs_le, _raw_mul, _raw_reflect, _vec,
+    dist, norm,
+)
 from feasikit.sets import (
     AnalyticCurve,
     CurveGraph,
@@ -32,8 +36,6 @@ from feasikit.sets import (
     project_graph,
     project_psd,
     project_psd_boundary,
-    _abs_gt,
-    _abs_le,
     _graph_levels,
     _nearest_root,
     _raw_mul_pow2,
@@ -48,6 +50,11 @@ from test_numerics import (
 
 def mat(ctx, rows):
     return SymMatrix.from_rows([[ctx.mpf(v) for v in row] for row in rows])
+
+
+def reflect(s, p, ctx):
+    """``s.raw_reflect`` of p's entries, as a vector of p's type."""
+    return _vec(type(p), s.raw_reflect(p.raw, ctx), ctx.mp)
 
 
 def assert_mat_close(ctx, got, expected_rows, tol):
@@ -559,12 +566,12 @@ class TestGraphFastPaths:
 class TestReflection:
     def test_mirror(self, ctx):
         axis = HorizontalLine(ctx.mp.zero)
-        assert axis.reflect(Point2.of(ctx, 1, 3), ctx) == Point2.of(ctx, 1, -3)
+        assert reflect(axis, Point2.of(ctx, 1, 3), ctx) == Point2.of(ctx, 1, -3)
 
     def test_fixed_on_set(self, ctx):
         line = HorizontalLine(height=ctx.mpf("0.5"))
         p = Point2.of(ctx, "2.5", "0.5")
-        assert line.reflect(p, ctx) == p
+        assert reflect(line, p, ctx) == p
 
     @given(
         kind=st.sampled_from(("random", "axis", "origin", "x0")),
@@ -586,7 +593,7 @@ class TestReflection:
         else:
             h = ctx.mpf(height)
         want = Point2(p.x * 2 - p.x, h * 2 - p.z)
-        assert point_bits(HorizontalLine(h).reflect(p, ctx)) == point_bits(want)
+        assert point_bits(reflect(HorizontalLine(h), p, ctx)) == point_bits(want)
 
     @given(
         kind=st.sampled_from(("random", "axis", "origin")),
@@ -602,7 +609,7 @@ class TestReflection:
         p = differential_point(kind, seed, scale_exp, ctx)
         q = mpf_project_circle(p, ctx)
         want = Point2(q.x * 2 - p.x, q.z * 2 - p.z)
-        assert point_bits(UnitCircle().reflect(p, ctx)) == point_bits(want)
+        assert point_bits(reflect(UnitCircle(), p, ctx)) == point_bits(want)
 
     def test_line_rounds_an_x_it_cannot_keep(self, ctx):
         # x infinite, or longer than the working precision: 2x - x is not x
@@ -610,12 +617,12 @@ class TestReflection:
         line = HorizontalLine(ctx.mpf("0.5"))
         for x in (ctx.mpf("inf"), long_x):
             p = Point2(x, ctx.mpf(3))
-            got = line.reflect(p, ctx)
+            got = reflect(line, p, ctx)
             assert point_bits(got) == point_bits(Point2(x * 2 - x, ctx.mpf(-2)))
             assert got.raw[0] != x._mpf_
 
     def test_circle_outside(self, ctx):
-        r = UnitCircle().reflect(Point2.of(ctx, 2, 0), ctx)
+        r = reflect(UnitCircle(), Point2.of(ctx, 2, 0), ctx)
         assert abs(r.x) <= ctx.pow10(-110) and abs(r.z) <= ctx.pow10(-110)
 
     def test_involution_on_affine_sets(self, ctx):
@@ -623,13 +630,96 @@ class TestReflection:
         line = HorizontalLine(height=ctx.mpf("0.5"))
         for _ in range(50):
             p = Point2.of(ctx, rng.uniform(-5, 5), rng.uniform(-5, 5))
-            rr = line.reflect(line.reflect(p, ctx), ctx)
+            rr = reflect(line, reflect(line, p, ctx), ctx)
             assert dist(rr, p, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
         for aff in (DiagOnes(), EntryOne()):
             for _ in range(20):
                 x = sym_random(3, rng, ctx)
-                rr = aff.reflect(aff.reflect(x, ctx), ctx)
+                rr = reflect(aff, reflect(aff, x, ctx), ctx)
                 assert norm(rr - x, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
+
+
+def projected_reflection(s, p, ctx):
+    """``project(p) * 2 - p`` through ``s.project``, entry by entry with
+    ``_raw_reflect``: the expression every ``raw_reflect`` answers for."""
+    return tuple(map(_raw_reflect, s.project(p, ctx).raw, p.raw, repeat(ctx.mp.prec)))
+
+
+def plane_point(kind, seed, scale_exp, ctx):
+    """A ``differential_point`` of kind "random", "axis" (z = 0) or
+    "origin"; "x0" has x = 0, and "wide" an x with more bits than the
+    working precision."""
+    if kind in ("x0", "wide"):
+        p = differential_point("random", seed, scale_exp, ctx)
+        if kind == "x0":
+            return Point2(ctx.mp.zero, p.z)
+        wider = PrecisionContext(decimal_digits=ctx.decimal_digits + 10)
+        x = differential_point("random", seed, scale_exp, wider).raw[0]
+        assert x[3] > ctx.mp.prec
+        return _vec(Point2, (x, p.raw[1]), ctx.mp)
+    return differential_point(kind, seed, scale_exp, ctx)
+
+
+class TestRawReflectionMatchesProjection:
+    """Every set's ``raw_reflect`` against ``project`` + ``_raw_reflect``,
+    bit for bit, at 40, 120 and 200 digits: the closed forms of the line
+    and the circle, and the projecting reflection of the graph and matrix
+    sets."""
+
+    @given(
+        shape=st.sampled_from(("axis-line", "line", "circle")),
+        kind=st.sampled_from(("random", "axis", "x0", "origin", "wide")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=300)
+    def test_line_and_circle(self, shape, kind, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        s = {"axis-line": HorizontalLine(ctx.mp.zero),
+             "line": HorizontalLine(differential_point("random", seed + 1, 0, ctx).z),
+             "circle": UnitCircle()}[shape]
+        p = plane_point(kind, seed, scale_exp, ctx)
+        assert s.raw_reflect(p.raw, ctx) == projected_reflection(s, p, ctx)
+
+    def test_circle_edges(self):
+        # the origin reflects through the selector (1, 0); points on either
+        # axis, and the circle's own points on them, reflect exactly
+        for digits in DIGITS:
+            ctx = PrecisionContext(decimal_digits=digits)
+            circle = UnitCircle()
+            assert circle.raw_reflect(Point2.of(ctx, 0, 0).raw, ctx) == Point2.of(ctx, 2, 0).raw
+            for x, z, want in ((3, 0, (-1, 0)), (0, -3, (0, 1)), (1, 0, (1, 0)), (0, 1, (0, 1))):
+                p = Point2.of(ctx, x, z)
+                assert circle.raw_reflect(p.raw, ctx) == Point2.of(ctx, *want).raw
+                assert circle.raw_reflect(p.raw, ctx) == projected_reflection(circle, p, ctx)
+
+    @given(
+        kind=st.sampled_from(("random", "axis", "x0", "origin")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=40)
+    def test_graph(self, kind, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        s = CurveGraph(get_curve("quad", ctx))
+        p = plane_point(kind, seed, scale_exp, ctx)
+        assert s.raw_reflect(p.raw, ctx) == projected_reflection(s, p, ctx)
+
+    @given(
+        s=st.sampled_from((PsdCone(), PsdBoundary(), DiagOnes(), EntryOne())),
+        n=st.sampled_from((1, 2, 3, 5)),
+        kind=st.sampled_from(("random", "sparse", "diagonal", "zero")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from(DIGITS),
+    )
+    @settings(max_examples=100)
+    def test_matrix_sets(self, s, n, kind, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        x = differential_matrix(kind, n, seed, scale_exp, ctx)
+        assert s.raw_reflect(x.raw, ctx) == projected_reflection(s, x, ctx)
 
 
 class TestMatrixProjections:

@@ -4,12 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import fzero, mpf_le, mpf_lt
 
 from feasikit.cli import build_problem
 from feasikit.numerics import (
     Point2,
     PrecisionContext,
     SingularMatrixError,
+    _abs_gt,
+    _abs_le,
     dist,
     inner,
     norm,
@@ -27,6 +30,7 @@ from feasikit.solvers import (
     plt_step,
     run,
     trace_to_csv,
+    _stop_levels,
 )
 from feasikit.theory import get_curve, graph_operator
 
@@ -36,7 +40,7 @@ from test_numerics import (
 )
 from test_sets import (
     mpf_project_diag_ones, mpf_project_entry11, mpf_project_psd, mpf_project_psd_boundary,
-    separate_curve, separate_project_graph,
+    reflect, separate_curve, separate_project_graph,
 )
 
 
@@ -62,8 +66,8 @@ class TestDrStep:
 
     def test_circle_line_intersection_fixed(self, ctx, circle_line):
         p = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
-        assert dist(circle_line.first.reflect(p, ctx), p, ctx) <= ctx.pow10(-100)
-        assert dist(circle_line.second.reflect(p, ctx), p, ctx) <= ctx.pow10(-100)
+        assert dist(reflect(circle_line.first, p, ctx), p, ctx) <= ctx.pow10(-100)
+        assert dist(reflect(circle_line.second, p, ctx), p, ctx) <= ctx.pow10(-100)
         assert dist(dr_step(circle_line, p, ctx), p, ctx) <= ctx.pow10(-100)
 
     @given(
@@ -356,6 +360,57 @@ class TestRun:
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
         trace = run("dr", circle_line, Point2.of(ctx, "0.9", "0.6"), StopRule(max_iter=3), ref, ctx)
         assert trace.reference_gap is None
+
+
+def stop_levels(ctx):
+    """``run``'s levels as raw tuples: the default tol and the benchmark's
+    tols, the floor, the cliff and the near-floor level."""
+    tols = [StopRule(tol=tol).resolved_tol(ctx)._mpf_ for tol in (None, "1e-20", "1e-30", "1e-140")]
+    return tols + [ctx.floor._mpf_, *_stop_levels(ctx)]
+
+
+@st.composite
+def at_magnitude(draw, bound, prec):
+    """A positive raw value with the bound's ``exp + bc``: the tie that
+    ``_abs_le`` and ``_abs_gt`` hand to ``libmp``."""
+    bc = draw(st.integers(1, prec))
+    man = draw(st.integers(2 ** (bc - 1), 2 ** bc - 1)) | 1
+    return (0, man, bound[2] + bound[3] - bc, bc)
+
+
+class TestStopTests:
+    """``run``'s stop tests decide by magnitude (``_abs_le``, ``_abs_gt``);
+    on its nonnegative errors and gaps they answer as the ``mpf_le`` and
+    ``mpf_lt`` calls they replace, at 40, 120 and 200 digits."""
+
+    @given(data=st.data(), digits=st.sampled_from(DIGITS))
+    @settings(max_examples=300)
+    def test_ties_zero_and_neighbours(self, data, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        prec = ctx.mp.prec
+        bound = data.draw(st.sampled_from(stop_levels(ctx)))
+        x = data.draw(st.one_of(
+            at_magnitude(bound, prec),
+            st.just(bound),
+            st.just(fzero),
+            st.integers(-3, 3).map(lambda k: (0, bound[1], bound[2] + k, bound[3])),
+        ))
+        assert _abs_le(x, bound) == mpf_le(x, bound)
+        assert _abs_gt(x, bound) == mpf_lt(bound, x)
+
+    def test_every_error_of_a_run(self, ctx):
+        # the errors of DR, LT and PLT traces on circle-line and psdb-s1,
+        # against every level
+        for problem_id, dim in (("circle-line", None), ("psdb-s1", 3)):
+            problem = build_problem(problem_id, ctx, dim)
+            p0 = problem.sample(1, 5, ctx)[0]
+            for method in ("dr", "lt", "plt"):
+                trace = run(method, problem.operator, p0, StopRule(tol="1e-200", max_iter=40),
+                            None, ctx)
+                for e in trace.errors:
+                    for bound in stop_levels(ctx):
+                        assert _abs_le(e._mpf_, bound) == mpf_le(e._mpf_, bound)
+                        assert _abs_gt(e._mpf_, bound) == mpf_lt(bound, e._mpf_)
 
 
 class TestRecords:

@@ -356,3 +356,19 @@ class TestLinearRate:
             linear_rate(get_curve(f"linear:{a}", ctx), ctx) for a in (1, 2, 5, 50)
         ]
         assert all(b < a for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("ident", ("quad", "cubic", "sin-shift", "linear:1", "linear:2"))
+    def test_two_dr_steps_near_the_origin(self, ctx, ident):
+        # near 0, T is a rotation scaled by cos(angle) between the x-axis
+        # and the tangent of the graph, so |T^2 y| / |y| is cos^2(angle),
+        # 1/(1 + a^2) with a = f'(0): 20 angles at |y| = 1e-20
+        curve = get_curve(ident, ctx)
+        t = graph_operator(curve, ctx)
+        want = 1 / (1 + curve.a * curve.a)
+        rng = random.Random(7)
+        radius = ctx.pow10(-20)
+        for _ in range(20):
+            phi = 2 * ctx.mp.pi * ctx.mpf(rng.random())
+            y = Point2(radius * ctx.mp.cos(phi), radius * ctx.mp.sin(phi))
+            ratio = norm(dr_step(t, dr_step(t, y, ctx), ctx), ctx) / norm(y, ctx)
+            assert abs(ratio / want - 1) <= ctx.mpf("1e-15"), (ident, phi, ratio)
