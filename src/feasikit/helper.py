@@ -1,17 +1,22 @@
-"""The graph projection's helper process.
+"""The helper process of the graph projection and the eigensolver.
 
-``sets.project_graph`` runs its even Newton starts itself and sends the
-odd ones to one long-lived child, forked on first use, which computes
-them at the same time.  A request names the jet by module, function name
-and bound arguments, so only a ``functools.partial`` of a module-level
-function is sent; any other jet runs all 33 starts in the caller.
-Requests and replies travel on two pipes as an 8-byte sequence number and
-a marshal record of raw tuples.  If the helper cannot be started, reports
-an error or dies, the caller runs all 33 starts itself, so the roots, the
-exceptions and their order are those of one loop over the starts.
+One long-lived child, forked on first use, works beside the caller on two
+kinds of request:
 
-Only graph projections load this module, so plane and matrix runs neither
-compile it nor fork.
+- ``sets.project_graph`` runs its even Newton starts itself and sends
+  the odd ones to the helper, which computes them at the same time.  A
+  request names the jet by module, function name and bound arguments, so
+  only a ``functools.partial`` of a module-level function is sent; any
+  other jet runs all 33 starts in the caller.
+- ``numerics.eig_sym`` sends each Jacobi sweep's rotations as soon as the
+  sweep is done.  The helper applies them to the identity while the
+  caller sweeps on, and at the stop test the caller asks for the result.
+
+Messages on both pipes are framed alike: an 8-byte sequence number, a
+4-byte length and a marshal record of raw tuples.  If the helper cannot be
+started, reports an error or dies, the caller does the helper's share
+itself, so the results, the exceptions and their order are those of the
+serial loops.
 """
 
 from __future__ import annotations
@@ -23,17 +28,18 @@ import marshal
 import os
 import sys
 
-from feasikit import sets
+from feasikit import numerics, sets
 
 _ALL, _EVEN, _ODD = range(33), range(0, 33, 2), range(1, 33, 2)
+_GRAPH, _SWEEP, _BASIS = range(3)
 _owner = os.getpid()  # the process that loaded this module; only it forks a helper
 _helper = None  # this process's helper, or None
 
 
 def stay_serial():
-    """Drop this process's helper and never start another: every graph
-    projection runs its 33 Newton starts itself.  The initializer of
-    ``feasikit bench``'s pool workers, whatever their start method."""
+    """Drop this process's helper and never start another: graph
+    projections and eigensolves run all their work here.  The initializer
+    of ``feasikit bench``'s pool workers, whatever their start method."""
     global _owner
     _drop_helper()
     _owner = None
@@ -60,11 +66,36 @@ def graph_roots(jet, args) -> set:
     return roots
 
 
+def jacobi_basis(n, sweeps, prec):
+    """``numerics._rotated_identity(n, sweeps, prec)``, with each sweep's
+    rotations sent to the helper as the caller's iteration of ``sweeps``
+    yields them, when this process has or may start one; the caller keeps
+    them and applies them itself if the helper fails.  ``sweeps`` runs to
+    its end here, so its exceptions reach the caller unchanged.  A 2x2
+    matrix stays here: its one rotation per sweep costs less than the
+    message."""
+    helper = _live_helper() if n > 2 else None
+    if helper is None:
+        return numerics._rotated_identity(n, sweeps, prec)
+    done = []
+    for rotations in sweeps:
+        if helper is not None and not helper.ask(
+                marshal.dumps((_SWEEP, n, prec, rotations)), new=not done):
+            helper = None
+        done.append(rotations)
+    if done and helper is not None and helper.ask(marshal.dumps((_BASIS,)), new=False):
+        basis = helper.answer()
+        if basis is not None:
+            return basis
+    return numerics._rotated_identity(n, done, prec)
+
+
 def _request(jet, args):
-    """The marshalled (module, name, bound arguments, args) that rebuild
-    the jet in the helper, or None for a jet it cannot rebuild: one that
-    is not a ``functools.partial`` of the function its module holds under
-    that name, or whose arguments marshal cannot write."""
+    """The marshalled graph request (module, name, bound arguments, args)
+    that rebuilds the jet in the helper, or None for a jet it cannot
+    rebuild: one that is not a ``functools.partial`` of the function its
+    module holds under that name, or whose arguments marshal cannot
+    write."""
     if type(jet) is not functools.partial or jet.keywords:
         return None
     func = jet.func
@@ -72,7 +103,7 @@ def _request(jet, args):
     if getattr(sys.modules.get(module), name, None) is not func:
         return None
     try:
-        return marshal.dumps((module, name, jet.args, args))
+        return marshal.dumps((_GRAPH, module, name, jet.args, args))
     except ValueError:
         return None
 
@@ -109,58 +140,59 @@ atexit.register(_drop_helper)
 
 class _Helper:
     """A forked child running ``_serve``; ``ask`` sends it a request and
-    ``answer`` reads the roots of the last one."""
+    ``answer`` reads the reply to the last one."""
 
     __slots__ = ("pid", "requests", "replies", "sent")
 
     def __init__(self):
         into, self.requests = os.pipe()
-        replies, out = os.pipe()
+        self.replies, out = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (into, self.requests, replies, out):
+            for fd in (into, self.requests, self.replies, out):
                 os.close(fd)
             raise
         if pid == 0:
             try:
                 os.close(self.requests)
-                os.close(replies)
+                os.close(self.replies)
                 _serve(into, out)
             finally:
                 # never the parent's atexit handlers or buffered output
                 os._exit(0)
         os.close(into)
         os.close(out)
-        self.replies = os.fdopen(replies, "rb")
         self.pid, self.sent = pid, 0
 
-    def ask(self, request) -> bool:
-        """Send a request; False (and the helper dropped) if it is gone."""
-        self.sent += 1
+    def ask(self, request, new=True) -> bool:
+        """Send a marshalled request under a new sequence number, or under
+        the last one's to continue its stream; False (and the helper
+        dropped) if it is gone."""
+        self.sent += new
         try:
-            _write(self.requests, self.sent.to_bytes(8, "little") + request)
+            _send(self.requests, self.sent, request)
         except OSError:
             _drop_helper()
             return False
         return True
 
     def answer(self):
-        """The roots of the last request, skipping replies to earlier ones;
+        """The reply to the last request, skipping replies to earlier ones;
         None if the helper failed on it, or died (then it is dropped)."""
         try:
-            while len(seq := self.replies.read(8)) == 8:
-                roots = marshal.load(self.replies)
-                if int.from_bytes(seq, "little") == self.sent:
-                    return roots
-        except (OSError, EOFError):
+            while (message := _receive(self.replies)) is not None:
+                seq, reply = message
+                if seq == self.sent:
+                    return reply
+        except OSError:
             pass
         _drop_helper()
         return None
 
     def close(self):
         os.close(self.requests)
-        self.replies.close()
+        os.close(self.replies)
         if os.getpid() == _owner:
             try:
                 os.waitpid(self.pid, 0)
@@ -169,19 +201,60 @@ class _Helper:
 
 
 def _serve(into, out):
-    """The helper's loop: for each request, its sequence number and the odd
-    starts' roots, or None if they raised; returns at end of file."""
-    requests = os.fdopen(into, "rb")
-    while len(seq := requests.read(8)) == 8:
-        module, name, bound, args = marshal.load(requests)
-        try:
-            jet = functools.partial(getattr(importlib.import_module(module), name), *bound)
-            roots = sets._newton_roots(jet, _ODD, *args)
-        except Exception:
-            roots = None
-        _write(out, seq + marshal.dumps(roots))
+    """The helper's loop; returns at end of file.  A graph request is
+    answered with the odd starts' roots, or None if they raised.  The
+    sweeps of one stream (one sequence number) rotate a basis that starts
+    as the identity, and the stream's basis request is answered with it,
+    or None if a rotation raised."""
+    stream = basis = None
+    while (message := _receive(into)) is not None:
+        seq, (kind, *request) = message
+        if kind == _SWEEP:
+            n, prec, rotations = request
+            if stream != seq:
+                stream, basis = seq, numerics._rotated_identity(n, (), prec)
+            try:
+                if basis is not None:
+                    numerics._rotate_rows(basis, rotations, prec)
+            except Exception:
+                basis = None
+            continue
+        if kind == _BASIS:
+            reply = basis if stream == seq else None
+        else:
+            module, name, bound, args = request
+            try:
+                jet = functools.partial(getattr(importlib.import_module(module), name), *bound)
+                reply = sets._newton_roots(jet, _ODD, *args)
+            except Exception:
+                reply = None
+        _send(out, seq, marshal.dumps(reply))
 
 
-def _write(fd, data):
+def _send(fd, seq, data):
+    """Write one message: the sequence number, the length of the marshal
+    record ``data`` and the record."""
+    data = seq.to_bytes(8, "little") + len(data).to_bytes(4, "little") + data
     while data:
         data = data[os.write(fd, data):]
+
+
+def _receive(fd):
+    """The next message on fd as (sequence number, value), or None at end
+    of file."""
+    head = _read(fd, 12)
+    body = head and _read(fd, int.from_bytes(head[8:], "little"))
+    if not body:
+        return None
+    return int.from_bytes(head[:8], "little"), marshal.loads(body)
+
+
+def _read(fd, size):
+    """``size`` bytes from fd, or b"" if it ends first."""
+    data = os.read(fd, size)
+    while data and len(data) < size:
+        more = os.read(fd, size - len(data))
+        if not more:
+            return b""
+        data += more
+    return data

@@ -636,23 +636,41 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     the ``mpf`` operation it replaces, so the result is bit for bit that of
     the same algorithm written with ``mpf`` objects (pinned by a
     differential test against that version).
+
+    No sweep reads the eigenvectors, so they are accumulated apart from
+    the sweeps: ``helper.jacobi_basis`` applies each sweep's rotations to
+    the identity in a helper process where one can (see
+    ``feasikit.helper``), or in this one.  Each row sees the same
+    rotations in the same order either way.
     """
     n = X.n
-    prec, rnd = ctx.mp.prec, round_nearest
+    prec = ctx.mp.prec
     a = [list(X.raw[i * n:(i + 1) * n]) for i in range(n)]
-    v = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
 
     norm_x = _raw_sqrt(_raw_inner(X.raw, X.raw, prec), prec)
     if n == 1 or norm_x == fzero:
-        return _sorted_spectrum(a, v, n, ctx.mp)
+        return _sorted_spectrum(a, _rotated_identity(n, (), prec), n, ctx.mp)
 
+    from feasikit import helper  # loaded by the first eigensolve that sweeps
+
+    v = helper.jacobi_basis(n, _jacobi_sweeps(a, n, norm_x, ctx), prec)
+    return _sorted_spectrum(a, v, n, ctx.mp)
+
+
+def _jacobi_sweeps(a, n, norm_x, ctx):
+    """Sweep the rows a of a matrix of Frobenius norm norm_x in place
+    until its off-diagonal mass is negligible, yielding each sweep's
+    rotations as (p, q, c, s) with raw c and s; raises
+    :class:`NonConvergenceError` after ``_sweep_budget(n)`` sweeps."""
+    prec, rnd = ctx.mp.prec, round_nearest
     # stop when the off-diagonal Frobenius mass is negligible relative to X
     off_goal = _raw_mul(ctx.floor._mpf_, norm_x, prec)
     off_goal_sq = _raw_mul(off_goal, off_goal, prec)
-    max_sweeps = 30 * n * n
+    max_sweeps = _sweep_budget(n)
     for _ in range(max_sweeps):
         if mpf_le(_off_diagonal_sq(a, n, prec), off_goal_sq):
-            return _sorted_spectrum(a, v, n, ctx.mp)
+            return
+        rotations = []
         for p in range(n):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -673,12 +691,35 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
                         continue
                     a[i][p], a[i][q] = _rotate(c, s, a[i][p], a[i][q], prec)
                     a[p][i], a[q][i] = a[i][p], a[i][q]
-                for row in v:
-                    row[p], row[q] = _rotate(c, s, row[p], row[q], prec)
+                rotations.append((p, q, c, s))
+        yield rotations
     off = ctx.mp.make_mpf(_raw_sqrt(_off_diagonal_sq(a, n, prec), prec))
     raise NonConvergenceError(
         f"Jacobi sweeps exhausted ({max_sweeps}) with off-diagonal residual {off}"
     )
+
+
+def _sweep_budget(n):
+    """The number of Jacobi sweeps after which ``eig_sym`` gives up."""
+    return 30 * n * n
+
+
+def _rotated_identity(n, sweeps, prec):
+    """The rows of the identity of order n with every sweep's rotations
+    applied in order (``_rotate_rows``)."""
+    v = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
+    for rotations in sweeps:
+        _rotate_rows(v, rotations, prec)
+    return v
+
+
+def _rotate_rows(v, rotations, prec):
+    """Apply the rotations (p, q, c, s) in order to the entries p and q of
+    each row of v, in place.  A row's entries depend on that row alone, so
+    row by row gives the bits of rotation by rotation."""
+    for row in v:
+        for p, q, c, s in rotations:
+            row[p], row[q] = _rotate(c, s, row[p], row[q], prec)
 
 
 _by_value = functools.cmp_to_key(mpf_cmp)

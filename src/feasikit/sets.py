@@ -159,7 +159,7 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     (rpx, rpz), rlo, rwidth = p.raw, lo._mpf_, width._mpf_
     res_tol, merge_tol = _graph_levels(ctx)
     escape = (abs(px) + span + 10)._mpf_
-    from feasikit import helper  # loaded by the first graph projection only
+    from feasikit import helper  # loaded by the first graph projection or eigensolve
 
     roots = helper.graph_roots(jet, (rlo, rwidth, rpx, rpz, res_tol, escape, prec))
     if not roots:

@@ -1,6 +1,10 @@
+import contextlib
+import os
+
 import hypothesis
 import pytest
 
+from feasikit import helper
 from feasikit.numerics import PrecisionContext
 
 hypothesis.settings.register_profile(
@@ -12,3 +16,24 @@ hypothesis.settings.load_profile("default")
 @pytest.fixture(scope="session")
 def ctx():
     return PrecisionContext()
+
+
+# whether a process here may fork the helper of the graph projection and
+# the eigensolver
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
+needs_helper = pytest.mark.skipif(not TWO_CPUS, reason="the helper needs two CPUs")
+
+
+@contextlib.contextmanager
+def helper_allowed(allowed):
+    """Graph projections and eigensolves in the block may use the helper
+    (started on first use), or do all their work in this process."""
+    owner = helper._owner
+    if allowed:
+        helper._owner = os.getpid()
+    else:
+        helper.stay_serial()
+    try:
+        yield
+    finally:
+        helper._owner = owner

@@ -10,6 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import feasikit
+from conftest import TWO_CPUS
 from feasikit import cli
 from feasikit.analysis import estimate_linear_rate, estimate_order
 from feasikit.cli import build_problem, main
@@ -19,8 +20,6 @@ from feasikit.solvers import StopRule, run
 
 
 SRC = os.path.dirname(os.path.dirname(feasikit.__file__))
-# whether a process here may fork the graph projection's helper
-TWO_CPUS = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
 
 
 def without_time_profile(out):
@@ -425,19 +424,21 @@ class TestBenchCommand:
                 "from feasikit.cli import main\n"
                 "sys.exit(main(sys.argv[2:]))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
-        argv = ["bench", "--problem", "graph:quad", "--methods", "lt,plt", "--trials", "4",
-                "--seed", "3"]
-        assert main(argv + ["--jobs", "1"]) == 0
-        serial = without_time_profile(capsys.readouterr().out)
-        for method in ("fork", "forkserver", "spawn"):
-            log.unlink(missing_ok=True)
-            done = subprocess.run([sys.executable, "-c", code, method, *argv, "--jobs", "2"],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-            assert without_time_profile(done.stdout) == serial, method
-            forks = log.read_text().split() if log.exists() else []
-            assert len(set(forks)) <= 1 and len(forks) <= 2, (method, forks)
-            assert forks if method != "spawn" else not forks, method
+        # graph projections and eigensolves are the two users of the helper
+        for problem in (["graph:quad"], ["psdb-s1", "--dim", "3", "--tol", "1e-30"]):
+            argv = ["bench", "--problem", *problem, "--methods", "lt,plt", "--trials", "4",
+                    "--seed", "3"]
+            assert main(argv + ["--jobs", "1"]) == 0
+            serial = without_time_profile(capsys.readouterr().out)
+            for method in ("fork", "forkserver", "spawn"):
+                log.unlink(missing_ok=True)
+                done = subprocess.run([sys.executable, "-c", code, method, *argv, "--jobs", "2"],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+                assert without_time_profile(done.stdout) == serial, (problem, method)
+                forks = log.read_text().split() if log.exists() else []
+                assert len(set(forks)) <= 1 and len(forks) <= 2, (problem, method, forks)
+                assert forks if method != "spawn" else not forks, (problem, method)
 
     def test_trials_table_in_cell_order(self, psdb_trials):
         assert [(r["method"], r["trial"]) for r in psdb_trials] == [
@@ -680,12 +681,12 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_import_graph(self):
-        # in a fresh interpreter: importing the CLI and plane and matrix
-        # runs load neither theory, the graph helper nor dataclasses (nor
-        # inspect, which it imports) and fork nothing; a graph run and a
-        # probe load theory and the helper module, and the graph run forks
-        # the helper where it may; no run loads the process pool or pickle,
-        # and all four print the goldens
+        # in a fresh interpreter: importing the CLI and a plane run load
+        # neither theory, the helper nor dataclasses (nor inspect, which it
+        # imports) and fork nothing; a matrix run loads the helper module
+        # and forks the helper where it may, for its eigensolves; a graph
+        # run and a probe load theory too, and use that helper; no run
+        # loads the process pool or pickle, and all four print the goldens
         golden = dict(zip(GOLDEN_IDS, GOLDEN_STDOUT))
         names = ("run-circle-line-lt", "run-psd-s1-dr", "run-graph-quad-plt",
                  "probe-ratio-quad")
@@ -716,12 +717,13 @@ class TestGoldenOutput:
         assert json.loads(done.stdout) == [
             [],
             [0, golden["run-circle-line-lt"][1], [], 0],
-            [0, golden["run-psd-s1-dr"][1], [], 0],
+            [0, golden["run-psd-s1-dr"][1], ["feasikit.helper"], helpers],
             [0, golden["run-graph-quad-plt"][1], ["feasikit.theory", "feasikit.helper"], helpers],
             [0, golden["probe-ratio-quad"][1], ["feasikit.theory", "feasikit.helper"], helpers],
         ]
 
-    def test_graph_run_leaves_no_helper(self):
+    @staticmethod
+    def run_leaves_no_helper(name):
         # the helper holds the captured stdout and stderr pipes too, so the
         # run returns only once the helper is gone
         code = ("import sys\n"
@@ -729,7 +731,7 @@ class TestGoldenOutput:
                 "code = cli.main(sys.argv[1:])\n"
                 "print(helper._helper.pid if helper._helper else 0)\n"
                 "sys.exit(code)\n")
-        argv = GOLDEN_STDOUT[GOLDEN_IDS.index("run-graph-quad-lt")][0]
+        argv = GOLDEN_STDOUT[GOLDEN_IDS.index(name)][0]
         done = subprocess.run([sys.executable, "-c", code, *argv],
                               env=dict(os.environ, PYTHONPATH=SRC),
                               capture_output=True, text=True, timeout=60, check=True)
@@ -738,6 +740,12 @@ class TestGoldenOutput:
         if pid:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_graph_run_leaves_no_helper(self):
+        self.run_leaves_no_helper("run-graph-quad-lt")
+
+    def test_matrix_run_leaves_no_helper(self):
+        self.run_leaves_no_helper("run-psd-s1-dr")
 
     def test_bench_tables_digest(self, tmp_path):
         # recorded before Point2 held raw tuples, which changed the path the

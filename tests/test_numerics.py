@@ -1,7 +1,9 @@
 import copy
 import operator
+import os
 import pickle
 import random
+import signal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,8 @@ from mpmath.libmp import (
     mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
 )
 
+from conftest import TWO_CPUS, helper_allowed, needs_helper
+from feasikit import helper, numerics
 from feasikit.numerics import (
     NonConvergenceError,
     Point2,
@@ -401,6 +405,82 @@ class TestRawKernelsMatchMpf:
 
     def test_empty_reconstruct(self):
         assert Spectrum((), ()).reconstruct() == SymMatrix(())
+
+
+class TestEigHelper:
+    """``eig_sym`` with its eigenvectors accumulated in the forked helper
+    against ``stay_serial`` and the ``mpf`` oracle: the same bits, whatever
+    happens to the helper."""
+
+    @given(
+        n=st.integers(1, 5),
+        kind=st.sampled_from(("random", "sparse", "repeated", "diagonal", "zero")),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.sampled_from((0, -100, 20)),
+        digits=st.sampled_from((120, 40, 200)),
+    )
+    @settings(max_examples=60)
+    def test_helper_matches_serial_and_mpf(self, n, kind, seed, scale_exp, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        x = differential_matrix(kind, n, seed, scale_exp, ctx)
+        with helper_allowed(True):
+            got = spectrum_bits(eig_sym(x, ctx))
+            # n == 1 and the zero matrix return before the first sweep,
+            # and a 2x2 keeps its rotations
+            if TWO_CPUS and n > 2 and kind != "zero":
+                assert helper._helper is not None
+        with helper_allowed(False):
+            assert spectrum_bits(eig_sym(x, ctx)) == got
+            assert helper._helper is None
+        assert got == spectrum_bits(mpf_eig_sym(x, ctx))
+
+    @needs_helper
+    def test_killed_helper_is_reaped_and_replaced(self, monkeypatch):
+        ctx = PrecisionContext(decimal_digits=120)
+        x = differential_matrix("random", 5, 11, 0, ctx)
+        want = spectrum_bits(mpf_eig_sym(x, ctx))
+        real_ask, real_replay = helper._Helper.ask, numerics._rotated_identity
+        sent, replays = [], []
+
+        def ask(self, request, new=True):
+            sent.append(new)
+            if len(sent) == 3:  # the third sweep of the stream
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
+            return real_ask(self, request, new)
+
+        def replay(n, sweeps, prec):
+            replays.append(sweeps)
+            return real_replay(n, sweeps, prec)
+
+        monkeypatch.setattr(numerics, "_rotated_identity", replay)
+        with helper_allowed(True):
+            assert spectrum_bits(eig_sym(x, ctx)) == want
+            assert replays == []  # the helper's basis
+            pid = helper._helper.pid
+            monkeypatch.setattr(helper._Helper, "ask", ask)
+            assert spectrum_bits(eig_sym(x, ctx)) == want
+            assert sent == [True, False, False]
+            assert len(replays) == 1 and len(replays[0]) > 3  # every sweep, here
+            assert helper._helper is None
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+            assert spectrum_bits(eig_sym(x, ctx)) == want
+            assert helper._helper is not None and helper._helper.pid != pid
+            assert len(replays) == 1
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_exhausted_sweeps_raise_the_serial_error(self, monkeypatch, n):
+        ctx = PrecisionContext(decimal_digits=120)
+        x = differential_matrix("random", n, 5, 0, ctx)
+        monkeypatch.setattr(numerics, "_sweep_budget", lambda n: 2)
+        errors = []
+        for allowed in (False, True):
+            with helper_allowed(allowed), pytest.raises(NonConvergenceError) as info:
+                eig_sym(x, ctx)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("Jacobi sweeps exhausted (2) with off-diagonal residual ")
 
 
 DIGITS = (40, 120, 200)

@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import os
 import random
@@ -14,11 +13,11 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from feasikit import helper, sets
+from feasikit import helper, numerics, sets
 from feasikit.analysis import sample_disk
 from feasikit.numerics import (
-    Point2, PrecisionContext, Spectrum, SymMatrix, _abs_gt, _abs_le, _raw_mul, _raw_reflect, _vec,
-    dist, norm,
+    NonConvergenceError, Point2, PrecisionContext, Spectrum, SymMatrix, _abs_gt, _abs_le, _raw_mul,
+    _raw_reflect, _vec, dist, eig_sym, norm,
 )
 from feasikit.sets import (
     AnalyticCurve,
@@ -42,9 +41,10 @@ from feasikit.sets import (
 )
 from feasikit.theory import _quad_jet, get_curve
 
+from conftest import TWO_CPUS, helper_allowed, needs_helper
 from test_numerics import (
     DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_project_circle,
-    mpf_reconstruct, odd_mantissa, point_bits, raw, raw_operand, sym_random,
+    mpf_reconstruct, odd_mantissa, point_bits, raw, raw_operand, spectrum_bits, sym_random,
 )
 
 
@@ -197,23 +197,6 @@ DIGITS = (40, 120, 200)
 # points in the 0.05 disk the graph problems sample from, or anywhere with
 # |x|, |z| <= 3 (scaled by 1 - 1/q for full-length mantissas)
 FAR_POINTS = st.none() | st.tuples(*[st.floats(-3, 3)] * 2)
-# whether this process may fork the graph projection's helper
-TWO_CPUS = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
-
-
-@contextlib.contextmanager
-def graph_helper(allowed):
-    """Graph projections in the block may use the helper (started on first
-    use), or run all 33 starts in this process."""
-    owner = helper._owner
-    if allowed:
-        helper._owner = os.getpid()
-    else:
-        helper.stay_serial()
-    try:
-        yield
-    finally:
-        helper._owner = owner
 
 
 def check_selector(ident, seed, far):
@@ -253,7 +236,7 @@ class TestGraphJet:
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), far=FAR_POINTS)
     def test_project_graph_matches_separate_selector(self, ident, seed, far):
-        with graph_helper(True):
+        with helper_allowed(True):
             check_selector(ident, seed, far)
             assert helper._helper is not None or not TWO_CPUS
 
@@ -261,7 +244,7 @@ class TestGraphJet:
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), far=FAR_POINTS)
     def test_project_graph_without_helper_matches_separate_selector(self, ident, seed, far):
-        with graph_helper(False):
+        with helper_allowed(False):
             check_selector(ident, seed, far)
             assert helper._helper is None
 
@@ -311,9 +294,6 @@ class StartsSpy:
         return self.real(jet, helper._ODD, *self.calls[call][1])
 
 
-needs_helper = pytest.mark.skipif(not TWO_CPUS, reason="the helper needs two CPUs")
-
-
 class TestGraphHelper:
     """``project_graph`` with its odd Newton starts in the forked helper
     against all 33 starts in this process: the same bits, whatever
@@ -321,7 +301,7 @@ class TestGraphHelper:
 
     @pytest.fixture(autouse=True)
     def spy(self, monkeypatch):
-        with graph_helper(True):
+        with helper_allowed(True):
             spy = StartsSpy(sets._newton_roots)
             monkeypatch.setattr(sets, "_newton_roots", spy)
             real_answer = helper._Helper.answer
@@ -430,6 +410,35 @@ class TestGraphHelper:
         del spy.calls[:]
         assert project_graph(q, curve, ctx).raw == want
         assert spy.starts() == [helper._EVEN]
+        assert spy.answers[-1] == spy.odd_roots(curve.raw_jet)
+
+    @needs_helper
+    @pytest.mark.parametrize("failed", ["eigensolve", "graph"])
+    def test_eigensolve_and_graph_read_their_own_replies(self, spy, ctx, monkeypatch, failed):
+        # an exhausted sweep budget leaves a stream without a reply, and a
+        # failed graph request a reply nobody reads; the next eigensolve
+        # and graph projection each read their own
+        curve = get_curve("quad", ctx)
+        p, q = Point2.of(ctx, "2", "1"), Point2.of(ctx, "0.01", "-0.02")
+        x = differential_matrix("random", 5, 3, 0, ctx)
+        with monkeypatch.context() as serial:
+            serial.setattr(helper, "_live_helper", lambda: None)
+            want = spectrum_bits(eig_sym(x, ctx))
+        project_graph(p, curve, ctx)  # the helper is up
+        if failed == "eigensolve":
+            with monkeypatch.context() as budget:
+                budget.setattr(numerics, "_sweep_budget", lambda n: 3)
+                with pytest.raises(NonConvergenceError, match=r"exhausted \(3\)"):
+                    eig_sym(x, ctx)
+        else:
+            spy.fail = RuntimeError("jet failed")
+            assert project_graph(p, curve, ctx).raw == self.in_process(p, curve, ctx)
+        del spy.answers[:]
+        assert spectrum_bits(eig_sym(x, ctx)) == want
+        assert len(spy.answers) == 1 and spy.answers[0] is not None
+        del spy.calls[:]
+        assert project_graph(q, curve, ctx).raw == self.in_process(q, curve, ctx)
+        assert spy.starts()[0] == helper._EVEN
         assert spy.answers[-1] == spy.odd_roots(curve.raw_jet)
 
 
