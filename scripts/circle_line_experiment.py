@@ -3,8 +3,9 @@
 seeded start, plus Dolan-More performance profiles over a trial disk of
 radius 0.5 about the intersection (sqrt(3)/2, 1/2).
 
-Writes trace_<method>.csv, profiles_iters.csv and profiles_time.csv into
---outdir (plot-ready CSV; no plotting here).
+Writes trace_<method>.csv, profiles_iters.csv, profiles_time.csv and
+profiles_trials.csv (one row per trial) into --outdir (plot-ready CSV; no
+plotting here).
 """
 
 import argparse
@@ -36,12 +37,12 @@ def main():
             return code
         print(f"wrote {path}")
 
-    # iteration-count and CPU-time profiles; DR needs a reachable tolerance
+    # iteration-count and wall-time profiles; DR needs a reachable tolerance
     code = cli.main(["bench", "--methods", "dr,lt", "--tol", "1e-30",
                      "--trials", str(args.trials), "--jobs", str(args.jobs),
                      "--out", str(outdir / "profiles")] + common)
     if code == 0:
-        print(f"wrote {outdir / 'profiles_iters.csv'} and {outdir / 'profiles_time.csv'}")
+        print(f"wrote profiles_iters.csv, profiles_time.csv and profiles_trials.csv in {outdir}")
     return code
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fhalf, fnone, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt, mpf_hash,
+    fhalf, fnone, fone, ftwo, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt, mpf_hash,
     mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
 )
 
@@ -517,23 +517,30 @@ def _raw_mul_int(s, n, prec):
     return _round(sign, man * n, exp, prec)
 
 
+def _raw_mul_pow2(s, t, prec):
+    """``_raw_mul(s, t, prec)``, adding exponents when t is a power of two
+    (mantissa 1) and s is finite, nonzero and of at most prec bits: the
+    product is exact and already normalized.  With t ``ftwo`` this is also
+    ``mpf_mul_int(s, 2, prec)``: both round 2 * s once."""
+    ssign, sman, sexp, sbc = s
+    if t[1] == 1 and 0 < sbc <= prec:
+        return ssign ^ t[0], sman, sexp + t[2], sbc
+    return _raw_mul(s, t, prec)
+
+
 def _raw_reflect(q, x, prec):
     """``mpf_sub(mpf_mul_int(q, 2, prec), x, prec)``, rounding to nearest:
-    the reflection ``2 * q - x`` of x through q.  Doubling a finite nonzero
-    q of at most prec bits only raises its exponent."""
-    sign, man, exp, bc = q
-    if 0 < bc <= prec:
-        return _raw_add((sign, man, exp + 1, bc), x, prec, 1)
-    return _raw_add(_raw_mul_int(q, 2, prec), x, prec, 1)
+    the reflection ``2 * q - x`` of x through q.  Through itself, a finite
+    nonzero x of at most prec bits reflects to x exactly."""
+    if q is x and 0 < x[3] <= prec:
+        return x
+    return _raw_add(_raw_mul_pow2(q, ftwo, prec), x, prec, 1)
 
 
 def _raw_midpoint(s, t, prec):
     """``mpf_mul(mpf_add(s, t, prec), fhalf, prec)``, rounding to nearest:
     the sum is already rounded, so halving it only lowers its exponent."""
-    sign, man, exp, bc = total = _raw_add(s, t, prec)
-    if not man:
-        return mpf_mul(total, fhalf, prec, round_nearest)
-    return sign, man, exp - 1, bc
+    return _raw_mul_pow2(_raw_add(s, t, prec), fhalf, prec)
 
 
 def _raw_div(s, t, prec):
@@ -586,7 +593,7 @@ def _raw_sqrt(s, prec):
 def _off_diagonal_sq(a, n, prec):
     """``2 * sum(a[p][q] * a[p][q] for p < q)``, raw."""
     off = [a[p][q] for p in range(n) for q in range(p + 1, n)]
-    return _raw_mul_int(_raw_inner(off, off, prec), 2, prec)
+    return _raw_mul_pow2(_raw_inner(off, off, prec), ftwo, prec)
 
 
 def _sqrt_one_plus_sq(x, prec):
@@ -677,7 +684,7 @@ def _jacobi_sweeps(a, n, norm_x, ctx):
                 if apq == fzero:
                     continue
                 diff = _raw_sub(a[q][q], a[p][p], prec)
-                tau = _raw_div(diff, _raw_mul_int(apq, 2, prec), prec)
+                tau = _raw_div(diff, _raw_mul_pow2(apq, ftwo, prec), prec)
                 denom = _raw_add(mpf_abs(tau, prec, rnd), _sqrt_one_plus_sq(tau, prec), prec)
                 t = _raw_div(fnone if mpf_lt(tau, fzero) else fone, denom, prec)
                 c = _raw_div(fone, _sqrt_one_plus_sq(t, prec), prec)

@@ -29,6 +29,7 @@ from feasikit.numerics import (
     _raw_div,
     _raw_mul,
     _raw_mul_int,
+    _raw_mul_pow2,
     _raw_reflect,
     _raw_sqrt,
     _raw_sub,
@@ -211,16 +212,6 @@ def _graph_levels(ctx: PrecisionContext):
             ctx.pow10(-(ctx.decimal_digits - 20))._mpf_)
 
 
-def _raw_mul_pow2(s, t, prec):
-    """``_raw_mul(s, t, prec)``, adding exponents when t is a power of two
-    (mantissa 1) and s is finite, nonzero and of at most prec bits: the
-    product is exact and already normalized."""
-    ssign, sman, sexp, sbc = s
-    if t[1] == 1 and 0 < sbc <= prec:
-        return ssign ^ t[0], sman, sexp + t[2], sbc
-    return _raw_mul(s, t, prec)
-
-
 # raw roots (t, f(t)) in the order of ``mpf`` pairs: by t, then by f(t)
 _by_root = functools.cmp_to_key(lambda a, b: mpf_cmp(a[0], b[0]) or mpf_cmp(a[1], b[1]))
 
@@ -259,14 +250,10 @@ class HorizontalLine(Frozen, FeasibilitySet):
         return _vec(Point2, (p.raw[0], self.height._mpf_), p.mp)
 
     def raw_reflect(self, raw: tuple, ctx: PrecisionContext) -> tuple:
-        """``project(p) * 2 - p`` in closed form, ``(x, 2 * h - z)``:
-        ``2 * x - x`` is exactly x for a finite nonzero x of at most prec
-        bits (every point the toolkit builds); any other x is rounded."""
+        """``project(p) * 2 - p`` in closed form, ``(2 * x - x, 2 * h - z)``."""
         prec = ctx.mp.prec
         rx, rz = raw
-        if not 0 < rx[3] <= prec:
-            rx = _raw_reflect(rx, rx, prec)
-        return rx, _raw_reflect(self.height._mpf_, rz, prec)
+        return _raw_reflect(rx, rx, prec), _raw_reflect(self.height._mpf_, rz, prec)
 
 
 class UnitCircle(FeasibilitySet):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional
 
-from mpmath.libmp import fone, from_int, fzero, mpf_cos_sin, mpf_neg, mpf_pow_int, round_nearest
+from mpmath.libmp import fone, ftwo, fzero, mpf_cos_sin, mpf_neg, mpf_pow_int, round_nearest
 
 from feasikit.numerics import (
     FeasikitError,
@@ -22,6 +22,7 @@ from feasikit.numerics import (
     _raw_add,
     _raw_mul,
     _raw_mul_int,
+    _raw_mul_pow2,
 )
 from feasikit.sets import AnalyticCurve, CurveGraph, HorizontalLine
 from feasikit.solvers import DrOperator, dr_step
@@ -49,7 +50,7 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     function bound to its raw parameters with ``functools.partial``, which
     ``project_graph`` can send to its helper process.  Each raw call has
     the bits of the ``mpf`` operation in the comment that it replaces
-    (``2 * t`` is ``_raw_mul_int(t, 2)``, ``1 + x`` is
+    (``2 * t`` is ``_raw_mul_pow2(t, ftwo)``, ``1 + x`` is
     ``_raw_add(x, fone)``), so the jet is bit for bit that expression."""
     prec = ctx.mp.prec
     if ident.startswith("linear:"):
@@ -68,27 +69,22 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     return AnalyticCurve.checked(jet, ctx, ident)
 
 
-_TWO = from_int(2)
-
-
 def _linear_jet(a, prec, t):
     # (a * t, a, 0)
     return _raw_mul(a, t, prec), a, fzero
 
 
 def _quad_jet(prec, t):
-    # (t + t * t, 1 + 2 * t, 2); doubling a finite nonzero t of at most
-    # prec bits only raises its exponent
-    sign, man, exp, bc = t
-    double = (sign, man, exp + 1, bc) if 0 < bc <= prec else _raw_mul_int(t, 2, prec)
-    return _raw_add(t, _raw_mul(t, t, prec), prec), _raw_add(double, fone, prec), _TWO
+    # (t + t * t, 1 + 2 * t, 2)
+    double = _raw_mul_pow2(t, ftwo, prec)
+    return _raw_add(t, _raw_mul(t, t, prec), prec), _raw_add(double, fone, prec), ftwo
 
 
 def _cubic_jet(prec, t):
     # (2 * t + t**3, 2 + 3 * t * t, 6 * t)
     return (
-        _raw_add(_raw_mul_int(t, 2, prec), mpf_pow_int(t, 3, prec, round_nearest), prec),
-        _raw_add(_raw_mul(_raw_mul_int(t, 3, prec), t, prec), _TWO, prec),
+        _raw_add(_raw_mul_pow2(t, ftwo, prec), mpf_pow_int(t, 3, prec, round_nearest), prec),
+        _raw_add(_raw_mul(_raw_mul_int(t, 3, prec), t, prec), ftwo, prec),
         _raw_mul_int(t, 6, prec),
     )
 

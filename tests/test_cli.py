@@ -237,6 +237,18 @@ class TestRunCommand:
         assert main(base + ["--problem", "psd-s1"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_stagnation_stop_in_the_catalog(self, capsys):
+        # LT on psdb-s11 from seed 10 bottoms out near 1e-110, far above
+        # tol = 1e-140, and stops when the stagnation window sees no new
+        # error minimum: an unsolved run, with a converged reference
+        assert main(["run", "--problem", "psdb-s11", "--method", "lt", "--tol", "1e-140",
+                     "--seed", "10", "--no-times"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "# terminated_by: stagnation\n" in captured.out
+        rows = captured.out.split("iter,error,step_seconds\n", 1)[1].splitlines()
+        assert rows[-1].split(",", 1)[0] == "31"
+
     def test_matrix_problem_auto_reference(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = main([

@@ -8,8 +8,9 @@ import signal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import (
-    ComplexResult, fhalf, finf, fnan, fninf, fnone, fone, from_man_exp, fzero, mpf_add, mpf_div,
-    mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, round_nearest,
+    ComplexResult, fhalf, finf, fnan, fninf, fnone, fone, from_man_exp, ftwo, fzero, mpf_add,
+    mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub,
+    round_nearest,
 )
 
 from conftest import TWO_CPUS, helper_allowed, needs_helper
@@ -26,6 +27,7 @@ from feasikit.numerics import (
     _raw_midpoint,
     _raw_mul,
     _raw_mul_int,
+    _raw_mul_pow2,
     _raw_reflect,
     _raw_sqrt,
     _raw_sub,
@@ -615,7 +617,11 @@ class TestRawArith:
         # eig_sym's 1/t and -1/t
         assert outcome(_raw_div, fone, t, prec) == outcome(mpf_rdiv_int, 1, t, prec, rnd)
         assert outcome(_raw_div, fnone, t, prec) == outcome(mpf_rdiv_int, -1, t, prec, rnd)
+        # every doubling in the kernels is _raw_mul_pow2(x, ftwo)
+        assert _raw_mul_pow2(s, ftwo, prec) == mpf_mul_int(s, 2, prec, rnd)
         assert _raw_reflect(s, t, prec) == mpf_sub(mpf_mul_int(s, 2, prec, rnd), t, prec, rnd)
+        # a reflection through itself
+        assert _raw_reflect(s, s, prec) == mpf_sub(mpf_mul_int(s, 2, prec, rnd), s, prec, rnd)
         assert _raw_midpoint(s, t, prec) == mpf_mul(mpf_add(s, t, prec, rnd), fhalf, prec, rnd)
 
     @given(operands=raw_operands(),

@@ -17,7 +17,7 @@ from feasikit import helper, numerics, sets
 from feasikit.analysis import sample_disk
 from feasikit.numerics import (
     NonConvergenceError, Point2, PrecisionContext, Spectrum, SymMatrix, _abs_gt, _abs_le, _raw_mul,
-    _raw_reflect, _vec, dist, eig_sym, norm,
+    _raw_mul_pow2, _raw_reflect, _vec, dist, eig_sym, norm,
 )
 from feasikit.sets import (
     AnalyticCurve,
@@ -37,7 +37,6 @@ from feasikit.sets import (
     project_psd_boundary,
     _graph_levels,
     _nearest_root,
-    _raw_mul_pow2,
 )
 from feasikit.theory import _quad_jet, get_curve
 

@@ -512,8 +512,10 @@ class TestTraceCsv:
         assert float(rows[1].rsplit(",", 1)[1]) > 0
 
     def test_stagnation_below_floor_tolerance(self, ctx, circle_line):
-        # tol below the arithmetic floor: the error bottoms out near the
-        # O(1)-scale reference and the stagnation window fires
+        # tol below the arithmetic floor: this run lands exactly on the
+        # reference (exact_zero, after 7 steps) before the stagnation window
+        # can fire; test_cli's test_stagnation_stop_in_the_catalog pins a
+        # run that ends by stagnation
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
         trace = run(
             "lt",
