@@ -9,7 +9,19 @@ import random
 from bisect import bisect_right
 from typing import Mapping, NamedTuple, Sequence
 
-from feasikit.numerics import FeasikitError, Point2, PrecisionContext, SymMatrix
+from mpmath.libmp import from_float, ftwo, mpf_cos_sin, round_nearest
+
+from feasikit.numerics import (
+    FeasikitError,
+    Point2,
+    PrecisionContext,
+    SymMatrix,
+    _raw_add,
+    _raw_mul,
+    _raw_mul_pow2,
+    _raw_sqrt,
+    _vec,
+)
 
 
 class InsufficientDataError(FeasikitError):
@@ -180,19 +192,25 @@ def sample_disk(
     center: Point2, radius, n: int, seed: int, ctx: PrecisionContext
 ) -> tuple:
     """n points uniform on the disk (polar sampling with the area-correct
-    sqrt-radius transform), reproducible from the seed."""
+    sqrt-radius transform), reproducible from the seed; the center is of
+    ctx's precision."""
     radius = ctx.mpf(radius)
     if not radius > 0:
         raise ValueError("radius must be positive")
     rng = random.Random(seed)
-    two_pi = 2 * ctx.mp.pi
+    # raw, one call per mpf operation of center + Point2(r * cos, r * sin)
+    # with r = radius * sqrt(mpf(u)) and phi = 2 * pi * mpf(v)
+    prec, rad = ctx.mp.prec, radius._mpf_
+    two_pi = _raw_mul_pow2(ctx.mp.pi._mpf_, ftwo, prec)
+    cx, cz = center.raw
     points = []
     for _ in range(n):
-        r = radius * ctx.mp.sqrt(ctx.mpf(rng.random()))
-        phi = two_pi * ctx.mpf(rng.random())
+        r = _raw_mul(rad, _raw_sqrt(from_float(rng.random()), prec), prec)
+        phi = _raw_mul(two_pi, from_float(rng.random()), prec)
         # one series for both, each rounded as cos(phi) and sin(phi) are
-        cos, sin = ctx.mp.cos_sin(phi)
-        points.append(center + Point2(r * cos, r * sin))
+        cos, sin = mpf_cos_sin(phi, prec, round_nearest)
+        points.append(_vec(Point2, (_raw_add(cx, _raw_mul(r, cos, prec), prec),
+                                    _raw_add(cz, _raw_mul(r, sin, prec), prec)), ctx.mp))
     return tuple(points)
 
 

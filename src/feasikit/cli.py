@@ -70,10 +70,7 @@ def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Probl
     """Resolve a problem id to its operator, reference policy and trial
     distribution."""
     if problem_id == "circle-line":
-        half = ctx.mpf("0.5")
-        line = HorizontalLine(height=half)
-        solution = Point2(ctx.mp.sqrt(3) / 2, half)
-        return Problem(DrOperator(first=line, second=UnitCircle()), solution, radius=half)
+        return _circle_line(ctx)
     if problem_id.startswith("graph:"):
         from feasikit import theory
 
@@ -87,6 +84,17 @@ def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Probl
         second = PsdCone() if problem_id == "psd-s1" else PsdBoundary()
         return Problem(DrOperator(first, second), None, dim=dim)
     raise ValueError(f"unknown problem id: {problem_id!r} (known: {PROBLEM_IDS})")
+
+
+@functools.lru_cache(maxsize=None)
+def _circle_line(ctx: PrecisionContext) -> Problem:
+    """The ``circle-line`` problem, built once per precision: the line
+    z = 1/2, the unit circle, their intersection (sqrt(3)/2, 1/2) and the
+    disk of radius 1/2 about it."""
+    half = ctx.mpf("0.5")
+    line = HorizontalLine(height=half)
+    solution = Point2(ctx.mp.sqrt(3) / 2, half)
+    return Problem(DrOperator(first=line, second=UnitCircle()), solution, radius=half)
 
 
 def resolve_reference(problem: Problem):
@@ -108,11 +116,29 @@ def _write(text: str, out: Optional[str]):
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
+def _check_seed(seed: int):
+    """Reject a negative seed: ``random.Random(-k)`` seeds as ``Random(k)``
+    does, so it would repeat the trial points of k."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+@functools.lru_cache(maxsize=16)
+def _tolerance(tol, ctx: PrecisionContext) -> tuple:
+    """``--tol`` resolved against ctx and its header string, built once per
+    value and precision.  An invalid value raises on every call: the cache
+    keeps no exception."""
+    resolved = StopRule(tol=tol).resolved_tol(ctx)
+    return resolved, ctx.to_str(resolved)
+
+
 def cmd_run(args) -> int:
+    _check_seed(args.seed)
     ctx = PrecisionContext(decimal_digits=args.precision)
     problem = build_problem(args.problem, ctx, args.dim)
+    StopRule(max_iter=args.max_iter)  # --max-iter is checked before --tol
     # resolved once: run takes the mpf as it is, and the header prints it
-    tol = StopRule(tol=args.tol, max_iter=args.max_iter).resolved_tol(ctx)
+    tol, tol_text = _tolerance(args.tol, ctx)
     stop = StopRule(tol=tol, max_iter=args.max_iter)
     p0 = problem.sample(1, args.seed, ctx)[0]
     reference, ref_policy = resolve_reference(problem)
@@ -122,7 +148,7 @@ def cmd_run(args) -> int:
         ("problem", args.problem),
         ("precision", args.precision),
         ("seed", args.seed),
-        ("tol", ctx.to_str(tol)),
+        ("tol", tol_text),
         ("reference", ref_policy),
         ("terminated_by", trace.terminated_by.value),
     ]
@@ -179,6 +205,7 @@ def cmd_bench(args) -> int:
         raise ValueError("bench needs at least two trials")
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    _check_seed(args.seed)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method: {m!r}")

@@ -397,6 +397,19 @@ def _abs_gt(x, bound):
     return mpf_gt(mpf_abs(x), bound)
 
 
+def _le_product(x, a, b, c, prec):
+    """``mpf_le(x, mpf_mul(mpf_mul(a, b, prec), c, prec))`` for finite a,
+    b and c.  A nonzero value of magnitude m = exp + bc lies below 2^m and
+    rounding carries a product at most up to the next power of two, so
+    the bound is at most 2^(ma + mb + mc) in magnitude.  A positive x with
+    m_x > ma + mb + mc + 1 is at least twice that and exceeds it; other x
+    meet the bound itself."""
+    sign, man, exp, bc = x
+    if man and not sign and exp + bc > a[2] + a[3] + b[2] + b[3] + c[2] + c[3] + 1:
+        return False
+    return mpf_le(x, _raw_mul(_raw_mul(a, b, prec), c, prec))
+
+
 # Raw arithmetic.  ``_raw_add``, ``_raw_sub``, ``_raw_mul``,
 # ``_raw_mul_int``, ``_raw_div`` and ``_raw_sqrt`` return
 # the tuple that the ``libmp`` function of the same name returns at ``prec``
@@ -753,23 +766,45 @@ def _sorted_spectrum(a, v, n, mp) -> Spectrum:
 
 
 def solve2x2(A: Sequence[Sequence], b: Sequence, ctx: PrecisionContext):
-    """Solve a 2x2 linear system by Cramer's rule.
+    """Solve a 2x2 linear system of raw entries by Cramer's rule; returns
+    the raw solution.
 
-    Raises :class:`SingularMatrixError` when |det A| <= floor * ||A||_F^2
-    (the determinant scales like the norm squared).  Runs on raw tuples at
-    the context's precision, one raw call per ``mpf`` operation of
-    ``det = a00 * a11 - a01 * a10``, ``(b0 * a11 - b1 * a01) / det`` and
-    ``(a00 * b1 - a10 * b0) / det``.
+    Raises :class:`SingularMatrixError`, with the determinant as an
+    ``mpf``, when |det A| <= floor * ||A||_F^2 (the determinant scales like
+    the norm squared; see ``_singular``).  Runs at the context's precision,
+    one raw call per ``mpf`` operation of ``det = a00 * a11 - a01 * a10``,
+    ``(b0 * a11 - b1 * a01) / det`` and ``(a00 * b1 - a10 * b0) / det``,
+    except that a product the determinant and a numerator share
+    (``b0 * a11`` when b0 is a00, ``a00 * b1`` when b1 is a11, as in the LT
+    system) is rounded once.
     """
-    prec, make = ctx.mp.prec, ctx.mp.make_mpf
-    (a00, a01), (a10, a11) = ((x._mpf_ for x in row) for row in A)
-    b0, b1 = b[0]._mpf_, b[1]._mpf_
-    det = _raw_sub(_raw_mul(a00, a11, prec), _raw_mul(a01, a10, prec), prec)
-    entries = (a00, a01, a10, a11)
-    scale = _raw_inner(entries, entries, prec)
-    if mpf_le(mpf_abs(det, prec, round_nearest), _raw_mul(ctx.floor._mpf_, scale, prec)):
-        raise SingularMatrixError(make(det))
+    prec = ctx.mp.prec
+    (a00, a01), (a10, a11) = A
+    b0, b1 = b
+    diag = _raw_mul(a00, a11, prec)
+    det = _raw_sub(diag, _raw_mul(a01, a10, prec), prec)
+    if _singular(det, (a00, a01, a10, a11), ctx.floor._mpf_, prec):
+        raise SingularMatrixError(ctx.mp.make_mpf(det))
+    n0 = diag if b0 == a00 else _raw_mul(b0, a11, prec)
+    n1 = diag if b1 == a11 else _raw_mul(a00, b1, prec)
     return (
-        make(_raw_div(_raw_sub(_raw_mul(b0, a11, prec), _raw_mul(b1, a01, prec), prec), det, prec)),
-        make(_raw_div(_raw_sub(_raw_mul(a00, b1, prec), _raw_mul(a10, b0, prec), prec), det, prec)),
+        _raw_div(_raw_sub(n0, _raw_mul(b1, a01, prec), prec), det, prec),
+        _raw_div(_raw_sub(n1, _raw_mul(a10, b0, prec), prec), det, prec),
     )
+
+
+def _singular(det, entries, floor, prec):
+    """``mpf_le(mpf_abs(det), mpf_mul(floor, _raw_inner(entries, entries)))``
+    for finite entries.  With M the largest magnitude exp + bc of a nonzero
+    entry, each rounded square is at most 2^(2M), their rounded sum at most
+    2^(2M + 2) and the rounded bound at most 2^(m_floor + 2M + 2); a
+    determinant with m_det > m_floor + 2M + 3 is at least twice that.  Any
+    other determinant meets the bound itself."""
+    _, man, exp, bc = det
+    if man:
+        # a finite nonzero det has finite entries, one of them nonzero
+        m = max(t[2] + t[3] for t in entries if t[1])
+        if exp + bc > floor[2] + floor[3] + 2 * m + 3:
+            return False
+    scale = _raw_inner(entries, entries, prec)
+    return mpf_le(mpf_abs(det, prec, round_nearest), _raw_mul(floor, scale, prec))

@@ -13,7 +13,7 @@ import itertools
 import time
 from typing import NamedTuple, Optional, Sequence
 
-from mpmath.libmp import fzero, mpf_le, to_str
+from mpmath.libmp import fzero, to_str
 
 from feasikit.numerics import (
     Frozen,
@@ -21,6 +21,7 @@ from feasikit.numerics import (
     SingularMatrixError,
     _abs_gt,
     _abs_le,
+    _le_product,
     _raw_add,
     _raw_inner,
     _raw_midpoint,
@@ -100,13 +101,14 @@ def lt_step(t: DrOperator, p, ctx: PrecisionContext) -> LtUpdate:
 
     Runs on raw tuples at the context's precision from the two DR steps to
     the result, one raw call per ``mpf`` operation of the differences,
-    ``eta = nsq1 * nsq2 - g * g``, the collinearity test
-    ``eta <= floor * nsq1 * nsq2``, the 2x2 entries and
-    ``p + u1 * mu1 + u2 * mu2``; only ``solve2x2`` takes ``mpf`` values.
+    ``eta = nsq1 * nsq2 - g * g``, the 2x2 entries and
+    ``p + u1 * mu1 + u2 * mu2``.  The collinearity test
+    ``eta <= floor * nsq1 * nsq2`` is ``_le_product``, and ``solve2x2``
+    takes the raw system and returns the raw mu1 and mu2.
     """
     v1 = dr_step(t, p, ctx)
     v2 = dr_step(t, v1, ctx)
-    prec, make = ctx.mp.prec, ctx.mp.make_mpf
+    prec = ctx.mp.prec
     u1 = tuple(map(_raw_sub, v1.raw, p.raw, itertools.repeat(prec)))
     u2 = tuple(map(_raw_sub, v2.raw, p.raw, itertools.repeat(prec)))
     nsq1 = _raw_inner(u1, u1, prec)
@@ -114,15 +116,13 @@ def lt_step(t: DrOperator, p, ctx: PrecisionContext) -> LtUpdate:
     g = _raw_inner(u1, u2, prec)
     eta = _raw_sub(_raw_mul(nsq1, nsq2, prec), _raw_mul(g, g, prec), prec)
     # relative collinearity test; eta == 0 exactly only in exact arithmetic
-    if mpf_le(eta, _raw_mul(_raw_mul(ctx.floor._mpf_, nsq1, prec), nsq2, prec)):
+    if _le_product(eta, ctx.floor._mpf_, nsq1, nsq2, prec):
         return LtUpdate(v1, True)
-    entries = (nsq1, g, _raw_sub(g, nsq1, prec), _raw_sub(nsq2, g, prec))
-    a00, a01, a10, a11 = (make(x) for x in entries)
+    a10, a11 = _raw_sub(g, nsq1, prec), _raw_sub(nsq2, g, prec)
     try:
-        mu1, mu2 = solve2x2(((a00, a01), (a10, a11)), (a00, a11), ctx)
+        m1, m2 = solve2x2(((nsq1, g), (a10, a11)), (nsq1, a11), ctx)
     except SingularMatrixError:
         return LtUpdate(v1, True)
-    m1, m2 = mu1._mpf_, mu2._mpf_
     raw = tuple(_raw_add(_raw_add(x, _raw_mul(a, m1, prec), prec), _raw_mul(b, m2, prec), prec)
                 for x, a, b in zip(p.raw, u1, u2))
     return LtUpdate(_vec(type(p), raw, p.mp), False)

@@ -10,7 +10,18 @@ from feasikit.numerics import PrecisionContext
 hypothesis.settings.register_profile(
     "default", max_examples=50, deadline=None, derandomize=True
 )
+# a deeper derandomized pass over the raw-kernel oracles:
+# pytest --hypothesis-profile=deep (see .github/workflows/tests.yml)
+hypothesis.settings.register_profile(
+    "deep", max_examples=500, deadline=None, derandomize=True
+)
 hypothesis.settings.load_profile("default")
+
+
+def examples(n: int) -> int:
+    """A test's own example count n, or the loaded profile's where that
+    is larger (the deep profile)."""
+    return max(n, hypothesis.settings.default.max_examples)
 
 
 @pytest.fixture(scope="session")

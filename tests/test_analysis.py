@@ -13,7 +13,7 @@ from feasikit.analysis import (
     sample_disk,
     sample_sym,
 )
-from feasikit.numerics import Point2, dist
+from feasikit.numerics import Point2, PrecisionContext, dist
 
 
 class TestEstimateOrder:
@@ -182,6 +182,20 @@ class TestPerformanceProfile:
         assert len(lines) == 2 + len({1.0, 2.0, 5.0})
 
 
+def mpf_sample_disk(center, radius, n, seed, ctx):
+    """``sample_disk`` written with ``mpf`` operators; its oracle."""
+    radius = ctx.mpf(radius)
+    rng = random.Random(seed)
+    two_pi = 2 * ctx.mp.pi
+    points = []
+    for _ in range(n):
+        r = radius * ctx.mp.sqrt(ctx.mpf(rng.random()))
+        phi = two_pi * ctx.mpf(rng.random())
+        cos, sin = ctx.mp.cos_sin(phi)
+        points.append(center + Point2(r * cos, r * sin))
+    return tuple(points)
+
+
 class TestSampling:
     def test_disk_containment_and_determinism(self, ctx):
         center = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
@@ -196,6 +210,18 @@ class TestSampling:
         a = sample_disk(center, 1, 5, 1, ctx)
         b = sample_disk(center, 1, 5, 2, ctx)
         assert a != b
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.sampled_from(("0.5", "0.05", 3, "1e-40")),
+        center=st.sampled_from(((0, 0), ("0.8660254", "0.5"), (-3, "1e-30"))),
+        digits=st.sampled_from((40, 120, 200)),
+    )
+    def test_disk_matches_mpf(self, seed, radius, center, digits):
+        ctx = PrecisionContext(decimal_digits=digits)
+        c = Point2.of(ctx, *center)
+        got = sample_disk(c, radius, 3, seed, ctx)
+        assert [p.raw for p in got] == [p.raw for p in mpf_sample_disk(c, radius, 3, seed, ctx)]
 
     def test_disk_rejects_bad_radius(self, ctx):
         with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ from conftest import TWO_CPUS
 from feasikit import cli
 from feasikit.analysis import estimate_linear_rate, estimate_order
 from feasikit.cli import build_problem, main
-from feasikit.numerics import Point2, dist
-from feasikit.sets import DiagOnes, EntryOne, HorizontalLine, ProjectionError
+from feasikit.numerics import Point2, PrecisionContext, dist
+from feasikit.sets import DiagOnes, EntryOne, HorizontalLine, ProjectionError, UnitCircle
 from feasikit.solvers import StopRule, run
 
 
@@ -188,6 +188,36 @@ class TestRunCommand:
         assert captured.err == f"feasikit: tol must be {message}, got {tol!r}\n"
         assert captured.out == ""
 
+    def test_bad_tol_rejected_on_every_call(self, capsys):
+        # the resolved tolerance is cached per value and precision; an
+        # invalid one is not, so it fails again
+        for _ in range(2):
+            assert main(["run", "--problem", "circle-line", "--tol", "abc"]) == 2
+            assert capsys.readouterr().err == "feasikit: tol must be a number, got 'abc'\n"
+
+    def test_cached_tolerance_equals_a_fresh_one(self):
+        for digits in (40, 120):
+            ctx = PrecisionContext(decimal_digits=digits)
+            for tol in (None, "1e-30"):
+                fresh = StopRule(tol=tol).resolved_tol(ctx)
+                resolved, text = cli._tolerance(tol, ctx)
+                assert resolved._mpf_ == fresh._mpf_ and resolved.context is ctx.mp
+                assert text == ctx.to_str(fresh)
+        # two precisions in one process keep their own
+        assert cli._tolerance("1e-30", PrecisionContext(40))[1] != \
+            cli._tolerance("1e-30", PrecisionContext(120))[1]
+
+    def test_negative_seed_is_a_usage_error(self, monkeypatch, capsys):
+        # random.Random(-3) seeds as Random(3): it would repeat seed 3
+        def no_sampling(*args):
+            raise AssertionError("sampled before the seed check")
+
+        monkeypatch.setattr("feasikit.analysis.sample_disk", no_sampling)
+        assert main(["run", "--problem", "circle-line", "--method", "lt", "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "feasikit: seed must be >= 0, got -3\n"
+        assert captured.out == ""
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def fail(p, curve, ctx):
             raise ProjectionError("Newton failed from every start")
@@ -337,6 +367,17 @@ class TestBenchCommand:
                      "--trials", "4", "--jobs", "1"]) == 2
         err = capsys.readouterr().err
         assert err == "feasikit: duplicate method in --methods: dr,lt,dr\n"
+
+    def test_negative_seed_rejected_before_sampling(self, monkeypatch, capsys):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the seed check")
+
+        monkeypatch.setattr("feasikit.analysis.sample_disk", no_sampling)
+        assert main(["bench", "--problem", "circle-line", "--methods", "dr,lt",
+                     "--trials", "4", "--jobs", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "feasikit: seed must be >= 0, got -1\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected_before_sampling(self, jobs, monkeypatch, capsys):
@@ -581,6 +622,22 @@ class TestCatalog:
             if not problem.dim:
                 for p in problem.sample(20, 1, ctx):
                     assert dist(p, problem.reference, ctx) <= problem.radius
+
+    def test_circle_line_built_once_per_precision(self):
+        for digits in (40, 120):
+            ctx = PrecisionContext(decimal_digits=digits)
+            problem = build_problem("circle-line", ctx)
+            assert build_problem("circle-line", PrecisionContext(digits)) is problem
+            # what a fresh build gives
+            half = ctx.mpf("0.5")
+            assert problem.operator.first == HorizontalLine(height=half)
+            assert isinstance(problem.operator.second, UnitCircle)
+            assert problem.reference.raw == Point2(ctx.mp.sqrt(3) / 2, half).raw
+            assert problem.radius._mpf_ == half._mpf_
+            assert problem.reference.mp is problem.radius.context is ctx.mp
+        # two precisions in one process do not share one
+        assert build_problem("circle-line", PrecisionContext(40)).reference.raw != \
+            build_problem("circle-line", PrecisionContext(120)).reference.raw
 
     def test_every_problem_runs_every_method_quickly(self, ctx):
         start = time.perf_counter()

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import (
     ComplexResult, fhalf, finf, fnan, fninf, fnone, fone, from_man_exp, ftwo, fzero, mpf_add,
-    mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub,
-    round_nearest,
+    mpf_div, mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt,
+    mpf_sub, round_nearest,
 )
 
-from conftest import TWO_CPUS, helper_allowed, needs_helper
+from conftest import TWO_CPUS, examples, helper_allowed, needs_helper
 from feasikit import helper, numerics
 from feasikit.numerics import (
     NonConvergenceError,
@@ -22,6 +22,7 @@ from feasikit.numerics import (
     SingularMatrixError,
     Spectrum,
     SymMatrix,
+    _le_product,
     _raw_add,
     _raw_div,
     _raw_midpoint,
@@ -861,6 +862,11 @@ def mpf_solve2x2(A, b, ctx):
     return (b0 * a11 - b1 * a01) / det, (a00 * b1 - a10 * b0) / det
 
 
+def solve_mpf(A, b, ctx):
+    """``solve2x2`` on the raw entries of an ``mpf`` system, boxed back."""
+    return tuple(map(ctx.mp.make_mpf, solve2x2(raw(A), tuple(x._mpf_ for x in b), ctx)))
+
+
 def solve_bits(solve, A, b, ctx):
     """The bits of the solution, or of the determinant a singular system
     reports."""
@@ -870,20 +876,42 @@ def solve_bits(solve, A, b, ctx):
         return "singular", err.determinant._mpf_
 
 
+def margin_system(rng, margin, scale_exp, ctx):
+    """A system whose determinant has magnitude exp + bc exactly
+    m_floor + 2M + margin, M the largest entry's.  a00 = a10 = +-s and
+    a11 = a01 + w with s, a01 and w of 8, 30 and 20 bits, so every
+    rounding of det = a00 * w is exact.  s and a01 lie just below 2^M, so
+    the bound floor * ||A||_F^2 is close to 2^(m_floor + 2M + 2): at
+    margin 2 these systems are singular at 40, 120 and 200 digits, at 3
+    and 4 they are not."""
+    floor = ctx.floor._mpf_
+    big = scale_exp * 3 + rng.randint(-20, 20)  # M
+    sign = rng.choice((1, -1))
+    s = ctx.mp.make_mpf(from_man_exp(sign * (2 ** 8 - 1), big - 8))
+    v = ctx.mp.make_mpf(from_man_exp(sign * rng.randint(2 ** 30 - 2 ** 24, 2 ** 30 - 1), big - 30))
+    # |s * w| lies in [2^(M + m_w - 1), 2^(M + m_w)) for w >= 0.5078 * 2^m_w
+    m_w = floor[2] + floor[3] + big + margin
+    w_man = rng.randint(2 ** 19 + 2 ** 12, 2 ** 19 + 2 ** 17)
+    w = ctx.mp.make_mpf(from_man_exp(rng.choice((1, -1)) * w_man, m_w - 20))
+    return [[s, v], [s, v + w]]
+
+
 class TestSolve2x2:
     @given(
-        kind=st.sampled_from(("random", "singular", "near-singular", "zero-row", "zero")),
+        kind=st.sampled_from(("random", "singular", "near-singular", "zero-row", "zero", "lt",
+                              "margin-2", "margin-3", "margin-4")),
         seed=st.integers(0, 2**32 - 1),
         scale_exp=st.sampled_from((0, -100, 20)),
         digits=st.sampled_from(DIGITS),
     )
-    @settings(max_examples=150)
+    @settings(max_examples=examples(150))
     def test_matches_mpf(self, kind, seed, scale_exp, digits):
         ctx = PrecisionContext(decimal_digits=digits)
         rng = random.Random(seed)
         shrink = (1 - ctx.mpf(1) / 999983) * ctx.pow10(scale_exp)
         v = [ctx.mpf(rng.uniform(-1.0, 1.0)) * shrink for _ in range(6)]
         rows = [[v[0], v[1]], [v[2], v[3]]]
+        b = (v[4], v[5])
         if kind == "singular":
             rows[1] = [v[0] * 3, v[1] * 3]
         elif kind == "near-singular":
@@ -892,12 +920,21 @@ class TestSolve2x2:
             rows[1] = [ctx.mp.zero, ctx.mp.zero]
         elif kind == "zero":
             rows = [[ctx.mp.zero] * 2] * 2
-        b = (v[4], v[5])
-        assert solve_bits(solve2x2, rows, b, ctx) == solve_bits(mpf_solve2x2, rows, b, ctx)
+        elif kind == "lt":  # b = (a00, a11): the products det shares
+            b = (rows[0][0], rows[1][1])
+        elif kind.startswith("margin"):
+            margin = int(kind[-1])
+            rows = margin_system(rng, margin, scale_exp, ctx)
+            det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+            floor, big = ctx.floor._mpf_, max(x._mpf_[2] + x._mpf_[3] for r in rows for x in r)
+            assert det._mpf_[2] + det._mpf_[3] == floor[2] + floor[3] + 2 * big + margin
+            if rng.randint(0, 1):
+                b = (rows[0][0], rows[1][1])
+        assert solve_bits(solve_mpf, rows, b, ctx) == solve_bits(mpf_solve2x2, rows, b, ctx)
 
     def test_identity(self, ctx):
         i2 = ((ctx.mpf(1), ctx.mpf(0)), (ctx.mpf(0), ctx.mpf(1)))
-        assert solve2x2(i2, (ctx.mpf(3), ctx.mpf(4)), ctx) == (ctx.mpf(3), ctx.mpf(4))
+        assert solve_mpf(i2, (ctx.mpf(3), ctx.mpf(4)), ctx) == (ctx.mpf(3), ctx.mpf(4))
 
     def test_lt_mu_system(self, ctx):
         # hand elimination; this is the mu-system of the worked LT example
@@ -905,14 +942,14 @@ class TestSolve2x2:
             (ctx.mpf("0.5"), ctx.mpf("0.75")),
             (ctx.mpf("0.25"), ctx.mpf("0.5")),
         )
-        x0, x1 = solve2x2(a, (ctx.mpf("0.5"), ctx.mpf("0.5")), ctx)
+        x0, x1 = solve_mpf(a, (ctx.mpf("0.5"), ctx.mpf("0.5")), ctx)
         assert abs(x0 + 2) <= ctx.pow10(-100)
         assert abs(x1 - 2) <= ctx.pow10(-100)
 
     def test_singular(self, ctx):
         a = ((ctx.mpf(1), ctx.mpf(1)), (ctx.mpf(1), ctx.mpf(1)))
         with pytest.raises(SingularMatrixError) as err:
-            solve2x2(a, (ctx.mpf(1), ctx.mpf(2)), ctx)
+            solve_mpf(a, (ctx.mpf(1), ctx.mpf(2)), ctx)
         assert err.value.determinant == 0
 
     def test_residuals_random(self, ctx):
@@ -924,7 +961,7 @@ class TestSolve2x2:
             if abs(a[0][0] * a[1][1] - a[0][1] * a[1][0]) < ctx.mpf("0.05"):
                 continue
             b = [ctx.mpf(rng.uniform(-1.0, 1.0)) for _ in range(2)]
-            x0, x1 = solve2x2(a, b, ctx)
+            x0, x1 = solve_mpf(a, b, ctx)
             r0 = a[0][0] * x0 + a[0][1] * x1 - b[0]
             r1 = a[1][0] * x0 + a[1][1] * x1 - b[1]
             norm_a = ctx.mp.sqrt(sum(v * v for row in a for v in row))
@@ -934,6 +971,69 @@ class TestSolve2x2:
                 norm_a * norm_x + norm_b
             )
             checked += 1
+
+
+def magnitude(s):
+    """exp + bc of a raw tuple: a nonzero value lies in [2^(m-1), 2^m)."""
+    return s[2] + s[3]
+
+
+@st.composite
+def le_product_inputs(draw):
+    """(x, a, b, c, prec) for ``_le_product``: finite factors of
+    ``raw_operand``'s kinds, zero included (wide all-ones mantissas make
+    products that round up to a power of two), and x at a magnitude margin
+    of -2 to 3 over ma + mb + mc, exactly at the bound, or negative or
+    zero."""
+    prec = PrecisionContext(decimal_digits=draw(st.sampled_from(DIGITS))).mp.prec
+    finite = raw_operand(prec).filter(lambda s: s[1] or s == fzero)
+    a, b, c = draw(finite), draw(finite), draw(finite)
+    bound = mpf_mul(mpf_mul(a, b, prec, round_nearest), c, prec, round_nearest)
+    kind = draw(st.sampled_from(("margin", "bound", "negative", "zero")))
+    if kind == "bound":
+        x = bound
+    elif kind == "zero":
+        x = fzero
+    else:
+        man = odd_mantissa(draw, draw(st.integers(1, prec)))
+        bc = man.bit_length()
+        m = magnitude(a) + magnitude(b) + magnitude(c) + draw(st.integers(-2, 3))
+        x = (int(kind == "negative"), man, m - bc, bc)
+    return x, a, b, c, prec
+
+
+class TestLeProduct:
+    """``_le_product`` against the ``mpf_le`` of the rounded bound it
+    replaces, at 40, 120 and 200 digits."""
+
+    @given(inputs=le_product_inputs())
+    @settings(max_examples=examples(300))
+    def test_matches_mpf_le(self, inputs):
+        x, a, b, c, prec = inputs
+        bound = mpf_mul(mpf_mul(a, b, prec, round_nearest), c, prec, round_nearest)
+        assert _le_product(x, a, b, c, prec) == mpf_le(x, bound)
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_bound_rounded_up_to_a_power_of_two(self, digits):
+        # each factor lies just below 2^(2 prec) and each product rounds up
+        # to a power of two: the bound is 2^(ma + mb + mc) itself, which a
+        # value at margin 1 can equal, and only margin 2 exceeds it
+        prec = PrecisionContext(decimal_digits=digits).mp.prec
+        wide = (0, 2 ** (2 * prec) - 1, 0, 2 * prec)
+        bound = mpf_mul(mpf_mul(wide, wide, prec, round_nearest), wide, prec, round_nearest)
+        assert bound == (0, 1, 3 * magnitude(wide), 1)
+        assert magnitude(bound) == 3 * magnitude(wide) + 1
+        assert _le_product(bound, wide, wide, wide, prec)
+        assert not _le_product((0, 1, bound[2] + 1, 1), wide, wide, wide, prec)
+        assert not _le_product((0, 3, bound[2] - 1, 2), wide, wide, wide, prec)
+
+    def test_zero_and_negative_x_and_zero_factors(self):
+        prec = PrecisionContext(decimal_digits=120).mp.prec
+        a = (0, 3, -5, 2)
+        for x in (fzero, (1, 5, 400, 3)):
+            assert _le_product(x, a, a, a, prec)
+        for x in (fzero, (1, 5, 400, 3), (0, 1, -900, 1)):
+            assert _le_product(x, a, fzero, a, prec) == mpf_le(x, fzero)
 
 
 class TestPickle:

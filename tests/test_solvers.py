@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import fzero, mpf_le, mpf_lt
 
+from feasikit import numerics, solvers
 from feasikit.cli import build_problem
 from feasikit.numerics import (
     Point2,
@@ -16,7 +17,6 @@ from feasikit.numerics import (
     dist,
     inner,
     norm,
-    solve2x2,
 )
 from feasikit.sets import (
     CurveGraph, DiagOnes, EntryOne, HorizontalLine, PsdBoundary, PsdCone, UnitCircle,
@@ -36,7 +36,7 @@ from feasikit.theory import get_curve, graph_operator
 
 from test_numerics import (
     DIGITS, differential_matrix, differential_point, mpf_entrywise, mpf_inner, mpf_project_circle,
-    mpf_solve2x2, mpf_sub_points, point_bits, raw, sym_random,
+    mpf_solve2x2, mpf_sub_points, point_bits, raw, solve_mpf, sym_random,
 )
 from test_sets import (
     mpf_project_diag_ones, mpf_project_entry11, mpf_project_psd, mpf_project_psd_boundary,
@@ -220,6 +220,36 @@ class TestLtStep:
         if rec.collinear:
             assert rec.result == dr_step(t, p, ctx)
 
+    def test_rounds_and_boxes_of_a_circle_line_step(self, ctx, monkeypatch):
+        """A non-collinear circle-line update rounds 57 times: 22 in its two
+        DR steps, 35 from the differences to the result (the collinearity
+        test and the singularity test decided by magnitude, the product
+        a00 * a11 rounded once).  It boxes no ``mpf``, and it reaches
+        ``solve2x2`` through the ``solvers`` module attribute, which a
+        profiler may wrap."""
+        problem = build_problem("circle-line", ctx)
+        points = problem.sample(20, 3, ctx)
+        counts = {"round": 0, "solve2x2": 0}
+        round_, solve = numerics._round, solvers.solve2x2
+
+        def counting_round(*args):
+            counts["round"] += 1
+            return round_(*args)
+
+        def counting_solve(*args):
+            counts["solve2x2"] += 1
+            return solve(*args)
+
+        def no_boxing(*args):
+            raise AssertionError("lt_step boxed an mpf")
+
+        monkeypatch.setattr(numerics, "_round", counting_round)
+        monkeypatch.setattr(solvers, "solve2x2", counting_solve)
+        monkeypatch.setattr(ctx.mp, "make_mpf", no_boxing)
+        for p in points:
+            assert not lt_step(problem.operator, p, ctx).collinear
+        assert counts == {"round": 57 * len(points), "solve2x2": len(points)}
+
     def test_mu_matches_adjugate_closed_form(self, ctx):
         # the orthogonality system versus the inverted-Gram closed form
         rng = random.Random(37)
@@ -232,7 +262,7 @@ class TestLtStep:
             eta = n1 * n2 - g * g
             if eta <= ctx.mpf("1e-4") * n1 * n2 or n1 == 0 or n2 == 0:
                 continue
-            mu1, mu2 = solve2x2(
+            mu1, mu2 = solve_mpf(
                 ((n1, g), (g - n1, n2 - g)), (n1, n2 - g), ctx
             )
             rhs1, rhs2 = n1, n2 - g + n1

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from feasikit import theory
-from feasikit.numerics import Point2, dist, inner, norm, solve2x2
+from feasikit.numerics import Point2, dist, inner, norm
 from feasikit.solvers import dr_step, lt_step
 from feasikit.theory import (
     DegenerateDenominatorError,
@@ -20,6 +20,8 @@ from feasikit.theory import (
     probe_zeta_limit,
     zeta_terms,
 )
+
+from test_numerics import solve_mpf
 
 
 class TestCurves:
@@ -129,7 +131,7 @@ class TestClosedForms:
                 z = w.z
                 fx, dfx, _ = curve.jet(w.x)
                 fx1, dfx1, _ = curve.jet(w.x + z * dfx)
-                g1, _ = solve2x2(
+                g1, _ = solve_mpf(
                     ((-fx / dfx, fx1 / dfx1), (-z, z - fx)), (z * dfx, -fx), ctx
                 )
                 assert abs(g1 - h_coeff(w, curve, ctx)) <= ctx.pow10(
