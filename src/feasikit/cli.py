@@ -43,7 +43,6 @@ PROBES = {
     "one-minus-h": "probe_one_minus_h",
     "ratio": "probe_ratio",
 }
-DEFAULT_PRECISION_ENV = "FEASIKIT_PRECISION"
 # nonzero exit codes: unsolved run or failed probe, usage or input error,
 # numerical failure (any FeasikitError)
 EXIT_FAILED, EXIT_USAGE, EXIT_NUMERICAL = 1, 2, 3
@@ -301,19 +300,9 @@ def cmd_probe(args) -> int:
     return 0 if report.passed else EXIT_FAILED
 
 
-def _default_precision() -> int:
-    raw = os.environ.get(DEFAULT_PRECISION_ENV, "120")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{DEFAULT_PRECISION_ENV} must be an integer, got {raw!r}") from None
-
-
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  ``--precision``
-    defaults to None, which ``main`` resolves from the environment on
-    every call."""
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="feasikit",
         description="Projection-method feasibility experiments and probes",
@@ -321,8 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--precision", type=int, default=None,
-                       help="working decimal digits (env FEASIKIT_PRECISION)")
+        p.add_argument("--precision", type=int, default=120, help="working decimal digits")
         p.add_argument("--tol", default=None,
                        help="stop tolerance (default 10^-(precision-20))")
         p.add_argument("--max-iter", type=int, default=200)
@@ -358,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probe_p.add_argument("--n-angles", type=int, default=16)
     probe_p.add_argument("--log10-r-max", type=int, default=-1)
     probe_p.add_argument("--log10-r-min", type=int, default=-10)
-    probe_p.add_argument("--precision", type=int, default=None)
+    probe_p.add_argument("--precision", type=int, default=120)
     probe_p.add_argument("--out", default=None)
     probe_p.set_defaults(handler=cmd_probe)
     return parser
@@ -367,8 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.precision is None:
-            args.precision = _default_precision()
         # every command writes into --out's directory (bench as <base>_*.csv)
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"output directory does not exist: {os.path.dirname(args.out)}")

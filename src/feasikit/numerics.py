@@ -18,8 +18,8 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fhalf, fnone, fone, ftwo, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt, mpf_hash,
-    mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sqrt, round_nearest,
+    fhalf, fnone, fone, from_int, ftwo, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt,
+    mpf_hash, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_sqrt, round_nearest,
 )
 
 
@@ -162,7 +162,7 @@ class Vec:
         if mp is None:
             # int entries (see SymMatrix) times an mpf: mpf_mul_int(s, k)
             mp = scalar.context
-            raw = tuple(map(_raw_mul_int, repeat(s), self.raw, repeat(mp.prec)))
+            raw = tuple(map(_raw_mul, repeat(s), map(from_int, self.raw), repeat(mp.prec)))
         else:
             raw = tuple(map(_raw_mul, self.raw, repeat(s), repeat(mp.prec)))
         return _vec(type(self), raw, mp)
@@ -377,24 +377,14 @@ def _abs_le(x, bound):
     """``mpf_le(mpf_abs(x), bound)`` for a positive finite bound.  A
     nonzero x lies in [2^(m-1), 2^m) in magnitude, m = exp + bc, so
     unequal m decide the test; equal ones, zero and special values go to
-    ``libmp``."""
+    ``libmp``.  For any x but NaN, ``not _abs_le(x, bound)`` is
+    ``mpf_gt(mpf_abs(x), bound)``."""
     _, man, exp, bc = x
     if man:
         m, mb = exp + bc, bound[2] + bound[3]
         if m != mb:
             return m < mb
     return mpf_le(mpf_abs(x), bound)
-
-
-def _abs_gt(x, bound):
-    """``mpf_gt(mpf_abs(x), bound)`` for a positive finite bound, decided
-    by magnitude as in ``_abs_le``."""
-    _, man, exp, bc = x
-    if man:
-        m, mb = exp + bc, bound[2] + bound[3]
-        if m != mb:
-            return m > mb
-    return mpf_gt(mpf_abs(x), bound)
 
 
 def _le_product(x, a, b, c, prec):
@@ -410,16 +400,17 @@ def _le_product(x, a, b, c, prec):
     return mpf_le(x, _raw_mul(_raw_mul(a, b, prec), c, prec))
 
 
-# Raw arithmetic.  ``_raw_add``, ``_raw_sub``, ``_raw_mul``,
-# ``_raw_mul_int``, ``_raw_div`` and ``_raw_sqrt`` return
-# the tuple that the ``libmp`` function of the same name returns at ``prec``
-# rounding to nearest, bit for bit: each copies that function's algorithm
-# step for step, but counts bits with ``int.bit_length`` and strips
-# trailing zeros with ``man & -man``, where the pure-Python backend bisects
-# a table and takes a ``math.log``.  Zero plus, minus or times a finite
-# value is answered as ``libmp`` answers it; other zero and special operands
-# go to the ``libmp`` function itself.  (``libmp``'s own attributes stay untouched:
-# rebinding them would change mpmath for every caller in the process.)
+# Raw arithmetic.  ``_raw_add``, ``_raw_sub``, ``_raw_mul``, ``_raw_div``
+# and ``_raw_sqrt`` return the tuple that the ``libmp`` function of the same
+# name returns at ``prec`` rounding to nearest, bit for bit: each rounds
+# the value that function rounds, once, but counts bits with
+# ``int.bit_length`` and strips trailing zeros with ``man & -man``, where
+# the pure-Python backend bisects a table and takes a ``math.log``.  A
+# product by an int k is ``_raw_mul`` by ``from_int(k)``, as in
+# ``mpf_mul_int``.  Zero plus, minus or times a finite value is answered as
+# ``libmp`` answers it; other zero and special operands go to the ``libmp``
+# function itself.  (``libmp``'s own attributes stay untouched: rebinding
+# them would change mpmath for every caller in the process.)
 
 
 def _round(sign, man, exp, prec):
@@ -445,7 +436,11 @@ def _round(sign, man, exp, prec):
 
 
 def _raw_add(s, t, prec, _sub=0):
-    """``mpf_add(s, t, prec, round_nearest)``; ``_sub=1`` negates t first."""
+    """``mpf_add(s, t, prec, round_nearest)``; ``_sub=1`` negates t first.
+    Of ``mpf_add``'s two exponent orders one is computed: neither the exact
+    sum nor the rule that a lower operand wholly below the rounding
+    position only perturbs the upper one depends on the order.  Odd
+    mantissas cancel exactly only at equal exponents, to ``fzero``."""
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
     tsign ^= _sub
@@ -458,46 +453,27 @@ def _raw_add(s, t, prec, _sub=0):
             return s
         return mpf_add(s, t, prec, round_nearest, _sub)
     offset = sexp - texp
-    if offset > 0:
-        # t lies wholly below s's rounding position: only perturb s
+    if offset >= 0:
         if offset > 100 and sbc + sexp - tbc - texp > prec + 4:
-            man = (sman << (prec + 4)) + (1 if tsign == ssign else -1)
-            return _round(ssign, man, sexp - prec - 4, prec)
-        man = sman << offset
-        exp = texp
-        if ssign == tsign:
-            man += tman
-        elif ssign:
-            man = tman - man
+            man, low, exp = sman << (prec + 4), 1, sexp - prec - 4
         else:
-            man -= tman
-    elif offset < 0:
-        if offset < -100 and tbc + texp - sbc - sexp > prec + 4:
-            man = (tman << (prec + 4)) + (1 if ssign == tsign else -1)
-            return _round(tsign, man, texp - prec - 4, prec)
-        man = tman << -offset
-        exp = sexp
-        if ssign == tsign:
-            man += sman
-        elif tsign:
-            man = sman - man
-        else:
-            man -= sman
+            man, low, exp = sman << offset, tman, texp
     else:
-        exp = texp
-        if ssign == tsign:
-            man = tman + sman
-        elif ssign:
-            man = tman - sman
+        if offset < -100 and tbc + texp - sbc - sexp > prec + 4:
+            man, low, exp = tman << (prec + 4), 1, texp - prec - 4
         else:
-            man = sman - tman
-        if not man:
-            return fzero
+            man, low, exp = tman << -offset, sman, sexp
+        ssign, tsign = tsign, ssign
+    # ssign is now the upper operand's sign, tsign the lower one's
     if ssign == tsign:
-        return _round(ssign, man, exp, prec)
-    if man < 0:
-        return _round(1, -man, exp, prec)
-    return _round(0, man, exp, prec)
+        man += low
+    else:
+        man -= low
+        if man < 0:
+            man, ssign = -man, tsign
+        elif not man:
+            return fzero
+    return _round(ssign, man, exp, prec)
 
 
 def _raw_sub(s, t, prec):
@@ -517,17 +493,6 @@ def _raw_mul(s, t, prec):
             return fzero
         return mpf_mul(s, t, prec, round_nearest)
     return _round(ssign ^ tsign, man, sexp + texp, prec)
-
-
-def _raw_mul_int(s, n, prec):
-    """``mpf_mul_int(s, n, prec, round_nearest)``: s times the int n."""
-    sign, man, exp, bc = s
-    if not man or not n:
-        return mpf_mul_int(s, n, prec, round_nearest)
-    if n < 0:
-        sign ^= 1
-        n = -n
-    return _round(sign, man * n, exp, prec)
 
 
 def _raw_mul_pow2(s, t, prec):

@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import Callable, NamedTuple
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fone, fzero, from_int, mpf_abs, mpf_cmp, mpf_ge, mpf_gt, mpf_le
+from mpmath.libmp import fone, from_man_exp, fzero, mpf_abs, mpf_cmp, mpf_ge, mpf_gt, mpf_le
 
 from feasikit.numerics import (
     FeasikitError,
@@ -23,12 +23,10 @@ from feasikit.numerics import (
     Point2,
     PrecisionContext,
     SymMatrix,
-    _abs_gt,
     _abs_le,
     _raw_add,
     _raw_div,
     _raw_mul,
-    _raw_mul_int,
     _raw_mul_pow2,
     _raw_reflect,
     _raw_sqrt,
@@ -90,7 +88,8 @@ class AnalyticCurve(NamedTuple):
         if abs(f0) > ctx.pow10(-(ctx.decimal_digits - 5)):
             raise ValueError(f"curve must pass through the origin, f(0)={f0}")
         if abs(a) <= ctx.floor:
-            raise ValueError("curve must not be tangent to the x-axis: f'(0) == 0")
+            raise ValueError(f"curve must not be tangent to the x-axis: |f'(0)| = {abs(a)} "
+                             f"is at most the floor {ctx.floor}")
         return cls(raw_jet=jet, a=a, mp=ctx.mp, ident=ident)
 
     def jet(self, t):
@@ -137,10 +136,13 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     context's precision, rounding to nearest; each call gives the bits of
     the ``mpf`` operation it replaces, so the roots are bit for bit those
     of the same loop written with ``mpf`` objects (pinned by a
-    differential test against that version).  The product ``dz * f''``
-    shifts an exponent when f'' is a power of two (``_raw_mul_pow2``), and
-    the residual and escape tests compare magnitudes (``_abs_le``,
-    ``_abs_gt``); both give the bits of the call they replace.
+    differential test against that version).  The start
+    ``lo + width * k / 32`` is one product by the exact k/32.  The product
+    ``dz * f''`` shifts an exponent when f'' is a power of two
+    (``_raw_mul_pow2``), and the residual and escape tests compare
+    magnitudes (``_abs_le``; ``not _abs_le`` is ``|t| > escape`` but for a
+    NaN t, which reaches no root either way); each gives the bits of the
+    call it replaces.
 
     The starts share no state, so the odd ones run in a helper process
     where one can (see ``feasikit.helper``) while the caller runs the even
@@ -174,7 +176,8 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     return _vec(Point2, _nearest_root(roots, p.raw, merge_tol, prec), ctx.mp)
 
 
-_THIRTY_TWO = from_int(32)
+# the raw fractions k/32 of the Newton starts, exact
+_START_FRACTIONS = tuple(from_man_exp(k, -5) for k in range(33))
 
 
 def _newton_roots(jet, starts, lo, width, px, pz, res_tol, escape, prec) -> set:
@@ -184,7 +187,7 @@ def _newton_roots(jet, starts, lo, width, px, pz, res_tol, escape, prec) -> set:
     or the precision."""
     roots = set()
     for k in starts:
-        t = _raw_add(lo, _raw_div(_raw_mul_int(width, k, prec), _THIRTY_TWO, prec), prec)
+        t = _raw_add(lo, _raw_mul(width, _START_FRACTIONS[k], prec), prec)
         for _ in range(200):
             ft, dft, ddft = jet(t)
             dz = _raw_sub(ft, pz, prec)
@@ -198,7 +201,7 @@ def _newton_roots(jet, starts, lo, width, px, pz, res_tol, escape, prec) -> set:
             if slope == fzero:
                 break
             t = _raw_sub(t, _raw_div(gt, slope, prec), prec)
-            if _abs_gt(t, escape):
+            if not _abs_le(t, escape):
                 break
     return roots
 

@@ -19,7 +19,6 @@ from feasikit.numerics import (
     Frozen,
     PrecisionContext,
     SingularMatrixError,
-    _abs_gt,
     _abs_le,
     _le_product,
     _raw_add,
@@ -196,7 +195,8 @@ def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
         raise ValueError(f"unknown method: {method!r}")
 
     # the stop tests compare raw mpf tuples of nonnegative errors and
-    # gaps by magnitude (``_abs_le``, ``_abs_gt``)
+    # gaps by magnitude (``_abs_le``); ``not _abs_le`` is ``prev > cliff``:
+    # it runs once the error is at the floor, and a NaN orbit stays NaN
     tol = stop.resolved_tol(ctx)._mpf_
     floor = ctx.floor._mpf_
     cliff, near_floor = _stop_levels(ctx)
@@ -228,7 +228,7 @@ def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
         err = dist(p, reference, ctx)
         errors.append(err)
         e = err._mpf_
-        if e == fzero or (_abs_le(e, floor) and _abs_gt(prev, cliff)):
+        if e == fzero or (_abs_le(e, floor) and not _abs_le(prev, cliff)):
             terminated = Termination.EXACT_ZERO
             break
         if _abs_le(e, tol):

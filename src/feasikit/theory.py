@@ -12,7 +12,9 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional
 
-from mpmath.libmp import fone, ftwo, fzero, mpf_cos_sin, mpf_neg, mpf_pow_int, round_nearest
+from mpmath.libmp import (
+    fone, from_int, ftwo, fzero, mpf_cos_sin, mpf_neg, mpf_pow_int, round_nearest,
+)
 
 from feasikit.numerics import (
     FeasikitError,
@@ -21,7 +23,6 @@ from feasikit.numerics import (
     PrecisionContext,
     _raw_add,
     _raw_mul,
-    _raw_mul_int,
     _raw_mul_pow2,
 )
 from feasikit.sets import AnalyticCurve, CurveGraph, HorizontalLine
@@ -50,8 +51,9 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
     function bound to its raw parameters with ``functools.partial``, which
     ``project_graph`` can send to its helper process.  Each raw call has
     the bits of the ``mpf`` operation in the comment that it replaces
-    (``2 * t`` is ``_raw_mul_pow2(t, ftwo)``, ``1 + x`` is
-    ``_raw_add(x, fone)``), so the jet is bit for bit that expression."""
+    (``2 * t`` is ``_raw_mul_pow2(t, ftwo)``, ``3 * t`` is
+    ``_raw_mul(t, from_int(3))``, ``1 + x`` is ``_raw_add(x, fone)``), so
+    the jet is bit for bit that expression."""
     prec = ctx.mp.prec
     if ident.startswith("linear:"):
         slope = ident.split(":", 1)[1]
@@ -59,8 +61,6 @@ def get_curve(ident: str, ctx: PrecisionContext) -> AnalyticCurve:
             a = ctx.mpf(slope)
         except ValueError:
             raise ValueError(f"linear curve needs a numeric slope, got {slope!r}") from None
-        if a == 0:
-            raise ValueError("linear curve needs nonzero slope")
         jet = functools.partial(_linear_jet, a._mpf_, prec)
     elif ident in _JETS:
         jet = functools.partial(_JETS[ident], prec)
@@ -80,12 +80,15 @@ def _quad_jet(prec, t):
     return _raw_add(t, _raw_mul(t, t, prec), prec), _raw_add(double, fone, prec), ftwo
 
 
+_THREE, _SIX = from_int(3), from_int(6)
+
+
 def _cubic_jet(prec, t):
     # (2 * t + t**3, 2 + 3 * t * t, 6 * t)
     return (
         _raw_add(_raw_mul_pow2(t, ftwo, prec), mpf_pow_int(t, 3, prec, round_nearest), prec),
-        _raw_add(_raw_mul(_raw_mul_int(t, 3, prec), t, prec), ftwo, prec),
-        _raw_mul_int(t, 6, prec),
+        _raw_add(_raw_mul(_raw_mul(t, _THREE, prec), t, prec), ftwo, prec),
+        _raw_mul(t, _SIX, prec),
     )
 
 

@@ -138,39 +138,22 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--problem", "circle-line", "--method", "sgd"])
 
-    def test_precision_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FEASIKIT_PRECISION", "60")
-        out = tmp_path / "trace.csv"
-        assert main(["run", "--problem", "graph:linear:1", "--method", "lt",
-                     "--out", str(out)]) == 0
-        assert "# precision: 60" in read(out)
-
-    def test_precision_env_invalid(self, monkeypatch, capsys):
-        monkeypatch.setenv("FEASIKIT_PRECISION", "abc")
-        assert main(["run", "--problem", "circle-line"]) == 2
-        err = capsys.readouterr().err
-        assert "FEASIKIT_PRECISION must be an integer" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_precision_env_read_on_each_call(self, tmp_path, monkeypatch):
-        # the parser is built once per process; the env is read per call,
-        # and only when --precision is not given
-        out = tmp_path / "trace.csv"
-        args = ["run", "--problem", "graph:linear:1", "--method", "lt", "--out", str(out)]
-        for digits in ("60", "50"):
-            monkeypatch.setenv("FEASIKIT_PRECISION", digits)
-            assert main(args) == 0
-            assert f"# precision: {digits}\n" in read(out)
-        monkeypatch.setenv("FEASIKIT_PRECISION", "abc")
-        assert main(args + ["--precision", "40"]) == 0
-        assert "# precision: 40\n" in read(out)
-
     def test_non_finite_curve_rejected(self, capsys):
         for pid in ("graph:linear:inf", "graph:linear:nan"):
             assert main(["run", "--problem", pid, "--method", "lt"]) == 2
             err = capsys.readouterr().err
             assert "finite" in err
             assert len(err.strip().splitlines()) == 1
+
+    def test_tangent_curve_rejected(self, ctx, capsys):
+        # a slope at or below the floor, 1e-110 at 120 digits, is tangent
+        for slope in ("0", "1e-200"):
+            assert main(["run", "--problem", f"graph:linear:{slope}", "--method", "lt"]) == 2
+            assert capsys.readouterr().err == (
+                f"feasikit: curve must not be tangent to the x-axis: |f'(0)| = "
+                f"{abs(ctx.mpf(slope))} is at most the floor 1.0e-110\n")
+        curve = build_problem("graph:linear:1e-100", ctx).operator.second.curve
+        assert curve.a == ctx.mpf("1e-100")
 
     def test_non_numeric_slope_rejected(self, capsys):
         assert main(["run", "--problem", "graph:linear:abc"]) == 2

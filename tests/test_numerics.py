@@ -8,7 +8,8 @@ import signal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import (
-    ComplexResult, fhalf, finf, fnan, fninf, fnone, fone, from_man_exp, ftwo, fzero, mpf_add,
+    ComplexResult, fhalf, finf, fnan, fninf, fnone, fone, from_int, from_man_exp, ftwo, fzero,
+    mpf_add,
     mpf_div, mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt,
     mpf_sub, round_nearest,
 )
@@ -27,7 +28,6 @@ from feasikit.numerics import (
     _raw_div,
     _raw_midpoint,
     _raw_mul,
-    _raw_mul_int,
     _raw_mul_pow2,
     _raw_reflect,
     _raw_sqrt,
@@ -613,7 +613,8 @@ class TestRawArith:
         assert _raw_sub(s, t, prec) == mpf_sub(s, t, prec, rnd)
         assert _raw_mul(s, t, prec) == mpf_mul(s, t, prec, rnd)
         assert _raw_mul(s, s, prec) == mpf_pow_int(s, 2, prec, rnd)
-        assert _raw_mul_int(s, n, prec) == mpf_mul_int(s, n, prec, rnd)
+        # a product by an int, as SymMatrix's int entries take it
+        assert _raw_mul(s, from_int(n), prec) == mpf_mul_int(s, n, prec, rnd)
         assert outcome(_raw_div, s, t, prec) == outcome(mpf_div, s, t, prec, rnd)
         # eig_sym's 1/t and -1/t
         assert outcome(_raw_div, fone, t, prec) == outcome(mpf_rdiv_int, 1, t, prec, rnd)
@@ -849,6 +850,20 @@ class TestRawPlaneMatchesMpf:
             want = raw(mpf_entrywise(a, scalar, operator.mul).entries)
             assert raw((a * scalar).entries) == want
             assert raw((scalar * a).entries) == want
+
+    @given(data=st.data(), digits=st.sampled_from(DIGITS))
+    @settings(max_examples=200)
+    def test_int_entries_times_mpf(self, data, digits):
+        # a matrix of negative, zero and positive int entries times an
+        # mpf is mpf_mul_int(s, k) entry by entry
+        mp = PrecisionContext(decimal_digits=digits).mp
+        s = data.draw(raw_operand(mp.prec))
+        ints = st.one_of(st.sampled_from((0, 1, -1, 2, -3, 32)), st.integers(-2**80, 2**80))
+        n = data.draw(st.integers(1, 3))
+        upper = {(i, j): data.draw(ints) for i in range(n) for j in range(i, n)}
+        a = SymMatrix([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+        assert (a * mp.make_mpf(s)).raw == tuple(mpf_mul_int(s, k, mp.prec, round_nearest)
+                                                 for k in a.raw)
 
 
 def mpf_solve2x2(A, b, ctx):

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
-    fhalf, fone, from_int, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_mul, mpf_mul_int,
+    fhalf, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_mul_int,
     round_nearest,
 )
 
 from feasikit import helper, numerics, sets
 from feasikit.analysis import sample_disk
 from feasikit.numerics import (
-    NonConvergenceError, Point2, PrecisionContext, Spectrum, SymMatrix, _abs_gt, _abs_le, _raw_mul,
+    NonConvergenceError, Point2, PrecisionContext, Spectrum, SymMatrix, _abs_le, _raw_mul,
     _raw_mul_pow2, _raw_reflect, _vec, dist, eig_sym, norm,
 )
 from feasikit.sets import (
@@ -40,7 +40,7 @@ from feasikit.sets import (
 )
 from feasikit.theory import _quad_jet, get_curve
 
-from conftest import TWO_CPUS, helper_allowed, needs_helper
+from conftest import TWO_CPUS, examples, helper_allowed, needs_helper
 from test_numerics import (
     DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_project_circle,
     mpf_reconstruct, odd_mantissa, point_bits, raw, raw_operand, spectrum_bits, sym_random,
@@ -474,7 +474,6 @@ class TestGraphFastPaths:
         x = data.draw(raw_operand(prec))
         bound = data.draw(positive_bound(x))
         assert _abs_le(x, bound) == mpf_le(mpf_abs(x), bound)
-        assert _abs_gt(x, bound) == mpf_gt(mpf_abs(x), bound)
 
     def test_magnitude_compare_edges(self):
         for digits in DIGITS:
@@ -490,7 +489,29 @@ class TestGraphFastPaths:
                 xs += [(0, m, exp - 1, m.bit_length()) for m in (2 * man - 1, 2 * man + 1)]
                 for x in xs:
                     assert _abs_le(x, bound) == mpf_le(mpf_abs(x), bound), (digits, x, bound)
-                    assert _abs_gt(x, bound) == mpf_gt(mpf_abs(x), bound), (digits, x, bound)
+
+    @given(data=st.data(), digits=st.sampled_from(DIGITS))
+    @settings(max_examples=examples(200))
+    def test_newton_starts_match_libmp(self, data, digits):
+        # each start lo + width * k / 32 is one product by the exact k/32;
+        # a jet that records its argument and a residual tolerance every
+        # finite value meets stop each start at its first step
+        prec = PrecisionContext(decimal_digits=digits).mp.prec
+        finite = raw_operand(prec).filter(lambda x: x[1] or x == fzero)
+        lo, width = data.draw(finite), data.draw(finite)
+        seen = []
+
+        def jet(t):
+            seen.append(t)
+            return fzero, fone, fzero
+
+        everything = (0, 1, 10 ** 6, 1)
+        sets._newton_roots(jet, range(33), lo, width, fzero, fzero, everything, everything, prec)
+        rnd = round_nearest
+        assert seen == [
+            mpf_add(lo, mpf_div(mpf_mul_int(width, k, prec, rnd), from_int(32), prec, rnd), prec, rnd)
+            for k in range(33)
+        ]
 
     @given(data=st.data(), digits=st.sampled_from(DIGITS))
     @settings(max_examples=400)

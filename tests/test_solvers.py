@@ -12,7 +12,6 @@ from feasikit.numerics import (
     Point2,
     PrecisionContext,
     SingularMatrixError,
-    _abs_gt,
     _abs_le,
     dist,
     inner,
@@ -402,16 +401,17 @@ def stop_levels(ctx):
 @st.composite
 def at_magnitude(draw, bound, prec):
     """A positive raw value with the bound's ``exp + bc``: the tie that
-    ``_abs_le`` and ``_abs_gt`` hand to ``libmp``."""
+    ``_abs_le`` hands to ``libmp``."""
     bc = draw(st.integers(1, prec))
     man = draw(st.integers(2 ** (bc - 1), 2 ** bc - 1)) | 1
     return (0, man, bound[2] + bound[3] - bc, bc)
 
 
 class TestStopTests:
-    """``run``'s stop tests decide by magnitude (``_abs_le``, ``_abs_gt``);
-    on its nonnegative errors and gaps they answer as the ``mpf_le`` and
-    ``mpf_lt`` calls they replace, at 40, 120 and 200 digits."""
+    """``run``'s stop tests decide by magnitude (``_abs_le`` and its
+    negation); on its nonnegative errors and gaps they answer as the
+    ``mpf_le`` and ``mpf_lt`` calls they replace, at 40, 120 and 200
+    digits."""
 
     @given(data=st.data(), digits=st.sampled_from(DIGITS))
     @settings(max_examples=300)
@@ -426,7 +426,7 @@ class TestStopTests:
             st.integers(-3, 3).map(lambda k: (0, bound[1], bound[2] + k, bound[3])),
         ))
         assert _abs_le(x, bound) == mpf_le(x, bound)
-        assert _abs_gt(x, bound) == mpf_lt(bound, x)
+        assert (not _abs_le(x, bound)) == mpf_lt(bound, x)
 
     def test_every_error_of_a_run(self, ctx):
         # the errors of DR, LT and PLT traces on circle-line and psdb-s1,
@@ -440,7 +440,7 @@ class TestStopTests:
                 for e in trace.errors:
                     for bound in stop_levels(ctx):
                         assert _abs_le(e._mpf_, bound) == mpf_le(e._mpf_, bound)
-                        assert _abs_gt(e._mpf_, bound) == mpf_lt(bound, e._mpf_)
+                        assert (not _abs_le(e._mpf_, bound)) == mpf_lt(bound, e._mpf_)
 
 
 class TestRecords:
