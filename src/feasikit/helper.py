@@ -3,11 +3,13 @@
 One long-lived child, forked on first use, works beside the caller on two
 kinds of request:
 
-- ``sets.project_graph`` runs its even Newton starts itself and sends
-  the odd ones to the helper, which computes them at the same time.  A
-  request names the jet by module, function name and bound arguments, so
-  only a ``functools.partial`` of a module-level function is sent; any
-  other jet runs all 33 starts in the caller.
+- ``sets.project_graph``'s 33 Newton starts are shared through a table
+  of 33 bytes that both processes map: the caller claims starts from 0
+  up and the helper from 32 down, each marking a start before it runs
+  it, until one meets the other's mark.  A request names the jet by
+  module, function name and bound arguments, so only a
+  ``functools.partial`` of a module-level function is sent; any other
+  jet runs all 33 starts in the caller.
 - ``numerics.eig_sym`` sends each Jacobi sweep's rotations as soon as the
   sweep is done.  The helper applies them to the identity while the
   caller sweeps on, and at the stop test the caller asks for the result.
@@ -25,12 +27,15 @@ import atexit
 import functools
 import importlib
 import marshal
+import mmap
 import os
 import sys
 
 from feasikit import numerics, sets
 
-_ALL, _EVEN, _ODD = range(33), range(0, 33, 2), range(1, 33, 2)
+_ALL, _DOWN = range(33), range(32, -1, -1)
+_CALLER, _HELPER = 1, 2  # the marks in the claim table; 0 is unclaimed
+_UNCLAIMED = bytes(len(_ALL))
 _GRAPH, _SWEEP, _BASIS = range(3)
 _owner = os.getpid()  # the process that loaded this module; only it forks a helper
 _helper = None  # this process's helper, or None
@@ -46,15 +51,17 @@ def stay_serial():
 
 
 def graph_roots(jet, args) -> set:
-    """``sets._newton_roots`` from all 33 starts, with the odd ones run by
-    the helper when this process has or may start one and the jet can be
-    sent."""
+    """``sets._newton_roots`` from all 33 starts, shared with the helper
+    through its claim table when this process has or may start one and
+    the jet can be sent."""
     request = _request(jet, args)
     helper = None if request is None else _live_helper()
+    if helper is not None:
+        helper.claims[:] = _UNCLAIMED  # before the helper reads the request
     if helper is None or not helper.ask(request):
         return sets._newton_roots(jet, _ALL, *args)
     try:
-        roots = sets._newton_roots(jet, _EVEN, *args)
+        roots = sets._newton_roots(jet, _claimed(helper.claims, _ALL, _CALLER, _HELPER), *args)
     except Exception:
         # rerun in start order for the first start's exception; the
         # unread reply is skipped by the next ``answer``
@@ -64,6 +71,20 @@ def graph_roots(jet, args) -> set:
         return sets._newton_roots(jet, _ALL, *args)
     roots.update(theirs)
     return roots
+
+
+def _claimed(claims, order, mine, theirs):
+    """The starts of ``order`` before the first one marked ``theirs`` in
+    ``claims``, each marked ``mine`` as it is yielded.  Each side stops
+    only at the other's mark, so the caller (up from 0) and the helper
+    (down from 32) cover every start between them, whatever order the
+    marks reach the other process in; a race, or a mark left by a
+    request that an exception cut off, can only run a start twice."""
+    for k in order:
+        if claims[k] == theirs:
+            return
+        claims[k] = mine
+        yield k
 
 
 def jacobi_basis(n, sweeps, prec):
@@ -142,9 +163,10 @@ class _Helper:
     """A forked child running ``_serve``; ``ask`` sends it a request and
     ``answer`` reads the reply to the last one."""
 
-    __slots__ = ("pid", "requests", "replies", "sent")
+    __slots__ = ("pid", "requests", "replies", "sent", "claims")
 
     def __init__(self):
+        self.claims = mmap.mmap(-1, len(_ALL))  # shared with the child
         into, self.requests = os.pipe()
         self.replies, out = os.pipe()
         try:
@@ -152,12 +174,13 @@ class _Helper:
         except OSError:
             for fd in (into, self.requests, self.replies, out):
                 os.close(fd)
+            self.claims.close()
             raise
         if pid == 0:
             try:
                 os.close(self.requests)
                 os.close(self.replies)
-                _serve(into, out)
+                _serve(into, out, self.claims)
             finally:
                 # never the parent's atexit handlers or buffered output
                 os._exit(0)
@@ -193,6 +216,7 @@ class _Helper:
     def close(self):
         os.close(self.requests)
         os.close(self.replies)
+        self.claims.close()
         if os.getpid() == _owner:
             try:
                 os.waitpid(self.pid, 0)
@@ -200,12 +224,12 @@ class _Helper:
                 pass
 
 
-def _serve(into, out):
+def _serve(into, out, claims):
     """The helper's loop; returns at end of file.  A graph request is
-    answered with the odd starts' roots, or None if they raised.  The
-    sweeps of one stream (one sequence number) rotate a basis that starts
-    as the identity, and the stream's basis request is answered with it,
-    or None if a rotation raised."""
+    answered with the roots of the starts it claims from 32 down, or None
+    if they raised.  The sweeps of one stream (one sequence number)
+    rotate a basis that starts as the identity, and the stream's basis
+    request is answered with it, or None if a rotation raised."""
     stream = basis = None
     while (message := _receive(into)) is not None:
         seq, (kind, *request) = message
@@ -225,7 +249,7 @@ def _serve(into, out):
             module, name, bound, args = request
             try:
                 jet = functools.partial(getattr(importlib.import_module(module), name), *bound)
-                reply = sets._newton_roots(jet, _ODD, *args)
+                reply = sets._newton_roots(jet, _claimed(claims, _DOWN, _HELPER, _CALLER), *args)
             except Exception:
                 reply = None
         _send(out, seq, marshal.dumps(reply))

@@ -144,10 +144,11 @@ def project_graph(p: Point2, curve: AnalyticCurve, ctx: PrecisionContext) -> Poi
     NaN t, which reaches no root either way); each gives the bits of the
     call it replaces.
 
-    The starts share no state, so the odd ones run in a helper process
-    where one can (see ``feasikit.helper``) while the caller runs the even
-    ones; the union of the two root sets is the set of one loop over all
-    33, so the selected point is the same bit for bit.
+    The starts share no state, so where a helper process can run (see
+    ``feasikit.helper``) the caller claims them from 0 up and the helper
+    from 32 down until the two meet; the union of the two root sets is
+    the set of one loop over all 33, so the selected point is the same
+    bit for bit.
     """
     if curve.mp.prec != ctx.mp.prec:
         raise ValueError(

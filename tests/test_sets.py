@@ -1,7 +1,9 @@
 import functools
+import itertools
 import os
 import random
 import signal
+import time
 from itertools import repeat
 
 import numpy as np
@@ -266,36 +268,119 @@ def _quad_jet_in(owner, prec, t):
     return _quad_jet(prec, t)
 
 
+def _quad_jet_late_in(slow, delay, prec, t):
+    # the quad jet, ``delay`` seconds late in the process ``slow``
+    if os.getpid() == slow:
+        time.sleep(delay)
+    return _quad_jet(prec, t)
+
+
 class Interrupt(BaseException):
     """Escapes ``project_graph`` as a KeyboardInterrupt would."""
 
 
 class StartsSpy:
-    """Stands in for ``sets._newton_roots`` in this process: records each
-    call's starts and arguments, and raises ``fail`` once from the even
-    starts.  ``answers`` collects what ``_Helper.answer`` returned."""
+    """Stands in for ``sets._newton_roots`` in this process: records the
+    starts each call runs, in order, and its arguments, and raises
+    ``fail`` once, before its first start, from a call that shares its
+    starts with the helper.  ``answers`` collects what ``_Helper.answer``
+    returned."""
 
     def __init__(self, real):
         self.real, self.calls, self.answers, self.fail = real, [], [], None
+        self.owner = os.getpid()
 
     def __call__(self, jet, starts, *args):
-        self.calls.append((starts, args))
-        if self.fail is not None and starts == helper._EVEN:
+        if os.getpid() != self.owner:  # a helper forked with the spy in place
+            return self.real(jet, starts, *args)
+        ran = []
+        self.calls.append((ran, args))
+        if self.fail is not None and starts is not helper._ALL:
             exc, self.fail = self.fail, None
             raise exc
-        return self.real(jet, starts, *args)
+        return self.real(jet, self.recorded(starts, ran), *args)
+
+    @staticmethod
+    def recorded(starts, ran):
+        # lazily, so that each start is claimed just before it runs
+        for k in starts:
+            ran.append(k)
+            yield k
 
     def starts(self):
-        return [starts for starts, _ in self.calls]
+        return [ran for ran, _ in self.calls]
 
-    def odd_roots(self, jet, call=0):
-        """The odd starts' roots for the arguments of a recorded call."""
-        return self.real(jet, helper._ODD, *self.calls[call][1])
+    def assert_shared(self, jet):
+        """The one recorded call ran an ascending prefix [0, kc) of the
+        starts, and the helper's reply holds the roots of the rest, of
+        [kc - 1, 32] if both sides claimed kc - 1 at once."""
+        [(ran, args)] = self.calls
+        assert ran == list(range(len(ran)))
+        rest = [self.real(jet, range(k, 33), *args) for k in (len(ran), max(len(ran) - 1, 0))]
+        assert self.answers[-1] in rest
+
+
+class LateMarks:
+    """One side's view of a claim table held in a ``bytearray``: the
+    side's last mark reaches the shared bytes only at its next read or
+    when the schedule flushes it, so the other side may read past it."""
+
+    def __init__(self, table):
+        self.table, self.pending = table, None
+
+    def flush(self):
+        if self.pending is not None:
+            k, mark = self.pending
+            self.table[k], self.pending = mark, None
+
+    def __getitem__(self, k):
+        self.flush()
+        return self.table[k]
+
+    def __setitem__(self, k, mark):
+        self.pending = k, mark
+
+
+class TestClaimTable:
+    """``helper._claimed`` for the caller (up from 0) and the helper (down
+    from 32) on one table, under random interleavings, with late marks
+    and with stale helper marks (ints in the schedule) written at any
+    time, as a helper still on a request that an exception cut off
+    writes them."""
+
+    @settings(max_examples=examples(300))
+    @given(schedule=st.lists(st.one_of(st.sampled_from(["caller", "helper", "flush caller",
+                                                         "flush helper"]),
+                                       st.integers(0, 32)), max_size=150))
+    def test_claims_cover_every_start(self, schedule):
+        table = bytearray(33)
+        caller, mine = LateMarks(table), LateMarks(table)
+        sides = {
+            "caller": (caller, helper._claimed(caller, helper._ALL, helper._CALLER, helper._HELPER), []),
+            "helper": (mine, helper._claimed(mine, helper._DOWN, helper._HELPER, helper._CALLER), []),
+        }
+        for event in schedule:
+            if isinstance(event, int):
+                table[event] = helper._HELPER
+                continue
+            action, _, name = event.rpartition(" ")
+            view, claims, ran = sides[name]
+            if action == "flush":
+                view.flush()
+            else:
+                ran.extend(itertools.islice(claims, 1))
+        # the caller runs out its starts, then waits for the helper's
+        up, down = (ran + list(claims) for _, claims, ran in sides.values())
+        assert set(up) | set(down) == set(range(33))
+        assert up == list(range(len(up)))
+        assert down == list(range(32, 32 - len(down), -1))
+        if not any(isinstance(event, int) for event in schedule):
+            assert len(set(up) & set(down)) <= 1
 
 
 class TestGraphHelper:
-    """``project_graph`` with its odd Newton starts in the forked helper
-    against all 33 starts in this process: the same bits, whatever
+    """``project_graph`` with its Newton starts shared with the forked
+    helper against all 33 starts in this process: the same bits, whatever
     happens to the helper."""
 
     @pytest.fixture(autouse=True)
@@ -325,15 +410,49 @@ class TestGraphHelper:
         return project_graph(p, lam, ctx).raw
 
     @needs_helper
-    def test_helper_runs_the_odd_starts(self, spy, ctx):
+    def test_caller_and_helper_share_the_starts(self, spy, ctx):
         for ident in ("quad", "sin-shift"):
             curve = get_curve(ident, ctx)
             for p in self.points(ctx):
                 want = self.in_process(p, curve, ctx)
                 del spy.calls[:]
                 assert project_graph(p, curve, ctx).raw == want
-                assert spy.starts() == [helper._EVEN]
-                assert spy.answers[-1] == spy.odd_roots(curve.raw_jet)
+                spy.assert_shared(curve.raw_jet)
+
+    @needs_helper
+    def test_late_helper_leaves_every_start_to_the_caller(self, spy, ctx):
+        # the helper is still on a request that an exception cut off when
+        # the next one comes, so the caller claims all 33 starts first
+        curve = get_curve("quad", ctx)
+        p, q = Point2.of(ctx, "2", "1"), Point2.of(ctx, "0.01", "-0.02")
+        project_graph(p, curve, ctx)  # the helper is up
+        jet = functools.partial(_quad_jet_late_in, helper._helper.pid, 0.1, ctx.mp.prec)
+        slow = AnalyticCurve.checked(jet, ctx, "quad")
+        want = self.in_process(q, curve, ctx)
+        spy.fail = Interrupt()
+        with pytest.raises(Interrupt):
+            project_graph(p, slow, ctx)
+        claims = helper._helper.claims
+        for _ in range(5000):  # until the helper is in its first slow start
+            if claims[32] == helper._HELPER:
+                break
+            time.sleep(0.001)
+        del spy.calls[:]
+        assert project_graph(q, slow, ctx).raw == want
+        assert spy.starts() == [list(range(33))]
+        assert spy.answers[-1] == set()
+
+    @needs_helper
+    def test_slow_caller_leaves_most_starts_to_the_helper(self, spy, ctx):
+        curve = get_curve("quad", ctx)
+        jet = functools.partial(_quad_jet_late_in, os.getpid(), 0.05, ctx.mp.prec)
+        slow = AnalyticCurve.checked(jet, ctx, "quad")
+        for p in (Point2.of(ctx, "0.01", "-0.02"), Point2.of(ctx, "-3", "0.25")):
+            want = self.in_process(p, curve, ctx)
+            del spy.calls[:]
+            assert project_graph(p, slow, ctx).raw == want
+            spy.assert_shared(curve.raw_jet)
+            assert len(spy.starts()[0]) <= 16
 
     def test_lambda_jet_runs_every_start_in_process(self, spy, ctx):
         curve = get_curve("cubic", ctx)
@@ -341,7 +460,7 @@ class TestGraphHelper:
             want = project_graph(p, curve, ctx).raw
             del spy.calls[:]
             assert self.in_process(p, curve, ctx) == want
-            assert spy.starts() == [helper._ALL]
+            assert spy.starts() == [list(range(33))]
 
     def test_projection_error_text_unchanged(self, spy, ctx):
         big, bend = (0, 1, 1000, 1), (1, 1, -999, 1)
@@ -350,14 +469,16 @@ class TestGraphHelper:
         span = 2 * (1 + abs(p.z))
         want = (f"graph projection of ({show(p.x)}, {show(p.z)}): Newton failed from all 33 "
                 f"starts on [{show(p.x - span)}, {show(p.x + span)}]")
-        for jet, starts in ((lambda t: _flat_jet(big, bend, t), helper._ALL),
-                            (functools.partial(_flat_jet, big, bend),
-                             helper._EVEN if TWO_CPUS else helper._ALL)):
+        for jet, shared in ((lambda t: _flat_jet(big, bend, t), False),
+                            (functools.partial(_flat_jet, big, bend), TWO_CPUS)):
             del spy.calls[:]
             with pytest.raises(ProjectionError) as info:
                 project_graph(p, AnalyticCurve.checked(jet, ctx, "flat"), ctx)
             assert str(info.value) == want
-            assert spy.starts() == [starts]
+            if shared:
+                spy.assert_shared(jet)
+            else:
+                assert spy.starts() == [list(range(33))]
 
     @needs_helper
     def test_failed_helper_request_runs_every_start(self, spy, ctx):
@@ -368,7 +489,8 @@ class TestGraphHelper:
             want = self.in_process(p, curve, ctx)
             del spy.calls[:]
             assert project_graph(p, failing, ctx).raw == want
-            assert spy.starts() == [helper._EVEN, helper._ALL]
+            shared, every = spy.starts()
+            assert shared == list(range(len(shared))) and every == list(range(33))
             assert spy.answers[-1] is None
         assert helper._helper is not None
 
@@ -380,16 +502,30 @@ class TestGraphHelper:
         pid = helper._helper.pid
         os.kill(pid, signal.SIGKILL)
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
-        for point, starts in ((q, helper._ALL), (r, helper._EVEN)):
+        for point, shared in ((q, False), (r, True)):
             want = self.in_process(point, curve, ctx)
             del spy.calls[:]
             assert project_graph(point, curve, ctx).raw == want
-            assert spy.starts() == [starts]
-            if starts == helper._ALL:
+            if shared:
+                spy.assert_shared(curve.raw_jet)
+            else:
+                assert spy.starts() == [list(range(33))]
                 assert helper._helper is None
                 with pytest.raises(ChildProcessError):
                     os.waitpid(pid, os.WNOHANG)
         assert helper._helper.pid != pid
+
+    @needs_helper
+    def test_drop_and_stay_serial_close_the_claim_table(self, ctx):
+        # no mapping outlives its helper, in a ``bench`` pool worker either
+        curve = get_curve("quad", ctx)
+        p = Point2.of(ctx, "0.01", "-0.02")
+        for drop in (helper._drop_helper, helper.stay_serial):
+            project_graph(p, curve, ctx)
+            dropped = helper._helper
+            assert not dropped.claims.closed
+            drop()
+            assert dropped.claims.closed and helper._helper is None
 
     @needs_helper
     @pytest.mark.parametrize("exc", [Interrupt(), RuntimeError("jet failed")],
@@ -408,8 +544,7 @@ class TestGraphHelper:
         want = self.in_process(q, curve, ctx)
         del spy.calls[:]
         assert project_graph(q, curve, ctx).raw == want
-        assert spy.starts() == [helper._EVEN]
-        assert spy.answers[-1] == spy.odd_roots(curve.raw_jet)
+        spy.assert_shared(curve.raw_jet)
 
     @needs_helper
     @pytest.mark.parametrize("failed", ["eigensolve", "graph"])
@@ -435,10 +570,10 @@ class TestGraphHelper:
         del spy.answers[:]
         assert spectrum_bits(eig_sym(x, ctx)) == want
         assert len(spy.answers) == 1 and spy.answers[0] is not None
+        want = self.in_process(q, curve, ctx)
         del spy.calls[:]
-        assert project_graph(q, curve, ctx).raw == self.in_process(q, curve, ctx)
-        assert spy.starts()[0] == helper._EVEN
-        assert spy.answers[-1] == spy.odd_roots(curve.raw_jet)
+        assert project_graph(q, curve, ctx).raw == want
+        spy.assert_shared(curve.raw_jet)
 
 
 @st.composite
