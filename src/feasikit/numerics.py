@@ -18,8 +18,8 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    fhalf, fnone, fone, from_int, ftwo, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq, mpf_gt,
-    mpf_hash, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_sqrt, round_nearest,
+    fhalf, fnone, fone, from_int, ftwo, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_eq,
+    mpf_hash, mpf_le, mpf_mul, mpf_neg, mpf_sqrt, round_nearest,
 )
 
 
@@ -234,7 +234,11 @@ class SymMatrix(Vec):
                 raise ValueError("matrix must be square")
         for i in range(n):
             for j in range(i + 1, n):
-                if entries[i][j] != entries[j][i]:
+                x, y = entries[i][j], entries[j][i]
+                if x != y:
+                    if x != x or y != y:  # nan equals nothing, itself included
+                        k = (i, j) if x != x else (j, i)
+                        raise ValueError(f"matrix entry ({k[0]},{k[1]}) is nan, not finite")
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
         flat = [x for row in entries for x in row]
         self.mp = getattr(flat[0], "context", None) if flat else None
@@ -574,9 +578,66 @@ def _off_diagonal_sq(a, n, prec):
     return _raw_mul_pow2(_raw_inner(off, off, prec), ftwo, prec)
 
 
+def _stop_by_exponents(a, n, g):
+    """``mpf_le(_off_diagonal_sq(a, n, prec), goal)`` decided from
+    exponents, or None where they cannot decide it.  goal is the rounded
+    ``(floor * norm_x)^2`` of a finite nonzero n x n matrix X, and
+    g = m_floor + M_X, M_X the largest magnitude exp + bc of an entry of X.
+
+    A nonzero x lies in [2^(m-1), 2^m) in magnitude, so its rounded square
+    lies in [2^(2m-2), 2^(2m)]: rounding to nearest does not pass the power
+    of two above.  A rounded sum of k such nonnegative terms is at least
+    its largest term, and, for k < 2^b, at most 2^(2m+b): k - 1 additions
+    lift k * 2^(2m) by far less than the gap to 2^b * 2^(2m).  So with M the
+    largest magnitude of a nonzero off-diagonal entry, K = n(n-1)/2 and the
+    exact doubling, the mass lies in [2^(2M-1), 2^(2M+b+1)], b =
+    K.bit_length().  Likewise norm_x lies in [2^(M_X-1), 2^(M_X+L)],
+    L = n.bit_length() (n^2 < 4^L terms, then a root), the rounded
+    floor * norm_x in [2^(g-2), 2^(g+L)] and goal in [2^(2g-4), 2^(2g+2L)].
+    The mass is at most the goal when 2M + b + 1 <= 2g - 4 or every
+    off-diagonal entry is zero, and above it when 2M - 1 > 2g + 2L."""
+    mags = [x[2] + x[3] for p in range(n - 1) for x in a[p][p + 1:] if x[1]]
+    if not mags:
+        return True
+    m = max(mags)
+    if 2 * m + (n * (n - 1) // 2).bit_length() + 1 <= 2 * g - 4:
+        return True
+    if 2 * m - 1 > 2 * (g + n.bit_length()):
+        return False
+    return None
+
+
 def _sqrt_one_plus_sq(x, prec):
     """``sqrt(1 + x * x)``, raw."""
     return _raw_sqrt(_raw_add(_raw_mul(x, x, prec), fone, prec), prec)
+
+
+def _rotation(apq, diff, prec):
+    """The raw (t, c, s) of the Jacobi rotation that zeroes apq, diff =
+    a_qq - a_pp: ``tau = diff / (2 * apq)``, ``t = sign(tau) / (|tau| +
+    sqrt(1 + tau * tau))``, ``c = 1 / sqrt(1 + t * t)`` and ``s = t * c``,
+    each operation rounded once, with sign(0) = 1.
+
+    tau and t are quotients of at most prec bits.  Two closed forms give
+    the same tuples.  With m the magnitude exp + bc of a nonzero value, its
+    rounded square is at least 2^(2m-2), so 1 lies below half its unit in
+    the last place once 2m > prec + 2, and at most 2^(2m), below half of
+    1's once 2m < -prec.  So when 2 m_tau > prec + 4, ``1 + tau * tau``
+    rounds to ``tau * tau``, whose rounded square root is |tau| in radix 2
+    (Boldo 2015, "Taking the square root of the square of a floating-point
+    number"), and the denominator is 2|tau|, exactly.  When 2 m_t <
+    -(prec + 2), ``1 + t * t`` rounds to 1, so c = 1 and s = t."""
+    tau = _raw_div(diff, _raw_mul_pow2(apq, ftwo, prec), prec)
+    sign, man, exp, bc = tau
+    if 2 * (exp + bc) > prec + 4:
+        denom = (0, man, exp + 1, bc)
+    else:
+        denom = _raw_add((0, man, exp, bc), _sqrt_one_plus_sq(tau, prec), prec)
+    t = _raw_div(fnone if sign else fone, denom, prec)
+    if 2 * (t[2] + t[3]) < -(prec + 2):
+        return t, fone, t
+    c = _raw_div(fone, _sqrt_one_plus_sq(t, prec), prec)
+    return t, c, _raw_mul(t, c, prec)
 
 
 def _rotate(c, s, x, y, prec):
@@ -614,13 +675,20 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     comparisons, eigenvalues stably sorted ascending, eigenvector signs fixed
     by making each column's first largest-magnitude component positive.
     Raises :class:`NonConvergenceError` if the sweep budget (30*n^2) is
-    exhausted, which for well-posed symmetric input does not happen.
+    exhausted, which for well-posed symmetric input does not happen, and
+    :class:`FeasikitError`, naming the entry, for an infinite or nan entry.
 
     The sweeps run on ``X.raw`` through the raw arithmetic above at the
     context's precision, rounding to nearest; each call gives the bits of
     the ``mpf`` operation it replaces, so the result is bit for bit that of
     the same algorithm written with ``mpf`` objects (pinned by a
-    differential test against that version).
+    differential test against that version).  Before each sweep the
+    off-diagonal mass ``2 * sum(a[p][q]^2 for p < q)`` is tested against
+    the goal ``(floor * ||X||_F)^2``.  The exponents of the largest
+    off-diagonal entry, of the floor and of the largest entry of X bound
+    both sides to bands of powers of two (``_stop_by_exponents``); the mass
+    and the goal are rounded only where the bands overlap, and the goal,
+    with the norm of X, at most once per call, on first need.
 
     No sweep reads the eigenvectors, so they are accumulated apart from
     the sweeps: ``helper.jacobi_basis`` applies each sweep's rotations to
@@ -629,31 +697,41 @@ def eig_sym(X: SymMatrix, ctx: PrecisionContext) -> Spectrum:
     rotations in the same order either way.
     """
     n = X.n
+    raw = X.raw
+    bad = next((k for k, x in enumerate(raw) if not x[1] and x[2]), None)
+    if bad is not None:
+        entry = ctx.mp.make_mpf(raw[bad])
+        raise FeasikitError(f"eig_sym: entry ({bad // n},{bad % n}) is {entry}, not finite")
     prec = ctx.mp.prec
-    a = [list(X.raw[i * n:(i + 1) * n]) for i in range(n)]
-
-    norm_x = _raw_sqrt(_raw_inner(X.raw, X.raw, prec), prec)
-    if n == 1 or norm_x == fzero:
+    a = [list(raw[i * n:(i + 1) * n]) for i in range(n)]
+    if n == 1 or not any(x[1] for x in raw):
         return _sorted_spectrum(a, _rotated_identity(n, (), prec), n, ctx.mp)
 
     from feasikit import helper  # loaded by the first eigensolve that sweeps
 
-    v = helper.jacobi_basis(n, _jacobi_sweeps(a, n, norm_x, ctx), prec)
+    v = helper.jacobi_basis(n, _jacobi_sweeps(a, n, raw, ctx), prec)
     return _sorted_spectrum(a, v, n, ctx.mp)
 
 
-def _jacobi_sweeps(a, n, norm_x, ctx):
-    """Sweep the rows a of a matrix of Frobenius norm norm_x in place
-    until its off-diagonal mass is negligible, yielding each sweep's
-    rotations as (p, q, c, s) with raw c and s; raises
+def _jacobi_sweeps(a, n, x_raw, ctx):
+    """Sweep the rows a of the finite nonzero matrix of raw entries x_raw
+    in place until its off-diagonal mass is negligible, yielding each
+    sweep's rotations as (p, q, c, s) with raw c and s; raises
     :class:`NonConvergenceError` after ``_sweep_budget(n)`` sweeps."""
-    prec, rnd = ctx.mp.prec, round_nearest
-    # stop when the off-diagonal Frobenius mass is negligible relative to X
-    off_goal = _raw_mul(ctx.floor._mpf_, norm_x, prec)
-    off_goal_sq = _raw_mul(off_goal, off_goal, prec)
+    prec = ctx.mp.prec
+    floor = ctx.floor._mpf_
+    g = floor[2] + floor[3] + max(x[2] + x[3] for x in x_raw if x[1])
+    off_goal_sq = None
     max_sweeps = _sweep_budget(n)
     for _ in range(max_sweeps):
-        if mpf_le(_off_diagonal_sq(a, n, prec), off_goal_sq):
+        # stop when the off-diagonal Frobenius mass is negligible relative to X
+        done = _stop_by_exponents(a, n, g)
+        if done is None:
+            if off_goal_sq is None:
+                off_goal = _raw_mul(floor, _raw_sqrt(_raw_inner(x_raw, x_raw, prec), prec), prec)
+                off_goal_sq = _raw_mul(off_goal, off_goal, prec)
+            done = mpf_le(_off_diagonal_sq(a, n, prec), off_goal_sq)
+        if done:
             return
         rotations = []
         for p in range(n):
@@ -661,12 +739,7 @@ def _jacobi_sweeps(a, n, norm_x, ctx):
                 apq = a[p][q]
                 if apq == fzero:
                     continue
-                diff = _raw_sub(a[q][q], a[p][p], prec)
-                tau = _raw_div(diff, _raw_mul_pow2(apq, ftwo, prec), prec)
-                denom = _raw_add(mpf_abs(tau, prec, rnd), _sqrt_one_plus_sq(tau, prec), prec)
-                t = _raw_div(fnone if mpf_lt(tau, fzero) else fone, denom, prec)
-                c = _raw_div(fone, _sqrt_one_plus_sq(t, prec), prec)
-                s = _raw_mul(t, c, prec)
+                t, c, s = _rotation(apq, _raw_sub(a[q][q], a[p][p], prec), prec)
                 t_apq = _raw_mul(t, apq, prec)
                 a[p][p] = _raw_sub(a[p][p], t_apq, prec)
                 a[q][q] = _raw_add(a[q][q], t_apq, prec)
@@ -719,11 +792,12 @@ def _sorted_spectrum(a, v, n, mp) -> Spectrum:
     cols = []
     for k in perm:
         col = [row[k] for row in v]
-        peak = 0
-        for i in range(1, n):
-            if mpf_gt(mpf_abs(col[i]), mpf_abs(col[peak])):
-                peak = i
-        if mpf_lt(col[peak], fzero):
+        top = col[0]
+        for x in col[1:]:
+            # |x| > |top|; _abs_le decides unequal magnitudes by exponents
+            if x[1] and (not top[1] or not _abs_le(x, mpf_abs(top))):
+                top = x
+        if top[0]:
             col = [mpf_neg(x) for x in col]
         cols.append(col)
     basis = tuple(col[i] for i in range(n) for col in cols)

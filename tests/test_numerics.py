@@ -1,22 +1,26 @@
+import contextlib
 import copy
+import io
 import operator
 import os
 import pickle
 import random
+import re
 import signal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import (
     ComplexResult, fhalf, finf, fnan, fninf, fnone, fone, from_int, from_man_exp, ftwo, fzero,
-    mpf_add,
-    mpf_div, mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt,
+    mpf_abs, mpf_add,
+    mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_rdiv_int, mpf_sqrt,
     mpf_sub, round_nearest,
 )
 
 from conftest import TWO_CPUS, examples, helper_allowed, needs_helper
-from feasikit import helper, numerics
+from feasikit import cli, helper, numerics
 from feasikit.numerics import (
+    FeasikitError,
     NonConvergenceError,
     Point2,
     PrecisionContext,
@@ -24,6 +28,7 @@ from feasikit.numerics import (
     Spectrum,
     SymMatrix,
     _le_product,
+    _off_diagonal_sq,
     _raw_add,
     _raw_div,
     _raw_midpoint,
@@ -33,14 +38,16 @@ from feasikit.numerics import (
     _raw_sqrt,
     _raw_sub,
     _rotate,
+    _rotation,
     _spectrum,
+    _stop_by_exponents,
     dist,
     eig_sym,
     inner,
     norm,
     solve2x2,
 )
-from feasikit.sets import project_circle
+from feasikit.sets import project_circle, project_psd
 
 
 def sym_random(n, rng, ctx):
@@ -188,6 +195,15 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix.from_rows([[ctx.mpf(1), ctx.mpf(2)], [ctx.mpf(3), ctx.mpf(4)]])
 
+    def test_names_a_nan_entry(self, ctx):
+        # nan equals nothing, so it would read as an asymmetry
+        one, nan = ctx.mpf(1), ctx.mp.nan
+        for rows, where in (([[one, nan], [nan, one]], "(0,1)"),
+                            ([[one, one], [nan, one]], "(1,0)")):
+            message = f"matrix entry {where} is nan, not finite"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SymMatrix.from_rows(rows)
+
     def test_rejects_non_square(self, ctx):
         with pytest.raises(ValueError):
             SymMatrix.from_rows([[ctx.mpf(1), ctx.mpf(2)]])
@@ -274,6 +290,42 @@ class TestEig:
         s2 = eig_sym(x, ctx)
         assert s1.eigenvalues == s2.eigenvalues
         assert s1.basis == s2.basis
+
+    def test_rejects_non_finite_entries(self, ctx):
+        one, zero, inf, nan = ctx.mpf(1), ctx.mp.zero, ctx.mp.inf, ctx.mp.nan
+        # an infinite goal once passed the first stop test, giving (1, 1);
+        # a nan ran every sweep and reported a residual of 0.0
+        for rows, entry in (([[one, inf], [inf, one]], "entry (0,1) is +inf"),
+                            ([[nan, zero], [zero, one]], "entry (0,0) is nan")):
+            x = SymMatrix.from_rows(rows)
+            message = f"eig_sym: {entry}, not finite"
+            with pytest.raises(FeasikitError, match=f"^{re.escape(message)}$"):
+                eig_sym(x, ctx)
+            with pytest.raises(FeasikitError, match="not finite"):
+                project_psd(x, ctx)
+
+    def test_psdb_stop_tests_are_decided_by_exponents(self, monkeypatch):
+        # the eigensolves of one psdb-s1 LT run: at least 90% of the stop
+        # tests are decided without rounding the off-diagonal mass
+        tests, exact = [], []
+        stop, off_sq = numerics._stop_by_exponents, numerics._off_diagonal_sq
+
+        def count_stop(*args):
+            tests.append(args[1])
+            return stop(*args)
+
+        def count_off_sq(*args):
+            exact.append(args[1])
+            return off_sq(*args)
+
+        monkeypatch.setattr(numerics, "_stop_by_exponents", count_stop)
+        monkeypatch.setattr(numerics, "_off_diagonal_sq", count_off_sq)
+        argv = ["run", "--problem", "psdb-s1", "--method", "lt", "--dim", "3", "--tol", "1e-30",
+                "--seed", "1", "--no-times"]
+        with helper_allowed(False), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(tests) > 500 and set(tests) == {3}
+        assert len(exact) <= len(tests) // 10
 
 
 def mpf_eig_sym(X, ctx):
@@ -378,6 +430,14 @@ def differential_matrix(kind, n, seed, scale_exp, ctx):
         return SymMatrix.from_rows(
             [[(c if i == j else 0) + u[i] * u[j] for j in range(n)] for i in range(n)]
         )
+    if kind == "near-goal":
+        # a diagonal matrix plus off-diagonal entries floor * 2^k times its
+        # largest entry, k in [-2, 2]: the first stop test falls where the
+        # exponents cannot decide it, and tau is large
+        big = max(abs(x) for x in vals[:n]) * ctx.floor
+        off = [x * big * 2 ** rng.randint(-2, 2) for x in vals[n:]]
+        return SymMatrix.from_rows([[vals[i] if i == j else off[min(i, j) * n + max(i, j)]
+                                     for j in range(n)] for i in range(n)])
     rows = [[vals[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
     if kind == "sparse":  # zero off-diagonal entries take the skip path
         rows = [[x if i == j or (i + j) % 2 else 0 * x for j, x in enumerate(row)]
@@ -388,12 +448,12 @@ def differential_matrix(kind, n, seed, scale_exp, ctx):
 class TestRawKernelsMatchMpf:
     @given(
         n=st.sampled_from((3, 5, 2, 4, 1)),
-        kind=st.sampled_from(("random", "sparse", "repeated", "diagonal", "zero")),
+        kind=st.sampled_from(("random", "sparse", "repeated", "diagonal", "zero", "near-goal")),
         seed=st.integers(0, 2**32 - 1),
         scale_exp=st.sampled_from((0, -100, 20)),
         digits=st.sampled_from((120, 40, 200)),
     )
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     def test_eig_sym_and_reconstruct(self, n, kind, seed, scale_exp, digits):
         ctx = PrecisionContext(decimal_digits=digits)
         x = differential_matrix(kind, n, seed, scale_exp, ctx)
@@ -1049,6 +1109,140 @@ class TestLeProduct:
             assert _le_product(x, a, a, a, prec)
         for x in (fzero, (1, 5, 400, 3), (0, 1, -900, 1)):
             assert _le_product(x, a, fzero, a, prec) == mpf_le(x, fzero)
+
+
+def raw_at(rng, m, prec, zero=True):
+    """A raw value of magnitude m (exp + bc) and either sign, drawn from
+    rng: a random odd mantissa of up to prec bits, the mantissa 1 or an
+    all-ones mantissa, whose square rounds up to a power of two; or zero,
+    where allowed."""
+    kind = rng.choice(("random", "one", "ones", "zero") if zero else ("random", "one", "ones"))
+    if kind == "zero":
+        return fzero
+    if kind == "one":
+        man = 1
+    elif kind == "ones":
+        man = 2 ** rng.randint(1, prec) - 1
+    else:
+        man = rng.getrandbits(prec) >> rng.randint(0, prec - 1) | 1
+    bc = man.bit_length()
+    return rng.randint(0, 1), man, m - bc, bc
+
+
+def mpf_goal_sq(x_raw, floor, prec):
+    """eig_sym's stop goal ``(floor * sqrt(sum(x * x)))^2`` through
+    ``libmp``."""
+    rnd = round_nearest
+    acc = None
+    for x in x_raw:
+        sq = mpf_mul(x, x, prec, rnd)
+        acc = sq if acc is None else mpf_add(acc, sq, prec, rnd)
+    off_goal = mpf_mul(floor, mpf_sqrt(acc, prec, rnd), prec, rnd)
+    return mpf_mul(off_goal, off_goal, prec, rnd)
+
+
+def stop_case(rng, n, prec, offset, floor):
+    """(a, x_raw, g): an n x n matrix X whose largest entry has magnitude
+    M_X, its other entries up to 8 below, and the rows a of a symmetric
+    matrix whose off-diagonal entries lie at most 3 below the magnitude
+    g + offset, g = m_floor + M_X; zeros among both."""
+    mx = rng.randint(-400, 400)
+    x_raw = [raw_at(rng, mx, prec, zero=False)]
+    x_raw += [raw_at(rng, mx - rng.randint(0, 8), prec) for _ in range(n * n - 1)]
+    g = magnitude(floor) + mx
+    a = [[raw_at(rng, rng.randint(-20, 20), prec) for _ in range(n)] for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            a[p][q] = a[q][p] = raw_at(rng, g + offset - rng.randint(0, 3), prec)
+    return a, x_raw, g
+
+
+class TestJacobiShortcuts:
+    """The Jacobi sweep's stop test decided by exponents, and the closed
+    forms of its rotation constants, against the roundings they skip, at
+    40, 120 and 200 digits."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((2, 3, 5)),
+           digits=st.sampled_from(DIGITS), offset=st.integers(-10, 8))
+    @settings(max_examples=examples(300))
+    def test_stop_decision_matches_exact(self, seed, n, digits, offset):
+        # offsets from -10 to 8 span both edges of the band where the
+        # exponents cannot decide
+        ctx = PrecisionContext(decimal_digits=digits)
+        prec, floor = ctx.mp.prec, ctx.floor._mpf_
+        a, x_raw, g = stop_case(random.Random(seed), n, prec, offset, floor)
+        got = _stop_by_exponents(a, n, g)
+        assert got in (None, mpf_le(_off_diagonal_sq(a, n, prec), mpf_goal_sq(x_raw, floor, prec)))
+
+    @pytest.mark.parametrize("digits", DIGITS)
+    def test_stop_decision_edges(self, digits):
+        # the least and the largest mass and norm of each magnitude: one
+        # entry 2^(m-1), or every entry all ones, whose squares round up to
+        # 2^(2m); at every offset across both edges of the band
+        ctx = PrecisionContext(decimal_digits=digits)
+        prec, floor = ctx.mp.prec, ctx.floor._mpf_
+        ones = 2 ** prec - 1
+
+        def fill(n, m, least, where):
+            entry = (1, 1, m - 1, 1) if least else (1, ones, m - prec, prec)
+            cells = [(i, j) for i in range(n) for j in range(n) if where(i, j)]
+            return {cell: entry for cell in (cells[:1] if least else cells)}
+
+        outcomes = set()
+        for n in (2, 3, 5):
+            for x_least in (True, False):
+                x = fill(n, 7, x_least, lambda i, j: True)
+                x_raw = [x.get((i, j), fzero) for i in range(n) for j in range(n)]
+                g = magnitude(floor) + 7
+                for a_least in (True, False):
+                    for offset in range(-10, 9):
+                        off = fill(n, g + offset, a_least, lambda i, j: i < j)
+                        a = [[off.get((min(i, j), max(i, j)), fzero) if i != j else fzero
+                              for j in range(n)] for i in range(n)]
+                        got = _stop_by_exponents(a, n, g)
+                        goal = mpf_goal_sq(x_raw, floor, prec)
+                        want = mpf_le(_off_diagonal_sq(a, n, prec), goal)
+                        assert got in (None, want), (n, x_least, a_least, offset)
+                        outcomes.add(got)
+            diagonal = [[fone if i == j else fzero for j in range(n)] for i in range(n)]
+            assert _stop_by_exponents(diagonal, n, magnitude(floor)) is True
+        assert outcomes == {True, False, None}
+
+    @given(seed=st.integers(0, 2**32 - 1), digits=st.sampled_from(DIGITS),
+           edge=st.integers(-4, 4))
+    @settings(max_examples=examples(300))
+    def test_closed_forms(self, seed, digits, edge):
+        # 1 + x * x rounds to x * x once 2 m_x > prec + 4, and its root is
+        # then |x|; it rounds to 1 once 2 m_x < -(prec + 2)
+        prec = PrecisionContext(decimal_digits=digits).mp.prec
+        rnd, rng = round_nearest, random.Random(seed)
+        for m in ((prec + 4) // 2 + edge, -(prec + 2) // 2 + edge):
+            x = raw_at(rng, m, prec, zero=False)
+            root = mpf_sqrt(mpf_add(mpf_mul(x, x, prec, rnd), fone, prec, rnd), prec, rnd)
+            if 2 * m > prec + 4:
+                assert root == mpf_abs(x)
+            if 2 * m < -(prec + 2):
+                assert root == fone and mpf_div(fone, root, prec, rnd) == fone
+                assert mpf_mul(x, fone, prec, rnd) == x
+
+    @given(seed=st.integers(0, 2**32 - 1), digits=st.sampled_from(DIGITS),
+           offset=st.one_of(st.integers(-8, 8), st.integers(-600, 600)))
+    @settings(max_examples=examples(300))
+    def test_rotation_matches_full_expression(self, seed, digits, offset):
+        # offsets of m_diff - m_apq near prec / 2 reach both guards' edges
+        prec = PrecisionContext(decimal_digits=digits).mp.prec
+        rnd, rng = round_nearest, random.Random(seed)
+        m = rng.randint(-300, 300)
+        apq = raw_at(rng, m, prec, zero=False)
+        shift = offset + prec // 2 if abs(offset) <= 8 else offset
+        diff = raw_at(rng, m + shift, prec)
+        tau = mpf_div(diff, mpf_mul_int(apq, 2, prec, rnd), prec, rnd)
+        root = mpf_sqrt(mpf_add(mpf_mul(tau, tau, prec, rnd), fone, prec, rnd), prec, rnd)
+        t = mpf_div(fnone if mpf_lt(tau, fzero) else fone,
+                    mpf_add(mpf_abs(tau), root, prec, rnd), prec, rnd)
+        c = mpf_div(fone, mpf_sqrt(mpf_add(mpf_mul(t, t, prec, rnd), fone, prec, rnd), prec, rnd),
+                    prec, rnd)
+        assert _rotation(apq, diff, prec) == (t, c, mpf_mul(t, c, prec, rnd))
 
 
 class TestPickle:
