@@ -65,11 +65,17 @@ class Problem(NamedTuple):
         return analysis.sample_disk(self.reference, self.radius, n, seed, ctx)
 
 
+@functools.lru_cache(maxsize=16)
 def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Problem:
     """Resolve a problem id to its operator, reference policy and trial
-    distribution."""
+    distribution, built once per id, precision and dim.  An invalid id or
+    dim raises on every call: the cache keeps no exception."""
     if problem_id == "circle-line":
-        return _circle_line(ctx)
+        # the line z = 1/2, the unit circle, their intersection
+        # (sqrt(3)/2, 1/2) and the disk of radius 1/2 about it
+        half = ctx.mpf("0.5")
+        return Problem(DrOperator(first=HorizontalLine(height=half), second=UnitCircle()),
+                       Point2(ctx.mp.sqrt(3) / 2, half), radius=half)
     if problem_id.startswith("graph:"):
         from feasikit import theory
 
@@ -83,17 +89,6 @@ def build_problem(problem_id: str, ctx: PrecisionContext, dim: int = 3) -> Probl
         second = PsdCone() if problem_id == "psd-s1" else PsdBoundary()
         return Problem(DrOperator(first, second), None, dim=dim)
     raise ValueError(f"unknown problem id: {problem_id!r} (known: {PROBLEM_IDS})")
-
-
-@functools.lru_cache(maxsize=None)
-def _circle_line(ctx: PrecisionContext) -> Problem:
-    """The ``circle-line`` problem, built once per precision: the line
-    z = 1/2, the unit circle, their intersection (sqrt(3)/2, 1/2) and the
-    disk of radius 1/2 about it."""
-    half = ctx.mpf("0.5")
-    line = HorizontalLine(height=half)
-    solution = Point2(ctx.mp.sqrt(3) / 2, half)
-    return Problem(DrOperator(first=line, second=UnitCircle()), solution, radius=half)
 
 
 def resolve_reference(problem: Problem):
@@ -123,22 +118,20 @@ def _check_seed(seed: int):
 
 
 @functools.lru_cache(maxsize=16)
-def _tolerance(tol, ctx: PrecisionContext) -> tuple:
-    """``--tol`` resolved against ctx and its header string, built once per
-    value and precision.  An invalid value raises on every call: the cache
-    keeps no exception."""
-    resolved = StopRule(tol=tol).resolved_tol(ctx)
-    return resolved, ctx.to_str(resolved)
+def _stop_rule(tol, max_iter: int, ctx: PrecisionContext) -> tuple:
+    """The stop rule of ``--tol`` and ``--max-iter`` with its tolerance
+    resolved against ctx, and that tolerance's header string, built once
+    per value and precision.  ``--max-iter`` is checked before ``--tol``;
+    an invalid value raises on every call: the cache keeps no exception."""
+    resolved = StopRule(tol=tol, max_iter=max_iter).resolved_tol(ctx)
+    return StopRule(tol=resolved, max_iter=max_iter), ctx.to_str(resolved)
 
 
 def cmd_run(args) -> int:
     _check_seed(args.seed)
     ctx = PrecisionContext(decimal_digits=args.precision)
     problem = build_problem(args.problem, ctx, args.dim)
-    StopRule(max_iter=args.max_iter)  # --max-iter is checked before --tol
-    # resolved once: run takes the mpf as it is, and the header prints it
-    tol, tol_text = _tolerance(args.tol, ctx)
-    stop = StopRule(tol=tol, max_iter=args.max_iter)
+    stop, tol_text = _stop_rule(args.tol, args.max_iter, ctx)
     p0 = problem.sample(1, args.seed, ctx)[0]
     reference, ref_policy = resolve_reference(problem)
     trace = run(args.method, problem.operator, p0, stop, reference, ctx)
@@ -179,7 +172,7 @@ def _bench_trial(args) -> tuple:
     problem_id, method, precision, tol, max_iter, dim, p0 = args
     ctx = PrecisionContext(decimal_digits=precision)
     problem = build_problem(problem_id, ctx, dim)
-    stop = StopRule(tol=tol, max_iter=max_iter)
+    stop, _ = _stop_rule(tol, max_iter, ctx)
     trace = run(method, problem.operator, p0, stop, problem.reference, ctx)
     try:
         est = analysis.estimate_order(trace.errors, ctx)
@@ -210,7 +203,7 @@ def cmd_bench(args) -> int:
             raise ValueError(f"unknown method: {m!r}")
     ctx = PrecisionContext(decimal_digits=args.precision)
     # checked before any trial runs
-    tol = ctx.to_str(StopRule(tol=args.tol, max_iter=args.max_iter).resolved_tol(ctx))
+    _, tol = _stop_rule(args.tol, args.max_iter, ctx)
     problem = build_problem(args.problem, ctx, args.dim)
     # one shared trial set; a point pickles as its raw tuples, so that the
     # serial and parallel paths both run the sampled points bit for bit

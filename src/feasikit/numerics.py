@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
@@ -275,22 +275,20 @@ class SymMatrix(Vec):
         )
 
 
-class Spectrum:
-    """Eigendecomposition of a symmetric matrix.
+class Spectrum(NamedTuple):
+    """Eigendecomposition of a symmetric matrix, raw.
 
-    ``eigenvalues`` are sorted ascending; column k of ``basis`` is the
+    ``raw_eigenvalues`` are sorted ascending; ``raw_basis`` is the
+    eigenvector matrix, flat and row-major, whose column k is the
     eigenvector for eigenvalue k, sign-fixed so that the first component of
-    largest magnitude is positive.  Both are ``mpf`` views of the raw
-    tuples ``raw_eigenvalues`` and ``raw_basis`` (flat, row-major), held
-    with ``mp``, the mpmath context of the basis.
+    largest magnitude is positive.  Both hold raw ``mpf._mpf_`` tuples of
+    ``mp``, the mpmath context of the basis; ``eigenvalues`` and ``basis``
+    are their ``mpf`` views.
     """
 
-    __slots__ = ("raw_eigenvalues", "raw_basis", "mp")
-
-    def __init__(self, eigenvalues: Sequence, basis: Sequence[Sequence]):
-        self.raw_eigenvalues = tuple(x._mpf_ for x in eigenvalues)
-        self.raw_basis = tuple(x._mpf_ for row in basis for x in row)
-        self.mp = basis[0][0].context if basis else None
+    raw_eigenvalues: tuple
+    raw_basis: tuple
+    mp: MPContext
 
     @property
     def n(self) -> int:
@@ -327,16 +325,6 @@ class Spectrum:
             for j in range(i, n):
                 out[i * n + j] = out[j * n + i] = _raw_inner(scaled, rows[j], prec)
         return _vec(SymMatrix, tuple(out), self.mp)
-
-
-def _spectrum(raw_eigenvalues, raw_basis, mp) -> Spectrum:
-    """The Spectrum of raw eigenvalues and a flat row-major raw basis in
-    the mpmath context mp."""
-    s = object.__new__(Spectrum)
-    s.raw_eigenvalues = raw_eigenvalues
-    s.raw_basis = raw_basis
-    s.mp = mp
-    return s
 
 
 def _raw_inner(a, b, prec):
@@ -801,7 +789,7 @@ def _sorted_spectrum(a, v, n, mp) -> Spectrum:
             col = [mpf_neg(x) for x in col]
         cols.append(col)
     basis = tuple(col[i] for i in range(n) for col in cols)
-    return _spectrum(tuple(diag[k] for k in perm), basis, mp)
+    return Spectrum(tuple(diag[k] for k in perm), basis, mp)
 
 
 def solve2x2(A: Sequence[Sequence], b: Sequence, ctx: PrecisionContext):

@@ -31,7 +31,6 @@ from feasikit.numerics import (
     _raw_reflect,
     _raw_sqrt,
     _raw_sub,
-    _spectrum,
     _vec,
     eig_sym,
 )
@@ -296,7 +295,7 @@ def project_psd(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     lam = spectrum.raw_eigenvalues
     if mpf_ge(lam[0], fzero):
         return x
-    return _spectrum(_clip(lam), spectrum.raw_basis, spectrum.mp).reconstruct()
+    return spectrum._replace(raw_eigenvalues=_clip(lam)).reconstruct()
 
 
 def project_psd_boundary(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
@@ -308,7 +307,7 @@ def project_psd_boundary(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
     spectrum = eig_sym(x, ctx)
     lam = spectrum.raw_eigenvalues
     mu = _clip(lam) if mpf_le(lam[0], fzero) else (fzero,) + lam[1:]
-    return _spectrum(mu, spectrum.raw_basis, spectrum.mp).reconstruct()
+    return spectrum._replace(raw_eigenvalues=mu).reconstruct()
 
 
 def _clip(lam) -> tuple:

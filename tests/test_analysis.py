@@ -211,6 +211,7 @@ class TestSampling:
         b = sample_disk(center, 1, 5, 2, ctx)
         assert a != b
 
+    @pytest.mark.oracle
     @given(
         seed=st.integers(0, 2**32 - 1),
         radius=st.sampled_from(("0.5", "0.05", 3, "1e-40")),

@@ -109,10 +109,14 @@ class TestRunCommand:
         assert done.returncode == 0
 
     def test_zero_max_iter_is_a_usage_error(self, capsys):
-        assert main(["run", "--problem", "circle-line", "--max-iter", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "feasikit: max_iter must be >= 1\n"
-        assert captured.out == ""
+        # in run and bench, before a bad --tol, on every call: the cache
+        # keeps no exception
+        for command in (["run"], ["bench", "--trials", "2", "--jobs", "1"]):
+            for tol in ([], ["--tol", "bogus"], ["--tol", "bogus"]):
+                assert main([*command, "--problem", "circle-line", "--max-iter", "0", *tol]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == "feasikit: max_iter must be >= 1\n"
+                assert captured.out == ""
 
     def test_missing_out_directory(self, tmp_path, capsys):
         missing = tmp_path / "missing"
@@ -178,17 +182,41 @@ class TestRunCommand:
             assert main(["run", "--problem", "circle-line", "--tol", "abc"]) == 2
             assert capsys.readouterr().err == "feasikit: tol must be a number, got 'abc'\n"
 
-    def test_cached_tolerance_equals_a_fresh_one(self):
+    @pytest.mark.oracle
+    def test_cached_stop_rule_equals_a_fresh_one(self):
         for digits in (40, 120):
             ctx = PrecisionContext(decimal_digits=digits)
-            for tol in (None, "1e-30"):
+            for tol in (None, "1e-30", "3.7e-55"):
                 fresh = StopRule(tol=tol).resolved_tol(ctx)
-                resolved, text = cli._tolerance(tol, ctx)
-                assert resolved._mpf_ == fresh._mpf_ and resolved.context is ctx.mp
+                stop, text = cli._stop_rule(tol, 200, ctx)
+                assert stop.tol._mpf_ == fresh._mpf_ and stop.tol.context is ctx.mp
+                assert stop.resolved_tol(ctx)._mpf_ == fresh._mpf_ and stop.max_iter == 200
                 assert text == ctx.to_str(fresh)
+                assert cli._stop_rule(tol, 200, PrecisionContext(digits))[0] is stop
         # two precisions in one process keep their own
-        assert cli._tolerance("1e-30", PrecisionContext(40))[1] != \
-            cli._tolerance("1e-30", PrecisionContext(120))[1]
+        assert cli._stop_rule("1e-30", 200, PrecisionContext(40))[1] != \
+            cli._stop_rule("1e-30", 200, PrecisionContext(120))[1]
+
+    def test_bench_trial_stops_as_run_does(self, monkeypatch):
+        # each run, in ``run`` or in a bench trial, resolves its tolerance
+        # to the bits of a fresh StopRule of the --tol string
+        tols = []
+
+        def spy(method, operator, p0, stop, reference, ctx):
+            tols.append(stop.resolved_tol(ctx)._mpf_)
+            return run(method, operator, p0, stop, reference, ctx)
+
+        monkeypatch.setattr(cli, "run", spy)
+        for digits in (40, 120):
+            ctx = PrecisionContext(decimal_digits=digits)
+            for tol in (None, "1e-30", "3.7e-55"):
+                common = ["--problem", "circle-line", "--precision", str(digits),
+                          "--max-iter", "3"] + ([] if tol is None else ["--tol", tol])
+                del tols[:]
+                assert main(["run", "--method", "lt", "--no-times", *common]) in (0, 1)
+                assert main(["bench", "--trials", "2", "--jobs", "1", *common]) == 0
+                assert len(tols) == 5
+                assert set(tols) == {StopRule(tol=tol).resolved_tol(ctx)._mpf_}
 
     def test_negative_seed_is_a_usage_error(self, monkeypatch, capsys):
         # random.Random(-3) seeds as Random(3): it would repeat seed 3
@@ -606,7 +634,10 @@ class TestCatalog:
                 for p in problem.sample(20, 1, ctx):
                     assert dist(p, problem.reference, ctx) <= problem.radius
 
+    @pytest.mark.oracle
     def test_circle_line_built_once_per_precision(self):
+        # and every other id too: once per id, precision and --dim
+        ids = ("circle-line", "graph:quad", "psd-s1", "psdb-s1", "psdb-s11")
         for digits in (40, 120):
             ctx = PrecisionContext(decimal_digits=digits)
             problem = build_problem("circle-line", ctx)
@@ -618,9 +649,25 @@ class TestCatalog:
             assert problem.reference.raw == Point2(ctx.mp.sqrt(3) / 2, half).raw
             assert problem.radius._mpf_ == half._mpf_
             assert problem.reference.mp is problem.radius.context is ctx.mp
+            for pid in ids:
+                by_dim = [build_problem(pid, ctx, dim) for dim in (2, 3)]
+                for dim, problem in zip((2, 3), by_dim):
+                    assert build_problem(pid, PrecisionContext(digits), dim) is problem
+                    assert problem.dim == (0 if pid in ids[:2] else dim)
+                # two dims do not share one
+                assert by_dim[0] is not by_dim[1]
         # two precisions in one process do not share one
+        for pid in ids:
+            assert build_problem(pid, PrecisionContext(40), 3) is not \
+                build_problem(pid, PrecisionContext(120), 3)
         assert build_problem("circle-line", PrecisionContext(40)).reference.raw != \
             build_problem("circle-line", PrecisionContext(120)).reference.raw
+        # an invalid id or dim raises on every call: the cache keeps no exception
+        for pid, dim, message in (("nonagon", 3, "unknown problem id"),
+                                  *((pid, 1, "--dim >= 2") for pid in ids[2:])):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    build_problem(pid, PrecisionContext(40), dim)
 
     def test_every_problem_runs_every_method_quickly(self, ctx):
         start = time.perf_counter()

@@ -39,7 +39,6 @@ from feasikit.numerics import (
     _raw_sub,
     _rotate,
     _rotation,
-    _spectrum,
     _stop_by_exponents,
     dist,
     eig_sym,
@@ -387,7 +386,13 @@ def _sorted_spectrum(diag, v, n) -> Spectrum:
             col = [-x for x in col]
         cols.append(col)
     basis = tuple(tuple(cols[k][i] for k in range(n)) for i in range(n))
-    return Spectrum(tuple(diag[k] for k in perm), basis)
+    return mpf_spectrum(tuple(diag[k] for k in perm), basis)
+
+
+def mpf_spectrum(eigenvalues, basis) -> Spectrum:
+    """The raw Spectrum of ``mpf`` eigenvalues and ``mpf`` basis rows."""
+    return Spectrum(tuple(x._mpf_ for x in eigenvalues),
+                    tuple(x._mpf_ for row in basis for x in row), basis[0][0].context)
 
 
 def mpf_reconstruct(spectrum):
@@ -446,6 +451,7 @@ def differential_matrix(kind, n, seed, scale_exp, ctx):
 
 
 class TestRawKernelsMatchMpf:
+    @pytest.mark.oracle
     @given(
         n=st.sampled_from((3, 5, 2, 4, 1)),
         kind=st.sampled_from(("random", "sparse", "repeated", "diagonal", "zero", "near-goal")),
@@ -463,11 +469,11 @@ class TestRawKernelsMatchMpf:
         # the eigenvalue maps of project_psd and project_psd_boundary
         clipped = tuple(lam if lam > 0 else zero for lam in got.eigenvalues)
         for mu in (got.eigenvalues, clipped, (zero,) + got.eigenvalues[1:]):
-            s = _spectrum(tuple(x._mpf_ for x in mu), got.raw_basis, got.mp)
+            s = Spectrum(tuple(x._mpf_ for x in mu), got.raw_basis, got.mp)
             assert raw(s.reconstruct().entries) == raw(mpf_reconstruct(s).entries)
 
     def test_empty_reconstruct(self):
-        assert Spectrum((), ()).reconstruct() == SymMatrix(())
+        assert Spectrum((), (), None).reconstruct() == SymMatrix(())
 
 
 class TestEigHelper:
@@ -661,6 +667,7 @@ def outcome(f, *args):
         return ZeroDivisionError
 
 
+@pytest.mark.oracle
 class TestRawArith:
     """The raw primitives against the ``libmp`` functions they copy, and the
     reflection and midpoint kernels against the ``libmp`` calls of
@@ -972,6 +979,7 @@ def margin_system(rng, margin, scale_exp, ctx):
 
 
 class TestSolve2x2:
+    @pytest.mark.oracle
     @given(
         kind=st.sampled_from(("random", "singular", "near-singular", "zero-row", "zero", "lt",
                               "margin-2", "margin-3", "margin-4")),
@@ -1077,6 +1085,7 @@ def le_product_inputs(draw):
     return x, a, b, c, prec
 
 
+@pytest.mark.oracle
 class TestLeProduct:
     """``_le_product`` against the ``mpf_le`` of the rounded bound it
     replaces, at 40, 120 and 200 digits."""
@@ -1157,6 +1166,7 @@ def stop_case(rng, n, prec, offset, floor):
     return a, x_raw, g
 
 
+@pytest.mark.oracle
 class TestJacobiShortcuts:
     """The Jacobi sweep's stop test decided by exponents, and the closed
     forms of its rotation constants, against the roundings they skip, at

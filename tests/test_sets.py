@@ -45,7 +45,8 @@ from feasikit.theory import _quad_jet, get_curve
 from conftest import TWO_CPUS, examples, helper_allowed, needs_helper
 from test_numerics import (
     DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_project_circle,
-    mpf_reconstruct, odd_mantissa, point_bits, raw, raw_operand, spectrum_bits, sym_random,
+    mpf_reconstruct, mpf_spectrum, odd_mantissa, point_bits, raw, raw_operand, spectrum_bits,
+    sym_random,
 )
 
 
@@ -262,9 +263,16 @@ def _flat_jet(big, bend, t):
 
 
 def _quad_jet_in(owner, prec, t):
-    # the quad jet in the process ``owner``, an error in any other
+    # the quad jet in the process ``owner``, an error in any other; the
+    # owner waits (10 s at most) until the helper has marked its first
+    # start, 32, so that the helper always runs the jet and fails
     if os.getpid() != owner:
         raise RuntimeError("not the owner")
+    claims, deadline = helper._helper.claims, time.monotonic() + 10
+    while claims[32] != helper._HELPER:
+        if time.monotonic() > deadline:
+            pytest.fail("the helper marked no start within 10 s")  # escapes the retry
+        time.sleep(0.001)
     return _quad_jet(prec, t)
 
 
@@ -341,6 +349,7 @@ class LateMarks:
         self.pending = k, mark
 
 
+@pytest.mark.oracle
 class TestClaimTable:
     """``helper._claimed`` for the caller (up from 0) and the helper (down
     from 32) on one table, under random interleavings, with late marks
@@ -484,7 +493,7 @@ class TestGraphHelper:
     def test_failed_helper_request_runs_every_start(self, spy, ctx):
         curve = get_curve("quad", ctx)
         jet = functools.partial(_quad_jet_in, os.getpid(), ctx.mp.prec)
-        failing = AnalyticCurve.checked(jet, ctx, "quad")
+        failing = curve._replace(raw_jet=jet)  # ``checked`` would call the jet before a request
         for p in self.points(ctx):
             want = self.in_process(p, curve, ctx)
             del spy.calls[:]
@@ -598,6 +607,7 @@ def power_of_two(draw):
     return (draw(st.integers(0, 1)), 1, draw(st.integers(-600, 600)), 1)
 
 
+@pytest.mark.oracle
 class TestGraphFastPaths:
     """The shortcuts of the graph projection's Newton step and root
     ranking against the calls they replace, at 40, 120 and 200 digits."""
@@ -909,13 +919,11 @@ class TestMatrixProjections:
         assert_mat_close(ctx, got, [[0, 0], [0, 2]], 10 * ctx.floor)
 
     def test_boundary_tie_zeroes_first_index(self, ctx):
-        from feasikit.numerics import _spectrum, eig_sym
-
         x = SymMatrix.diag([2, 2], ctx)
         got = project_psd_boundary(x, ctx)
         spectrum = eig_sym(x, ctx)
         raw_eigs = (ctx.mp.zero._mpf_, spectrum.raw_eigenvalues[1])
-        expected = _spectrum(raw_eigs, spectrum.raw_basis, spectrum.mp).reconstruct()
+        expected = Spectrum(raw_eigs, spectrum.raw_basis, spectrum.mp).reconstruct()
         assert got == expected
 
     def test_boundary_lambda_min_small(self, ctx):
@@ -997,7 +1005,7 @@ def mpf_project_psd(x, ctx):
     if spectrum.eigenvalues[0] >= 0:
         return x
     clipped = tuple(lam if lam > 0 else ctx.mp.zero for lam in spectrum.eigenvalues)
-    return mpf_reconstruct(Spectrum(clipped, spectrum.basis))
+    return mpf_reconstruct(mpf_spectrum(clipped, spectrum.basis))
 
 
 def mpf_project_psd_boundary(x, ctx):
@@ -1007,7 +1015,7 @@ def mpf_project_psd_boundary(x, ctx):
         mu = tuple(lam if lam > 0 else ctx.mp.zero for lam in spectrum.eigenvalues)
     else:
         mu = (ctx.mp.zero,) + spectrum.eigenvalues[1:]
-    return mpf_reconstruct(Spectrum(mu, spectrum.basis))
+    return mpf_reconstruct(mpf_spectrum(mu, spectrum.basis))
 
 
 def mpf_project_diag_ones(x, ctx):

@@ -197,6 +197,7 @@ class TestLtStep:
             assert abs(inner(rec.result - v1, u1)) <= bound * scale
             assert abs(inner(rec.result - v2, v2 - v1)) <= bound * scale
 
+    @pytest.mark.oracle
     @given(
         problem=st.sampled_from(("circle-line", "graph:quad", "graph:linear:1", "psd-s1",
                                  "psdb-s11", "axis-axis")),
