@@ -202,9 +202,9 @@ def cmd_bench(args) -> int:
         if m not in METHODS:
             raise ValueError(f"unknown method: {m!r}")
     ctx = PrecisionContext(decimal_digits=args.precision)
-    # checked before any trial runs
-    _, tol = _stop_rule(args.tol, args.max_iter, ctx)
+    # checked before any trial runs, in run's order
     problem = build_problem(args.problem, ctx, args.dim)
+    _, tol = _stop_rule(args.tol, args.max_iter, ctx)
     # one shared trial set; a point pickles as its raw tuples, so that the
     # serial and parallel paths both run the sampled points bit for bit
     points = problem.sample(args.trials, args.seed, ctx)

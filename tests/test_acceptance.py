@@ -2,11 +2,13 @@
 stated tolerance and reported as a pass/fail line (visible with pytest -s)."""
 
 import contextlib
+import functools
 import io
 import math
 import random
 import re
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -45,71 +47,120 @@ def report(number: int, passed: bool, detail: str):
     assert passed, detail
 
 
-def bench(ctx, out, problem, methods, *options):
-    """``feasikit bench`` at the suite's precision on two workers, writing
-    ``<out>_iters.csv``, ``<out>_time.csv`` and ``<out>_trials.csv``;
-    returns the rows of the trials table."""
-    assert main(["bench", "--problem", problem, "--methods", methods, *options,
-                 "--precision", str(ctx.decimal_digits), "--jobs", "2",
-                 "--out", str(out)]) == 0
-    return trials_table(read(f"{out}_trials.csv"))
-
-
-def column(rows, method, name, ctx):
-    """One method's values of a trials-table column, None where empty."""
-    return [ctx.mpf(r[name]) if r[name] else None for r in rows if r["method"] == method]
+class BenchRun(NamedTuple):
+    rows: list         # the trials table, as dicts keyed by column
+    out: object        # the output base of <out>_iters.csv, _time.csv and _trials.csv
+    seconds: float     # the call's wall time
+    unconverged: dict  # method -> trials whose auto reference did not converge
 
 
 @pytest.fixture(scope="module")
-def fifty_trials(ctx, tmp_path_factory):
-    """DR and LT from the same 50 circle-line points, and the wall time of
-    the bench call that ran them."""
-    start = time.perf_counter()
-    rows = bench(ctx, tmp_path_factory.mktemp("c1") / "circle_line", "circle-line",
-                 "dr,lt", "--trials", "50", "--seed", "42")
-    return rows, time.perf_counter() - start
+def bench(ctx, tmp_path_factory):
+    """``bench(problem, methods, *options)``: ``feasikit bench`` at the
+    suite's precision on two workers, run once per distinct argument list."""
+
+    @functools.cache
+    def run_once(problem, methods, *options):
+        out = tmp_path_factory.mktemp("bench") / "bench"
+        warnings = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(warnings):
+            code = main(["bench", "--problem", problem, "--methods", methods, *options,
+                         "--precision", str(ctx.decimal_digits), "--jobs", "2", "--out", str(out)])
+        seconds = time.perf_counter() - start
+        assert code == 0, warnings.getvalue()
+        unconverged = {m: int(n) for m, n in re.findall(
+            r"warning: (\w+): auto reference not converged in (\d+) of", warnings.getvalue())}
+        return BenchRun(trials_table(read(f"{out}_trials.csv")), out, seconds, unconverged)
+
+    return run_once
 
 
-def test_criterion_1_dr_linear_rate(ctx, fifty_trials):
-    rows, elapsed = fifty_trials
-    rates = column(rows, "dr", "rate", ctx)
-    fitted = [r for r in rates if r is not None]
-    lo, hi = ctx.mpf("0.45"), ctx.mpf("0.55")
-    in_band = len(fitted) == 50 and all(lo <= r <= hi for r in fitted)
-    spread = (f"min={float(min(fitted)):.4f}, max={float(max(fitted)):.4f}"
-              if fitted else "no fitted rate")
-    report(
-        1,
-        in_band and elapsed < 120,
-        f"DR circle-line linear rate in [0.45, 0.55] for {len(fitted)}/50 trials "
-        f"({spread}), runtime {elapsed:.1f}s < 120s",
-    )
+CIRCLE_LINE = ("circle-line", "dr,lt", "--trials", "50", "--seed", "42")
+SETTING_2 = ("psdb-s1", "dr,lt,plt", "--trials", "20", "--seed", "2026")
+
+
+def claims(ctx):
+    """Criterion -> claims: (bench arguments, method, trials-table column,
+    accepted values: a closed band of decimal strings or a set, need)."""
+    # criterion 7: a tol below the arithmetic floor cannot preempt the orbit
+    # landing exactly on its fixed point; psdb-s11's LT rows are unread
+    finite = ("dr,lt", "--trials", "20", "--seed", "2026",
+              "--tol", f"1e-{ctx.decimal_digits + 20}")
+    return {
+        1: [(CIRCLE_LINE, "dr", "rate", ("0.45", "0.55"), 50)],
+        2: [(CIRCLE_LINE, "lt", "q", ("1.8", "2.2"), 45)],
+        6: [(SETTING_2, "dr", "q", ("0.8", "1.2"), 14),
+            (SETTING_2, "lt", "q", ("0.8", "1.2"), 14),
+            (SETTING_2, "plt", "q", ("1.7", "2.3"), 14)],
+        7: [(("psd-s1", *finite), "dr", "terminated_by", {"exact_zero"}, 14),
+            (("psd-s1", *finite), "lt", "terminated_by", {"exact_zero"}, 14),
+            (("psdb-s11", *finite), "dr", "terminated_by", {"exact_zero"}, 14)],
+    }
+
+
+def count_claims(rows, bench, ctx):
+    """Whether every claim's count of accepted values meets its need, and a
+    detail naming each claim's count, trials, accepted values and need, and
+    the auto references that bench warned had not converged."""
+    passed, details = True, []
+    for args, method, column, accepted, need in rows:
+        run = bench(*args)
+        values = [r[column] for r in run.rows if r["method"] == method]
+        if isinstance(accepted, set):
+            count = sum(1 for v in values if v in accepted)
+            shown = "=" + "|".join(sorted(accepted))
+        else:
+            lo, hi = map(ctx.mpf, accepted)
+            count = sum(1 for v in values if v and lo <= ctx.mpf(v) <= hi)
+            shown = f" in [{accepted[0]}, {accepted[1]}]"
+        passed = passed and count >= need
+        details.append(f"{args[0]} {method.upper()} {column}{shown} "
+                       f"{count}/{len(values)} (need >= {need})")
+        if run.unconverged.get(method):
+            details[-1] += (f", auto reference not converged in "
+                            f"{run.unconverged[method]}/{len(values)}")
+    return passed, "; ".join(details)
+
+
+def test_claim_counter_on_a_synthetic_table(ctx):
+    table = BenchRun([{"method": m, "q": q, "terminated_by": t} for m, q, t in (
+        ("lt", "1.8", "exact_zero"), ("lt", "2.2", "tolerance"), ("lt", "2.2001", "exact_zero"),
+        ("lt", "", "max_iter"), ("dr", "2.0", "exact_zero"))], None, 0.0, {"lt": 3})
+    band = (("p", "dr,lt"), "lt", "q", ("1.8", "2.2"), 2)
+    exact = (("p", "dr,lt"), "dr", "terminated_by", {"exact_zero"}, 1)
+    # both band edges count; a value outside, an empty cell and another
+    # method's rows do not
+    assert count_claims([band, exact], lambda *args: table, ctx) == (True, (
+        "p LT q in [1.8, 2.2] 2/4 (need >= 2), auto reference not converged in 3/4; "
+        "p DR terminated_by=exact_zero 1/1 (need >= 1)"))
+    # one claim short of its need fails its criterion
+    for short in ((*band[:4], 3), (*exact[:4], 2)):
+        assert not count_claims([band, exact, short], lambda *args: table, ctx)[0]
+
+
+def test_criterion_1_dr_linear_rate(ctx, bench):
+    passed, detail = count_claims(claims(ctx)[1], bench, ctx)
+    seconds = bench(*CIRCLE_LINE).seconds
+    report(1, passed and seconds < 120, f"{detail}, runtime {seconds:.1f}s < 120s")
 
 
 @pytest.mark.parametrize("ident", ("quad", "cubic", "sin-shift", "linear:2"))
-def test_dr_rate_on_every_graph_curve(ctx, tmp_path, ident):
+def test_dr_rate_on_every_graph_curve(ctx, bench, ident):
     # DR's fitted rate on each graph curve is the local linear rate
     # 1/sqrt(1 + f'(0)^2); tol 1e-20 keeps quad (120-124 steps) under
     # max_iter
-    rows = bench(ctx, tmp_path / "rate", f"graph:{ident}", "dr,lt", "--trials", "4",
-                 "--seed", "5", "--tol", "1e-20", "--max-iter", "600")
+    run = bench(f"graph:{ident}", "dr,lt", "--trials", "4", "--seed", "5",
+                "--tol", "1e-20", "--max-iter", "600")
     target = linear_rate(get_curve(ident, ctx), ctx)
-    rates = column(rows, "dr", "rate", ctx)
-    assert len(rates) == 4 and None not in rates, rates
-    worst = max(abs(r / target - 1) for r in rates)
+    rates = [r["rate"] for r in run.rows if r["method"] == "dr"]
+    assert len(rates) == 4 and "" not in rates, rates
+    worst = max(abs(ctx.mpf(r) / target - 1) for r in rates)
     assert worst <= ctx.mpf("1e-10"), (ident, ctx.mp.nstr(worst, 3))
 
 
-def test_criterion_2_lt_quadratic_order(ctx, fifty_trials):
-    rows, _ = fifty_trials
-    qs = [q for q in column(rows, "lt", "q", ctx) if q is not None]
-    in_band = sum(1 for q in qs if ctx.mpf("1.8") <= q <= ctx.mpf("2.2"))
-    report(
-        2,
-        in_band >= 45,
-        f"LT circle-line order q in [1.8, 2.2] for {in_band}/50 trials (need >= 45); "
-        f"median q = {float(sorted(qs)[len(qs) // 2]):.3f}",
-    )
+def test_criterion_2_lt_quadratic_order(ctx, bench):
+    report(2, *count_claims(claims(ctx)[2], bench, ctx))
 
 
 def test_criterion_3_closed_form_equivalence(ctx):
@@ -187,70 +238,17 @@ def test_criterion_5_one_step_on_two_lines(ctx):
     )
 
 
-def test_criterion_6_setting2_orders(ctx, tmp_path):
-    warnings = io.StringIO()
-    with contextlib.redirect_stderr(warnings):
-        rows = bench(ctx, tmp_path / "setting2", "psdb-s1", "dr,lt,plt",
-                     "--trials", "20", "--seed", "2026")
-    # bench warns once per method whose auto reference did not converge in
-    # some trials; the fits of those trials are against that reference
-    unconverged = dict.fromkeys(("dr", "lt", "plt"), 0)
-    for method, count in re.findall(r"warning: (\w+): auto reference not converged in (\d+) of",
-                                    warnings.getvalue()):
-        unconverged[method] = int(count)
-
-    def frac_in(method, lo, hi):
-        qs = column(rows, method, "q", ctx)
-        good = sum(1 for q in qs if q is not None and ctx.mpf(lo) <= q <= ctx.mpf(hi))
-        return good, len(qs)
-
-    dr_good, n = frac_in("dr", "0.8", "1.2")
-    lt_good, _ = frac_in("lt", "0.8", "1.2")
-    plt_good, _ = frac_in("plt", "1.7", "2.3")
-    need = int(0.7 * n)
-    ok = dr_good >= need and lt_good >= need and plt_good >= need
-    report(
-        6,
-        ok,
-        f"Setting 2 (n=3, 20 trials): DR q in [0.8,1.2] {dr_good}/{n}, "
-        f"LT {lt_good}/{n}, PLT q in [1.7,2.3] {plt_good}/{n} (need >= {need}); "
-        f"auto reference not converged: DR {unconverged['dr']}/{n}, "
-        f"LT {unconverged['lt']}/{n}, PLT {unconverged['plt']}/{n}",
-    )
+def test_criterion_6_setting2_orders(ctx, bench):
+    report(6, *count_claims(claims(ctx)[6], bench, ctx))
 
 
-def test_criterion_7_finite_termination(ctx, tmp_path):
-    # tolerance below the arithmetic floor so the stop cannot preempt the
-    # finite-termination event (the orbit landing exactly on its fixed point);
-    # bench needs two methods, so psdb-s11 also runs LT, whose rows are unread
-    below_floor = f"1e-{ctx.decimal_digits + 20}"
-    counts = {}
-    for pid, methods in (("psd-s1", ("dr", "lt")), ("psdb-s11", ("dr",))):
-        rows = bench(ctx, tmp_path / pid, pid, "dr,lt", "--trials", "20",
-                     "--seed", "2026", "--tol", below_floor)
-        for method in methods:
-            counts[(pid, method)] = sum(
-                1 for r in rows if r["method"] == method and r["terminated_by"] == "exact_zero"
-            )
-    ok = (
-        counts[("psd-s1", "dr")] >= 14
-        and counts[("psd-s1", "lt")] >= 14
-        and counts[("psdb-s11", "dr")] >= 14
-    )
-    report(
-        7,
-        ok,
-        f"finite termination (exact_zero, 20 trials, need >= 14): Setting 1 "
-        f"DR {counts[('psd-s1', 'dr')]}/20, LT {counts[('psd-s1', 'lt')]}/20; "
-        f"Setting 3 DR {counts[('psdb-s11', 'dr')]}/20",
-    )
+def test_criterion_7_finite_termination(ctx, bench):
+    report(7, *count_claims(claims(ctx)[7], bench, ctx))
 
 
-def test_criterion_8_benchmark_dominance(ctx, tmp_path):
-    out = tmp_path / "dominance"
-    bench(ctx, out, "circle-line", "dr,lt", "--trials", "200", "--seed", "7",
-          "--tol", "1e-30")
-    lines = read(f"{out}_iters.csv").splitlines()
+def test_criterion_8_benchmark_dominance(ctx, bench):
+    run = bench("circle-line", "dr,lt", "--trials", "200", "--seed", "7", "--tol", "1e-30")
+    lines = read(f"{run.out}_iters.csv").splitlines()
     excluded = any(line.startswith("# excluded_problems") for line in lines)
     header = lines.index("tau,rho_dr,rho_lt")
     profile = {tau: (rho_dr, rho_lt) for tau, rho_dr, rho_lt in

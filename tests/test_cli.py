@@ -363,6 +363,17 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert out.count("tau,rho_dr,rho_lt\n1.0,1.0,1.0\n") == 2
 
+    @pytest.mark.parametrize("problem", [["bogus"], ["psd-s1", "--dim", "1"]])
+    def test_problem_checked_before_tol_as_in_run(self, problem, capsys):
+        errors = []
+        for command in (["run"], ["bench", "--trials", "2", "--jobs", "1"]):
+            assert main([*command, "--problem", *problem, "--tol", "bogus"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].count("\n") == 1 and "tol" not in errors[0], errors[0]
+
     def test_single_method_rejected(self, capsys):
         code = main(["bench", "--problem", "circle-line", "--methods", "dr",
                      "--trials", "4"])
