@@ -183,7 +183,7 @@ def _bench_trial(args) -> tuple:
         rate = ctx.to_str(analysis.estimate_linear_rate(trace.errors, ctx))
     except analysis.InsufficientDataError:
         rate = ""
-    return (trace.iterations, trace.total_seconds, trace.solved,
+    return (trace.iterations, sum(trace.step_times), trace.solved,
             _reference_unconverged(trace, ctx), trace.terminated_by.value, *fit, rate)
 
 
@@ -293,10 +293,17 @@ def cmd_probe(args) -> int:
     return 0 if report.passed else EXIT_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors, and its subparsers', as ``ValueError``: one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="feasikit",
         description="Projection-method feasibility experiments and probes",
     )

@@ -123,13 +123,13 @@ class Vec:
     :class:`SymMatrix`.
 
     ``raw`` is a flat tuple of raw ``mpf._mpf_`` tuples and ``mp`` the
-    mpmath context they belong to.  ``+``, ``-`` and ``*`` (by an ``mpf``;
-    any other scalar is a ``TypeError``) run entry by entry on ``raw`` at
-    the precision of ``mp``, one raw call per entry, with the bits of the
-    ``mpf`` operators, and return a vector of the same type; unary minus is
-    exact.  ``==`` compares two vectors of one type by value, and equal
-    values hash equally whatever their precision.  Pickling and copying rebuild the
-    vector on the shared context of its precision.
+    mpmath context they belong to; the engines compute on ``raw``.  The one
+    operator, ``v * s`` by an ``mpf`` (any other operand is a
+    ``TypeError``), has the bits of the ``mpf`` products; it and its
+    ``int``-entry path stay for ``perfbench/test_harness.py``.  ``==``
+    compares by value, so that ``p != q`` checks values, and equal values
+    hash equally whatever their precision.  Pickling and copying rebuild
+    the vector on the shared context of its precision.
     """
 
     __slots__ = ("raw", "mp")
@@ -145,15 +145,6 @@ class Vec:
     def __reduce__(self):
         return _with_context, (type(self), self.mp.dps, self.raw)
 
-    def __add__(self, other):
-        mp = self.mp
-        return _vec(type(self), tuple(map(_raw_add, self.raw, other.raw, repeat(mp.prec))), mp)
-
-    def __sub__(self, other):
-        mp = self.mp
-        return _vec(type(self),
-                    tuple(map(_raw_add, self.raw, other.raw, repeat(mp.prec), repeat(1))), mp)
-
     def __mul__(self, scalar):
         s = getattr(scalar, "_mpf_", None)
         if s is None:
@@ -166,11 +157,6 @@ class Vec:
         else:
             raw = tuple(map(_raw_mul, self.raw, repeat(s), repeat(mp.prec)))
         return _vec(type(self), raw, mp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _vec(type(self), tuple(map(mpf_neg, self.raw)), self.mp)
 
 
 def _vec(cls, raw, mp):
@@ -219,7 +205,7 @@ class SymMatrix(Vec):
     """An n x n symmetric matrix; symmetry is checked on construction.
 
     A :class:`Vec` of length n^2, row-major, in the context of the first
-    entry; ``entries`` (the rows) and ``m[i]`` (row i) are ``mpf`` views.
+    entry; ``entries`` (the rows) are ``mpf`` views.
     A matrix of ``int`` entries holds them as they are, with ``mp`` None;
     all it can do is be multiplied by an ``mpf``, which gives the matrix of
     ``mpf`` entries of that scalar's context.
@@ -252,9 +238,6 @@ class SymMatrix(Vec):
     def entries(self) -> tuple:
         n, flat = self.n, tuple(map(self.mp.make_mpf, self.raw))
         return tuple(flat[i * n:(i + 1) * n] for i in range(n))
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
     def __repr__(self) -> str:
         return f"SymMatrix(entries={self.entries!r})"
@@ -339,23 +322,10 @@ def _raw_inner(a, b, prec):
     return fzero if acc is None else acc
 
 
-def inner(a, b):
-    """Inner product: Euclidean on Point2, Frobenius on SymMatrix; raw, at
-    the precision of a's context."""
-    mp = a.mp
-    return mp.make_mpf(_raw_inner(a.raw, b.raw, mp.prec))
-
-
-def norm(a, ctx: PrecisionContext):
-    """``sqrt(inner(a, a))``, raw, at the context's precision."""
-    prec = ctx.mp.prec
-    return ctx.mp.make_mpf(_raw_sqrt(_raw_inner(a.raw, a.raw, prec), prec))
-
-
 def dist(a, b, ctx: PrecisionContext):
-    """``norm(a - b)``, raw, at the context's precision, in one loop over
-    the entries: each difference is squared and added to the sum of the
-    squares before it, as ``_raw_inner`` adds its products."""
+    """``|a - b|``, Euclidean or Frobenius, raw, at the context's precision,
+    in one loop over the entries: each difference is squared and added to
+    the sum of the squares before it, as ``_raw_inner`` adds its products."""
     prec = ctx.mp.prec
     acc = None
     for x, y in zip(a.raw, b.raw):

@@ -138,12 +138,11 @@ STAGNATION_WINDOW = 5
 
 
 class Trace(NamedTuple):
-    """Record of one run: every iterate, the distance to the reference
-    point, per-step wall time (len(step_times) == len(iterates) - 1), and
-    for an automatic reference the orbit's last successive-iterate distance
+    """Record of one run: the distances of p0 and each iterate to the
+    reference point, per-step wall time (len(step_times) == len(errors) - 1),
+    and for an automatic reference the orbit's last successive-iterate distance
     (above the arithmetic floor: not converged; None for a given reference)."""
 
-    iterates: tuple
     errors: tuple
     step_times: tuple
     terminated_by: Termination
@@ -151,15 +150,11 @@ class Trace(NamedTuple):
 
     @property
     def iterations(self) -> int:
-        return len(self.iterates) - 1
+        return len(self.errors) - 1
 
     @property
     def solved(self) -> bool:
         return self.terminated_by in (Termination.TOLERANCE, Termination.EXACT_ZERO)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.step_times)
 
 
 def _advance(method: str, t: DrOperator, p, ctx: PrecisionContext):
@@ -214,17 +209,15 @@ def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
         # the reference is hit at error 0, so the loop below stops there
         steps = iter(kept)
 
-    iterates = [p0]
     errors = [dist(p0, reference, ctx)]
     step_times = []
     if _abs_le(errors[0]._mpf_, tol):
-        return Trace(tuple(iterates), tuple(errors), (), Termination.TOLERANCE, gap)
+        return Trace(tuple(errors), (), Termination.TOLERANCE, gap)
 
     terminated = Termination.MAX_ITER
     prev = errors[0]._mpf_
     for p, seconds in itertools.islice(steps, stop.max_iter):
         step_times.append(seconds)
-        iterates.append(p)
         err = dist(p, reference, ctx)
         errors.append(err)
         e = err._mpf_
@@ -239,7 +232,7 @@ def run(method: str, t: DrOperator, p0, stop: StopRule, reference,
                 terminated = Termination.STAGNATION
                 break
         prev = e
-    return Trace(tuple(iterates), tuple(errors), tuple(step_times), terminated, gap)
+    return Trace(tuple(errors), tuple(step_times), terminated, gap)
 
 
 @functools.lru_cache(maxsize=None)

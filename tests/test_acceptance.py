@@ -14,7 +14,7 @@ import pytest
 
 from feasikit.analysis import performance_profile
 from feasikit.cli import main
-from feasikit.numerics import Point2, dist, eig_sym, inner, norm
+from feasikit.numerics import Point2, dist, eig_sym
 from feasikit.sets import (
     CurveGraph,
     DiagOnes,
@@ -38,7 +38,7 @@ from feasikit.theory import (
 )
 
 from test_cli import read, trials_table
-from test_numerics import sym_random
+from test_numerics import mpf_inner, mpf_norm, mpf_sub_points, sym_random
 from test_sets import reflect
 
 
@@ -176,7 +176,7 @@ def test_criterion_3_closed_form_equivalence(ctx):
             y = Point2(r * ctx.mp.cos(phi), r * ctx.mp.sin(phi))
             deviation = dist(
                 lt_step(t, y, ctx).result, lt_closed_form(y, curve, ctx), ctx
-            ) / max(norm(y, ctx), ctx.mp.one)
+            ) / max(mpf_norm(y, ctx), ctx.mp.one)
             if deviation > worst:
                 worst = deviation
     report(
@@ -283,7 +283,7 @@ def test_criterion_9_property_suites(ctx):
             s = matrix_sets[(i // 2) % 4]
             p = sym_random(3, rng, ctx)
         q = s.project(p, ctx)
-        if dist(s.project(q, ctx), q, ctx) > tol * max(norm(q, ctx), ctx.mp.one):
+        if dist(s.project(q, ctx), q, ctx) > tol * max(mpf_norm(q, ctx), ctx.mp.one):
             failures.append(f"idempotence {type(s).__name__}")
             break
         checked += 1
@@ -298,7 +298,7 @@ def test_criterion_9_property_suites(ctx):
             s = DiagOnes() if i % 3 == 1 else EntryOne()
             p = sym_random(3, rng, ctx)
             rr = reflect(s, reflect(s, p, ctx), ctx)
-        if dist(rr, p, ctx) > tol * max(norm(p, ctx), ctx.mp.one):
+        if dist(rr, p, ctx) > tol * max(mpf_norm(p, ctx), ctx.mp.one):
             failures.append("reflection involution")
             break
 
@@ -312,11 +312,12 @@ def test_criterion_9_property_suites(ctx):
             continue
         v1 = dr_step(t, p, ctx)
         v2 = dr_step(t, v1, ctx)
-        u1, u2 = v1 - p, v2 - p
-        scale = max(inner(u1, u1), inner(u2, u2), ctx.mp.one)
+        u1, u2 = mpf_sub_points(v1, p), mpf_sub_points(v2, p)
+        scale = max(mpf_inner(u1, u1), mpf_inner(u2, u2), ctx.mp.one)
         if (
-            abs(inner(rec.result - v1, u1)) > bound * scale
-            or abs(inner(rec.result - v2, v2 - v1)) > bound * scale
+            abs(mpf_inner(mpf_sub_points(rec.result, v1), u1)) > bound * scale
+            or abs(mpf_inner(mpf_sub_points(rec.result, v2), mpf_sub_points(v2, v1)))
+            > bound * scale
         ):
             failures.append("lt orthogonality")
             break
@@ -327,13 +328,14 @@ def test_criterion_9_property_suites(ctx):
         n = rng.randint(2, 5)
         x = sym_random(n, rng, ctx)
         s = eig_sym(x, ctx)
-        recon_err = norm(s.reconstruct() - x, ctx)
+        recon_err = dist(s.reconstruct(), x, ctx)
         ortho_err_sq = sum(
             (sum(s.basis[k][i] * s.basis[k][j] for k in range(n)) - (1 if i == j else 0)) ** 2
             for i in range(n)
             for j in range(n)
         )
-        if recon_err > eig_tol * max(norm(x, ctx), ctx.mp.one) or ctx.mp.sqrt(ortho_err_sq) > eig_tol:
+        if (recon_err > eig_tol * max(mpf_norm(x, ctx), ctx.mp.one)
+                or ctx.mp.sqrt(ortho_err_sq) > eig_tol):
             failures.append("eigensolver residuals")
             break
 

@@ -192,7 +192,7 @@ def mpf_sample_disk(center, radius, n, seed, ctx):
         r = radius * ctx.mp.sqrt(ctx.mpf(rng.random()))
         phi = two_pi * ctx.mpf(rng.random())
         cos, sin = ctx.mp.cos_sin(phi)
-        points.append(center + Point2(r * cos, r * sin))
+        points.append(Point2(center.x + r * cos, center.z + r * sin))
     return tuple(points)
 
 
@@ -234,10 +234,11 @@ class TestSampling:
         assert trial == again
         for m in trial:
             assert m.n == 4
+            rows = m.entries
             for i in range(4):
                 for j in range(4):
-                    assert m[i][j] == m[j][i]
-                    assert abs(m[i][j]) <= 1
+                    assert rows[i][j] == rows[j][i]
+                    assert abs(rows[i][j]) <= 1
 
     def test_sym_rejects_small_dim(self, ctx):
         with pytest.raises(ValueError):

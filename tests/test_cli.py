@@ -139,8 +139,25 @@ class TestRunCommand:
     def test_unknown_problem_and_method(self, capsys):
         assert main(["run", "--problem", "torus"]) == 2
         assert "unknown problem" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["run", "--problem", "circle-line", "--method", "sgd"])
+        # argparse's own errors are one line too, without its usage block
+        for argv, message in (
+            (["run", "--problem", "circle-line", "--method", "sgd"], "argument --method: "),
+            (["run"], "the following arguments are required: --problem"),
+            (["run", "--problem", "circle-line", "--max-iter", "abc"], "argument --max-iter: "),
+            (["probe", "bogus", "quad"], "argument probe: "),
+            (["frobnicate"], "argument command: "),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"feasikit: {message}")
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: feasikit run ")
 
     def test_non_finite_curve_rejected(self, capsys):
         for pid in ("graph:linear:inf", "graph:linear:nan"):

@@ -42,8 +42,6 @@ from feasikit.numerics import (
     _stop_by_exponents,
     dist,
     eig_sym,
-    inner,
-    norm,
     solve2x2,
 )
 from feasikit.sets import project_circle, project_psd
@@ -114,10 +112,8 @@ class TestPoint2:
     def test_arithmetic(self, ctx):
         p = Point2.of(ctx, 1, 2)
         q = Point2.of(ctx, 3, -1)
-        assert (p + q) == Point2.of(ctx, 4, 1)
-        assert (p - q) == Point2.of(ctx, -2, 3)
         assert p * ctx.mpf(2) == Point2.of(ctx, 2, 4)
-        assert inner(p, q) == ctx.mpf(1)
+        assert dist(p, q, ctx) == ctx.mp.sqrt(13)
 
     def test_views_hold_the_given_bits(self, ctx):
         x, z = ctx.mp.sqrt(ctx.mpf(2)), -ctx.mp.pi
@@ -125,7 +121,6 @@ class TestPoint2:
         assert (p.x._mpf_, p.z._mpf_) == (x._mpf_, z._mpf_)
         assert p.raw == (x._mpf_, z._mpf_)
         assert p.x.context is ctx.mp and p.z.context is ctx.mp
-        assert (-p).x._mpf_ == (-x)._mpf_ and (-p).z._mpf_ == (-z)._mpf_
         assert (copy.copy(p).raw[0], copy.deepcopy(p).raw[1]) == (x._mpf_, z._mpf_)
 
     def test_equality_by_value(self, ctx):
@@ -150,10 +145,6 @@ class TestPoint2:
         p = Point2(low.mpf(2), z)
         assert p.z._mpf_ == z._mpf_
         assert (p * low.mpf(1)).z._mpf_ == low.mpf(z)._mpf_ != z._mpf_
-        assert (p + Point2.of(low, 0, 0)).z._mpf_ == low.mpf(z)._mpf_
-        prec = low.mp.prec
-        zz = mpf_mul(z._mpf_, z._mpf_, prec, round_nearest)
-        assert inner(p, p)._mpf_ == mpf_add(low.mpf(4)._mpf_, zz, prec, round_nearest)
 
 
 def sample_vec(kind, seed, ctx):
@@ -167,16 +158,19 @@ class TestVec:
     """What Point2 and SymMatrix share through Vec."""
 
     @pytest.mark.parametrize("kind", ("point", "matrix"))
-    def test_arithmetic_keeps_the_type(self, kind, ctx):
+    def test_scaling_by_an_mpf_is_the_only_arithmetic(self, kind, ctx):
         a, b = sample_vec(kind, 1, ctx), sample_vec(kind, 2, ctx)
         s = ctx.mpf(1) / 3
-        for got in (a + b, a - b, a * s, s * a, -a):
-            assert type(got) is type(a)
-            if kind == "matrix":
-                assert got.n == a.n
-                assert raw(got.entries) == raw(tuple(zip(*got.entries)))
-        # only an mpf scales a vector
-        for bad in (lambda: a * 2, lambda: 2 * a):
+        got = a * s
+        assert type(got) is type(a)
+        if kind == "point":
+            assert point_bits(got) == point_bits(Point2(a.x * s, a.z * s))
+        else:
+            assert got.n == a.n
+            assert raw(got.entries) == raw(mpf_entrywise(a, s, operator.mul).entries)
+        # the engines compute on raw tuples; a vector only scales by an mpf
+        for bad in (lambda: a + b, lambda: a - b, lambda: -a, lambda: ctx.mpf(2) * a,
+                    lambda: a * 2, lambda: 2 * a):
             with pytest.raises(TypeError):
                 bad()
 
@@ -223,13 +217,6 @@ class TestSymMatrix:
         a = SymMatrix.from_rows([[2, -3], [-3, 1]])
         m = a * ctx.mpf(1)
         assert raw(m.entries) == raw([[ctx.mpf(2), ctx.mpf(-3)], [ctx.mpf(-3), ctx.mpf(1)]])
-        assert raw((m + m).entries) == raw((a * ctx.mpf(2)).entries)
-
-    def test_frobenius_inner(self, ctx):
-        x = SymMatrix.diag([1, 2], ctx)
-        y = SymMatrix.diag([3, 4], ctx)
-        assert inner(x, y) == ctx.mpf(11)
-        assert norm(x - y, ctx) == ctx.mp.sqrt(ctx.mpf(8))
 
 
 class TestEig:
@@ -267,7 +254,7 @@ class TestEig:
             x = sym_random(n, rng, ctx)
             s = eig_sym(x, ctx)
             assert all(a <= b for a, b in zip(s.eigenvalues, s.eigenvalues[1:]))
-            assert norm(s.reconstruct() - x, ctx) <= tol * max(norm(x, ctx), ctx.mpf(1))
+            assert dist(s.reconstruct(), x, ctx) <= tol * max(mpf_norm(x, ctx), ctx.mpf(1))
             qtq = [
                 [
                     sum(s.basis[k][i] * s.basis[k][j] for k in range(n))
@@ -609,7 +596,8 @@ class TestRawSqrt:
 
 def mpf_entrywise(a, b, op):
     """``op`` entry by entry with ``mpf`` operators, b a SymMatrix or a
-    scalar: the oracle for SymMatrix's raw ``+``, ``-`` and ``*``."""
+    scalar: the oracle for SymMatrix's raw ``*``, and with ``mpf_sub_points``
+    for ``dist``."""
     rows_b = b.entries if isinstance(b, SymMatrix) else [[b] * a.n] * a.n
     return SymMatrix(tuple(tuple(op(x, y) for x, y in zip(ra, rb))
                            for ra, rb in zip(a.entries, rows_b)))
@@ -810,15 +798,16 @@ class TestRotate:
 
 
 def mpf_sub_points(a, b):
-    """``a - b`` written with ``mpf`` operators: the oracle for the raw
-    ``-`` of Point2 and SymMatrix."""
+    """``a - b`` on Point2 or SymMatrix, written with ``mpf`` operators:
+    with ``mpf_norm``, the oracle for ``dist``."""
     if isinstance(a, Point2):
         return Point2(a.x - b.x, a.z - b.z)
     return mpf_entrywise(a, b, operator.sub)
 
 
 def mpf_inner(a, b):
-    """``inner`` written with ``mpf`` operators; its oracle."""
+    """The Euclidean (Point2) or Frobenius (SymMatrix) inner product
+    written with ``mpf`` operators."""
     if isinstance(a, Point2):
         return a.x * b.x + a.z * b.z
     return sum(x * y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
@@ -854,8 +843,8 @@ def differential_point(kind, seed, scale_exp, ctx):
 
 
 class TestRawPlaneMatchesMpf:
-    """The raw-tuple plane layer (Point2 arithmetic, ``inner``, ``norm``,
-    ``dist``, ``project_circle``) against its ``mpf`` oracles above."""
+    """The raw-tuple vector layer (scaling by an ``mpf``, ``dist``,
+    ``project_circle``) against its ``mpf`` oracles above."""
 
     @given(
         kinds=st.tuples(*[st.sampled_from(("random", "axis", "origin"))] * 2),
@@ -869,12 +858,7 @@ class TestRawPlaneMatchesMpf:
         p = differential_point(kinds[0], seed, scale_exp, ctx)
         q = differential_point(kinds[1], seed + 1, -scale_exp, ctx)
         s = differential_point("random", seed + 2, 0, ctx).x
-        assert point_bits(p + q) == point_bits(Point2(p.x + q.x, p.z + q.z))
-        assert point_bits(p - q) == point_bits(mpf_sub_points(p, q))
         assert point_bits(p * s) == point_bits(Point2(p.x * s, p.z * s))
-        assert point_bits(s * p) == point_bits(p * s)
-        assert inner(p, q)._mpf_ == mpf_inner(p, q)._mpf_
-        assert norm(p, ctx)._mpf_ == mpf_norm(p, ctx)._mpf_
         assert dist(p, q, ctx)._mpf_ == mpf_norm(mpf_sub_points(p, q), ctx)._mpf_
         assert point_bits(project_circle(p, ctx)) == point_bits(mpf_project_circle(p, ctx))
 
@@ -894,29 +878,23 @@ class TestRawPlaneMatchesMpf:
         ctx = PrecisionContext(decimal_digits=digits)
         a = differential_matrix(kind, n, seed, scale_exp, ctx)
         b = differential_matrix("random", n, seed + 1, -scale_exp, ctx)
-        assert inner(a, b)._mpf_ == mpf_inner(a, b)._mpf_
-        assert norm(a, ctx)._mpf_ == mpf_norm(a, ctx)._mpf_
         assert dist(a, b, ctx)._mpf_ == mpf_norm(mpf_sub_points(a, b), ctx)._mpf_
 
     @given(
         n=st.sampled_from((3, 5, 2, 1)),
-        kinds=st.tuples(*[st.sampled_from(("random", "sparse", "diagonal", "zero"))] * 2),
+        kind=st.sampled_from(("random", "sparse", "diagonal", "zero")),
         seed=st.integers(0, 2**32 - 1),
         scale_exp=st.sampled_from((0, -100, 20)),
         digits=st.sampled_from(DIGITS),
     )
     @settings(max_examples=100)
-    def test_sym_matrix_arithmetic(self, n, kinds, seed, scale_exp, digits):
+    def test_sym_matrix_arithmetic(self, n, kind, seed, scale_exp, digits):
         ctx = PrecisionContext(decimal_digits=digits)
-        a = differential_matrix(kinds[0], n, seed, scale_exp, ctx)
-        b = differential_matrix(kinds[1], n, seed + 1, -scale_exp, ctx)
+        a = differential_matrix(kind, n, seed, scale_exp, ctx)
         s = differential_point("random", seed + 2, 0, ctx).x
-        assert raw((a + b).entries) == raw(mpf_entrywise(a, b, operator.add).entries)
-        assert raw((a - b).entries) == raw(mpf_entrywise(a, b, operator.sub).entries)
         for scalar in (s, ctx.mp.zero):
             want = raw(mpf_entrywise(a, scalar, operator.mul).entries)
             assert raw((a * scalar).entries) == want
-            assert raw((scalar * a).entries) == want
 
     @given(data=st.data(), digits=st.sampled_from(DIGITS))
     @settings(max_examples=200)

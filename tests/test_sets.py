@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import os
 import random
 import signal
@@ -19,7 +20,7 @@ from feasikit import helper, numerics, sets
 from feasikit.analysis import sample_disk
 from feasikit.numerics import (
     NonConvergenceError, Point2, PrecisionContext, Spectrum, SymMatrix, _abs_le, _raw_mul,
-    _raw_mul_pow2, _raw_reflect, _vec, dist, eig_sym, norm,
+    _raw_mul_pow2, _raw_reflect, _vec, dist, eig_sym,
 )
 from feasikit.sets import (
     AnalyticCurve,
@@ -44,9 +45,9 @@ from feasikit.theory import _quad_jet, get_curve
 
 from conftest import TWO_CPUS, examples, helper_allowed, needs_helper
 from test_numerics import (
-    DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_project_circle,
-    mpf_reconstruct, mpf_spectrum, odd_mantissa, point_bits, raw, raw_operand, spectrum_bits,
-    sym_random,
+    DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_entrywise, mpf_norm,
+    mpf_project_circle, mpf_reconstruct, mpf_spectrum, odd_mantissa, point_bits, raw, raw_operand,
+    spectrum_bits, sym_random,
 )
 
 
@@ -60,9 +61,10 @@ def reflect(s, p, ctx):
 
 
 def assert_mat_close(ctx, got, expected_rows, tol):
+    rows = got.entries
     for i, row in enumerate(expected_rows):
         for j, v in enumerate(row):
-            assert abs(got[i][j] - ctx.mpf(v)) <= tol, (i, j, got[i][j], v)
+            assert abs(rows[i][j] - ctx.mpf(v)) <= tol, (i, j, rows[i][j], v)
 
 
 class TestPlaneProjections:
@@ -810,7 +812,7 @@ class TestReflection:
             for _ in range(20):
                 x = sym_random(3, rng, ctx)
                 rr = reflect(aff, reflect(aff, x, ctx), ctx)
-                assert norm(rr - x, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
+                assert dist(rr, x, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
 
 
 def projected_reflection(s, p, ctx):
@@ -1047,7 +1049,7 @@ def differential_psd_input(kind, n, seed, scale_exp, ctx):
     if kind != "psd":
         return differential_matrix(kind, n, seed, scale_exp, ctx)
     x = differential_matrix("random", n, seed, scale_exp, ctx)
-    return x + SymMatrix.diag([n] * n, ctx) * ctx.pow10(scale_exp)
+    return mpf_entrywise(x, SymMatrix.diag([n] * n, ctx) * ctx.pow10(scale_exp), operator.add)
 
 
 class TestMatrixProjectionsMatchMpf:
@@ -1095,7 +1097,7 @@ class TestIdempotenceAndNonexpansiveness:
                     else sym_random(3, rng, ctx)
                 )
                 q = s.project(p, ctx)
-                assert dist(s.project(q, ctx), q, ctx) <= tol * max(norm(q, ctx), ctx.mpf(1))
+                assert dist(s.project(q, ctx), q, ctx) <= tol * max(mpf_norm(q, ctx), ctx.mpf(1))
 
     def test_nonexpansive_on_convex_sets(self, ctx):
         rng = random.Random(29)

@@ -14,8 +14,6 @@ from feasikit.numerics import (
     SingularMatrixError,
     _abs_le,
     dist,
-    inner,
-    norm,
 )
 from feasikit.sets import (
     CurveGraph, DiagOnes, EntryOne, HorizontalLine, PsdBoundary, PsdCone, UnitCircle,
@@ -34,8 +32,8 @@ from feasikit.solvers import (
 from feasikit.theory import get_curve, graph_operator
 
 from test_numerics import (
-    DIGITS, differential_matrix, differential_point, mpf_entrywise, mpf_inner, mpf_project_circle,
-    mpf_solve2x2, mpf_sub_points, point_bits, raw, solve_mpf, sym_random,
+    DIGITS, differential_matrix, differential_point, mpf_entrywise, mpf_inner, mpf_norm,
+    mpf_project_circle, mpf_solve2x2, mpf_sub_points, point_bits, raw, solve_mpf, sym_random,
 )
 from test_sets import (
     mpf_project_diag_ones, mpf_project_entry11, mpf_project_psd, mpf_project_psd_boundary,
@@ -166,7 +164,7 @@ class TestLtStep:
         assert dist(v2, Point2.of(ctx, 0, "0.5"), ctx) <= ctx.pow10(-100)
         rec = lt_step(two_lines, p, ctx)
         assert not rec.collinear
-        assert norm(rec.result, ctx) <= ctx.pow10(-100)
+        assert mpf_norm(rec.result, ctx) <= ctx.pow10(-100)
 
     def test_collinear_fallback_identity_operator(self, ctx):
         # T is the x-axis projection composed with itself through the half sum
@@ -181,7 +179,7 @@ class TestLtStep:
         for a in ("0.5", "-3", "7"):
             t = graph_operator(get_curve(f"linear:{a}", ctx), ctx)
             rec = lt_step(t, Point2.of(ctx, "0.8", "0.6"), ctx)
-            assert norm(rec.result, ctx) <= ctx.pow10(-(ctx.decimal_digits - 20))
+            assert mpf_norm(rec.result, ctx) <= ctx.pow10(-(ctx.decimal_digits - 20))
 
     def test_orthogonality_conditions(self, ctx, circle_line):
         rng = random.Random(31)
@@ -192,10 +190,11 @@ class TestLtStep:
             if rec.collinear:
                 continue
             v1, v2 = dr_pair(circle_line, p, ctx)
-            u1, u2 = v1 - p, v2 - p
-            scale = max(norm(u1, ctx) ** 2, norm(u2, ctx) ** 2, ctx.mpf(1))
-            assert abs(inner(rec.result - v1, u1)) <= bound * scale
-            assert abs(inner(rec.result - v2, v2 - v1)) <= bound * scale
+            u1, u2 = mpf_sub_points(v1, p), mpf_sub_points(v2, p)
+            scale = max(mpf_norm(u1, ctx) ** 2, mpf_norm(u2, ctx) ** 2, ctx.mpf(1))
+            assert abs(mpf_inner(mpf_sub_points(rec.result, v1), u1)) <= bound * scale
+            assert abs(mpf_inner(mpf_sub_points(rec.result, v2), mpf_sub_points(v2, v1))) <= (
+                bound * scale)
 
     @pytest.mark.oracle
     @given(
@@ -257,8 +256,8 @@ class TestLtStep:
         for _ in range(1000):
             u1 = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
             u2 = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
-            n1, n2 = inner(u1, u1), inner(u2, u2)
-            g = inner(u1, u2)
+            n1, n2 = mpf_inner(u1, u1), mpf_inner(u2, u2)
+            g = mpf_inner(u1, u2)
             eta = n1 * n2 - g * g
             if eta <= ctx.mpf("1e-4") * n1 * n2 or n1 == 0 or n2 == 0:
                 continue
@@ -286,7 +285,7 @@ class TestLtStep:
             )
             p = Point2.of(ctx, rng.uniform(0.2, 2), rng.uniform(0.2, 2))
             rec = lt_step(t, p, ctx)
-            assert norm(rec.result, ctx) <= bound
+            assert mpf_norm(rec.result, ctx) <= bound
 
 
 class TestPltStep:
@@ -306,7 +305,7 @@ class TestPltStep:
     def test_plane_composition(self, ctx, two_lines):
         p = Point2.of(ctx, 1, "0.7")
         got = plt_step(two_lines, p, ctx)
-        assert norm(got, ctx) <= ctx.pow10(-100)
+        assert mpf_norm(got, ctx) <= ctx.pow10(-100)
 
 
 class TestFirmNonexpansiveness:
@@ -321,7 +320,8 @@ class TestFirmNonexpansiveness:
             p = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
             q = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
             tp, tq = dr_step(t, p, ctx), dr_step(t, q, ctx)
-            lhs = dist(tp, tq, ctx) ** 2 + dist(p - tp, q - tq, ctx) ** 2
+            residuals = mpf_sub_points(p, tp), mpf_sub_points(q, tq)
+            lhs = dist(tp, tq, ctx) ** 2 + dist(*residuals, ctx) ** 2
             assert lhs <= dist(p, q, ctx) ** 2 + slack
 
     def test_convex_matrix_pair(self, ctx):
@@ -331,7 +331,8 @@ class TestFirmNonexpansiveness:
         for _ in range(10):
             p, q = sym_random(3, rng, ctx), sym_random(3, rng, ctx)
             tp, tq = dr_step(t, p, ctx), dr_step(t, q, ctx)
-            lhs = dist(tp, tq, ctx) ** 2 + dist(p - tp, q - tq, ctx) ** 2
+            residuals = mpf_sub_points(p, tp), mpf_sub_points(q, tq)
+            lhs = dist(tp, tq, ctx) ** 2 + dist(*residuals, ctx) ** 2
             assert lhs <= dist(p, q, ctx) ** 2 + slack
 
 
@@ -377,14 +378,18 @@ class TestRun:
         with pytest.raises(ValueError):
             run("newton", circle_line, Point2.of(ctx, 1, 1), StopRule(), Point2.of(ctx, 0, 0), ctx)
 
-    def test_auto_reference_matches_known(self, ctx, circle_line):
+    def test_auto_reference_matches_known(self, ctx):
         # tol below the floor: the trace runs on to its own reference
+        problem = build_problem("circle-line", ctx)
         p0 = Point2.of(ctx, "0.9", "0.6")
-        trace = run("lt", circle_line, p0, StopRule(tol="1e-200"), None, ctx)
+        stop = StopRule(tol="1e-200")
+        trace = run("lt", problem.operator, p0, stop, None, ctx)
         assert trace.terminated_by is Termination.EXACT_ZERO
         assert trace.reference_gap <= ctx.pow10(-(ctx.decimal_digits - 10))
-        ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
-        assert dist(trace.iterates[-1], ref, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
+        # the same distances to the two-pass reference, which is the known one
+        old, _, reference = two_pass_run("lt", problem, p0, stop, ctx)
+        assert trace.errors == old.errors
+        assert dist(reference, problem.reference, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
 
     def test_known_reference_has_no_gap(self, ctx, circle_line):
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
@@ -466,7 +471,8 @@ def two_pass_run(method, problem, p0, stop, ctx):
     with ``reference=None``: iterate the method until successive iterates
     agree to the arithmetic floor (at most 2*max_iter steps), take the last
     iterate as the reference, then recompute the orbit against it.
-    Returns the trace and the last successive-iterate distance."""
+    Returns the trace, the last successive-iterate distance and the
+    reference."""
     t = problem.operator
     step = {
         "dr": lambda p: dr_step(t, p, ctx),
@@ -481,7 +487,7 @@ def two_pass_run(method, problem, p0, stop, ctx):
         p = q
         if gap <= floor:
             break
-    return run(method, t, p0, stop, p, ctx), gap
+    return run(method, t, p0, stop, p, ctx), gap, p
 
 
 class TestAutoReference:
@@ -497,9 +503,8 @@ class TestAutoReference:
         problem = build_problem(problem_id, ctx, 3)
         p0 = problem.sample(1, seed, ctx)[0]
         stop = StopRule(tol=tol, max_iter=max_iter)
-        old, old_gap = two_pass_run(method, problem, p0, stop, ctx)
+        old, old_gap, _ = two_pass_run(method, problem, p0, stop, ctx)
         new = run(method, problem.operator, p0, stop, None, ctx)
-        assert new.iterates == old.iterates
         assert new.errors == old.errors
         assert new.terminated_by is old.terminated_by
         assert new.reference_gap == old_gap

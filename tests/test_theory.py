@@ -3,7 +3,7 @@ import random
 import pytest
 
 from feasikit import theory
-from feasikit.numerics import Point2, dist, inner, norm
+from feasikit.numerics import Point2, dist
 from feasikit.solvers import dr_step, lt_step
 from feasikit.theory import (
     DegenerateDenominatorError,
@@ -21,7 +21,7 @@ from feasikit.theory import (
     zeta_terms,
 )
 
-from test_numerics import solve_mpf
+from test_numerics import mpf_inner, mpf_norm, mpf_sub_points, solve_mpf
 
 
 class TestCurves:
@@ -73,7 +73,7 @@ class TestClosedForms:
             w = Point2.of(ctx, "0.01", "0.005")
             for _ in range(10):
                 step = dr_step(t, w, ctx)
-                assert inner(lyapunov_grad(w), step - w) < 0
+                assert mpf_inner(lyapunov_grad(w), mpf_sub_points(step, w)) < 0
                 w = step
 
     def test_h_is_one_on_lines(self, ctx):
@@ -82,7 +82,7 @@ class TestClosedForms:
             curve = get_curve(f"linear:{a}", ctx)
             for _ in range(10):
                 w = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
-                if norm(w, ctx) < ctx.mpf("0.01"):
+                if mpf_norm(w, ctx) < ctx.mpf("0.01"):
                     continue
                 assert abs(h_coeff(w, curve, ctx) - 1) <= ctx.pow10(-100)
 
@@ -126,7 +126,7 @@ class TestClosedForms:
             curve = get_curve(ident, ctx)
             for _ in range(25):
                 w = Point2.of(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
-                if norm(w, ctx) < ctx.mpf("1e-4"):
+                if mpf_norm(w, ctx) < ctx.mpf("1e-4"):
                     continue
                 z = w.z
                 fx, dfx, _ = curve.jet(w.x)
@@ -143,7 +143,7 @@ class TestLtClosedForm:
     def test_linear_kills_both_coordinates(self, ctx):
         curve = get_curve("linear:2", ctx)
         got = lt_closed_form(Point2.of(ctx, "0.3", "-0.1"), curve, ctx)
-        assert norm(got, ctx) <= ctx.pow10(-100)
+        assert mpf_norm(got, ctx) <= ctx.pow10(-100)
 
     def test_fixed_point(self, ctx):
         curve = get_curve("quad", ctx)
@@ -160,7 +160,7 @@ class TestLtClosedForm:
                 y = Point2.of(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.02, 0.02))
                 geometric = lt_step(t, y, ctx).result
                 closed = lt_closed_form(y, curve, ctx)
-                assert dist(geometric, closed, ctx) <= bound * max(norm(y, ctx), ctx.mpf(1))
+                assert dist(geometric, closed, ctx) <= bound * max(mpf_norm(y, ctx), ctx.mpf(1))
 
 
 class TestAngularCoefficient:
@@ -372,5 +372,5 @@ class TestLinearRate:
         for _ in range(20):
             phi = 2 * ctx.mp.pi * ctx.mpf(rng.random())
             y = Point2(radius * ctx.mp.cos(phi), radius * ctx.mp.sin(phi))
-            ratio = norm(dr_step(t, dr_step(t, y, ctx), ctx), ctx) / norm(y, ctx)
+            ratio = mpf_norm(dr_step(t, dr_step(t, y, ctx), ctx), ctx) / mpf_norm(y, ctx)
             assert abs(ratio / want - 1) <= ctx.mpf("1e-15"), (ident, phi, ratio)
