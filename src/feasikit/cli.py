@@ -355,9 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # every command writes into --out's directory (bench as <base>_*.csv)
+        # run and probe write --out, bench <base>_*.csv in --out's directory
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"output directory does not exist: {os.path.dirname(args.out)}")
+        if args.out is not None and args.command != "bench" and os.path.isdir(args.out):
+            raise ValueError(f"cannot write {args.out}: Is a directory")
         return args.handler(args)
     except ValueError as exc:
         print(f"feasikit: {exc}", file=sys.stderr)

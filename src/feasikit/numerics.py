@@ -196,10 +196,6 @@ class Point2(Vec):
     def __repr__(self) -> str:
         return f"Point2(x={self.x!r}, z={self.z!r})"
 
-    @staticmethod
-    def of(ctx: PrecisionContext, x, z) -> "Point2":
-        return Point2(ctx.mpf(x), ctx.mpf(z))
-
 
 class SymMatrix(Vec):
     """An n x n symmetric matrix; symmetry is checked on construction.
@@ -245,17 +241,6 @@ class SymMatrix(Vec):
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "SymMatrix":
         return SymMatrix(tuple(tuple(row) for row in rows))
-
-    @staticmethod
-    def diag(values: Sequence, ctx: PrecisionContext) -> "SymMatrix":
-        zero = ctx.mp.zero
-        vals = [ctx.mpf(v) for v in values]
-        return SymMatrix(
-            tuple(
-                tuple(vals[i] if i == j else zero for j in range(len(vals)))
-                for i in range(len(vals))
-            )
-        )
 
 
 class Spectrum(NamedTuple):

@@ -2,7 +2,10 @@
 
 Plane sets: horizontal lines (the x-axis is the line at height 0), the
 unit circle and graphs of analytic curves.  Matrix sets: the PSD cone, its boundary, and the affine
-sets fixing the diagonal (all ones) or the (1,1) entry.  Projections are
+sets fixing the diagonal (all ones) or the (1,1) entry.  Each projection
+is its set's ``project``; the graph's and the PSD sets' call the module
+functions ``project_graph``, ``project_psd`` and ``project_psd_boundary``,
+which perfbench times by patching them here.  Projections are
 single-valued selectors, so ``project(project(p)) == project(p)``;
 reflections are ``R = 2 P - I``, taking and returning raw entries.
 """
@@ -98,19 +101,8 @@ class AnalyticCurve(NamedTuple):
         return tuple(make(x) for x in self.raw_jet(self.mp.mpf(t)._mpf_))
 
 
-def project_circle(p: Point2, ctx: PrecisionContext) -> Point2:
-    """Radial projection onto the unit circle; the selector at the origin
-    (where the projection is set-valued) is (1, 0).
-
-    Runs on raw ``mpf._mpf_`` tuples at the context's precision, one raw
-    call per ``mpf`` operation of ``r = sqrt(x * x + z * z)``,
-    ``(x / r, z / r)``."""
-    mp = ctx.mp
-    return _vec(Point2, _raw_circle_point(p.raw, mp.prec), mp)
-
-
 def _raw_circle_point(raw, prec):
-    """``project_circle`` on the raw entries (x, z): ``(x / r, z / r)``
+    """``UnitCircle.project`` on the raw entries (x, z): ``(x / r, z / r)``
     with ``r = sqrt(x * x + z * z)``, or (1, 0) where r is zero.  The two
     squares and their sum are ``_raw_inner(raw, raw)`` written out,
     without its loop."""
@@ -261,12 +253,15 @@ class HorizontalLine(Frozen, FeasibilitySet):
 
 class UnitCircle(FeasibilitySet):
     def project(self, p: Point2, ctx: PrecisionContext) -> Point2:
-        return project_circle(p, ctx)
+        """Radial projection onto the unit circle; the selector at the
+        origin (where the projection is set-valued) is (1, 0).  Runs on raw
+        ``mpf._mpf_`` tuples at the context's precision, one raw call per
+        ``mpf`` operation of ``r = sqrt(x * x + z * z)``, ``(x / r, z / r)``."""
+        return _vec(Point2, _raw_circle_point(p.raw, ctx.mp.prec), ctx.mp)
 
     def raw_reflect(self, raw: tuple, ctx: PrecisionContext) -> tuple:
         """``project(p) * 2 - p`` without building the projection: the
-        radial point of ``project_circle``, each entry doubled and less
-        p's."""
+        radial point of ``project``, each entry doubled and less p's."""
         prec = ctx.mp.prec
         qx, qz = _raw_circle_point(raw, prec)
         rx, rz = raw
@@ -315,19 +310,6 @@ def _clip(lam) -> tuple:
     return tuple(x if mpf_gt(x, fzero) else fzero for x in lam)
 
 
-def project_diag_ones(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
-    """Fix the diagonal to 1; keep the off-diagonal entries."""
-    n = x.n
-    raw = list(x.raw)
-    raw[::n + 1] = [fone] * n
-    return _vec(SymMatrix, tuple(raw), ctx.mp)
-
-
-def project_entry11(x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
-    """Fix the (1,1) entry to 1; keep the rest."""
-    return _vec(SymMatrix, (fone,) + x.raw[1:], ctx.mp)
-
-
 class PsdCone(FeasibilitySet):
     vector = SymMatrix
 
@@ -346,12 +328,17 @@ class DiagOnes(FeasibilitySet):
     vector = SymMatrix
 
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
-        return project_diag_ones(x, ctx)
+        """Fix the diagonal to 1; keep the off-diagonal entries."""
+        n = x.n
+        raw = list(x.raw)
+        raw[::n + 1] = [fone] * n
+        return _vec(SymMatrix, tuple(raw), ctx.mp)
 
 
 class EntryOne(FeasibilitySet):
     vector = SymMatrix
 
     def project(self, x: SymMatrix, ctx: PrecisionContext) -> SymMatrix:
-        return project_entry11(x, ctx)
+        """Fix the (1,1) entry to 1; keep the rest."""
+        return _vec(SymMatrix, (fone,) + x.raw[1:], ctx.mp)
 

@@ -5,7 +5,7 @@ import hypothesis
 import pytest
 
 from feasikit import helper
-from feasikit.numerics import PrecisionContext
+from feasikit.numerics import Point2, PrecisionContext
 
 hypothesis.settings.register_profile(
     "default", max_examples=50, deadline=None, derandomize=True
@@ -27,6 +27,11 @@ def examples(n: int) -> int:
 @pytest.fixture(scope="session")
 def ctx():
     return PrecisionContext()
+
+
+def point(ctx, x, z):
+    """The plane point (x, z), each converted to a scalar of ctx."""
+    return Point2(ctx.mpf(x), ctx.mpf(z))
 
 
 # whether a process here may fork the helper of the graph projection and

@@ -37,6 +37,7 @@ from feasikit.theory import (
     probe_zeta_limit,
 )
 
+from conftest import point
 from test_cli import read, trials_table
 from test_numerics import mpf_inner, mpf_norm, mpf_sub_points, sym_random
 from test_sets import reflect
@@ -211,7 +212,7 @@ def test_criterion_4_limit_probes(ctx):
 def test_criterion_5_one_step_on_two_lines(ctx):
     rng = random.Random(99)
     bound = ctx.pow10(-(ctx.decimal_digits - 20))
-    origin = Point2.of(ctx, 0, 0)
+    origin = point(ctx, 0, 0)
     solved = 0
     attempts = 0
     while solved < 100 and attempts < 400:
@@ -224,7 +225,7 @@ def test_criterion_5_one_step_on_two_lines(ctx):
             first=CurveGraph(get_curve(f"linear:{a1}", ctx)),
             second=CurveGraph(get_curve(f"linear:{a2}", ctx)),
         )
-        p0 = Point2.of(ctx, rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
+        p0 = point(ctx, rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
         trace = run("lt", t, p0, StopRule(max_iter=10), origin, ctx)
         if trace.iterations == 1 and trace.errors[-1] < bound:
             solved += 1
@@ -278,7 +279,7 @@ def test_criterion_9_property_suites(ctx):
     for i in range(1000):
         if i % 2 == 0:
             s = plane_sets[(i // 2) % 4]
-            p = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
+            p = point(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
         else:
             s = matrix_sets[(i // 2) % 4]
             p = sym_random(3, rng, ctx)
@@ -292,7 +293,7 @@ def test_criterion_9_property_suites(ctx):
     affine_plane = HorizontalLine(height=ctx.mpf("-0.3"))
     for i in range(1000):
         if i % 3 == 0:
-            p = Point2.of(ctx, rng.uniform(-4, 4), rng.uniform(-4, 4))
+            p = point(ctx, rng.uniform(-4, 4), rng.uniform(-4, 4))
             rr = reflect(affine_plane, reflect(affine_plane, p, ctx), ctx)
         else:
             s = DiagOnes() if i % 3 == 1 else EntryOne()
@@ -306,7 +307,7 @@ def test_criterion_9_property_suites(ctx):
     t = DrOperator(first=HorizontalLine(height=ctx.mpf("0.5")), second=UnitCircle())
     bound = ctx.pow10(-(ctx.decimal_digits - 15))
     for _ in range(1000):
-        p = Point2.of(ctx, rng.uniform(0.2, 1.5), rng.uniform(0.05, 0.95))
+        p = point(ctx, rng.uniform(0.2, 1.5), rng.uniform(0.05, 0.95))
         rec = lt_step(t, p, ctx)
         if rec.collinear:
             continue

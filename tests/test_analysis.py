@@ -14,6 +14,7 @@ from feasikit.analysis import (
     sample_sym,
 )
 from feasikit.numerics import Point2, PrecisionContext, dist
+from conftest import point
 
 
 class TestEstimateOrder:
@@ -85,7 +86,7 @@ class TestEstimateLinearRate:
 
         t = DrOperator(first=HorizontalLine(height=ctx.mpf("0.5")), second=UnitCircle())
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
-        trace = run("dr", t, Point2.of(ctx, "0.9", "0.6"), StopRule(max_iter=150), ref, ctx)
+        trace = run("dr", t, point(ctx, "0.9", "0.6"), StopRule(max_iter=150), ref, ctx)
         rate = estimate_linear_rate(trace.errors, ctx)
         assert abs(rate - ctx.mpf("0.5")) <= ctx.mpf("0.05")
 
@@ -206,7 +207,7 @@ class TestSampling:
             assert dist(p, center, ctx) <= ctx.mpf("0.5")
 
     def test_disk_distinct_seeds(self, ctx):
-        center = Point2.of(ctx, 0, 0)
+        center = point(ctx, 0, 0)
         a = sample_disk(center, 1, 5, 1, ctx)
         b = sample_disk(center, 1, 5, 2, ctx)
         assert a != b
@@ -220,13 +221,13 @@ class TestSampling:
     )
     def test_disk_matches_mpf(self, seed, radius, center, digits):
         ctx = PrecisionContext(decimal_digits=digits)
-        c = Point2.of(ctx, *center)
+        c = point(ctx, *center)
         got = sample_disk(c, radius, 3, seed, ctx)
         assert [p.raw for p in got] == [p.raw for p in mpf_sample_disk(c, radius, 3, seed, ctx)]
 
     def test_disk_rejects_bad_radius(self, ctx):
         with pytest.raises(ValueError):
-            sample_disk(Point2.of(ctx, 0, 0), 0, 5, 1, ctx)
+            sample_disk(point(ctx, 0, 0), 0, 5, 1, ctx)
 
     def test_sym_properties(self, ctx):
         trial = sample_sym(4, 25, 13, ctx)

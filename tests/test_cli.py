@@ -127,6 +127,30 @@ class TestRunCommand:
         assert captured.err == f"feasikit: output directory does not exist: {missing}\n"
         assert captured.out == ""
 
+    def test_out_directory_rejected_before_work(self, tmp_path, monkeypatch, capsys):
+        # run and probe write --out itself, so a directory there is refused
+        # before the problem or the curve is built
+        def no_work(*args):
+            raise AssertionError("built before the --out check")
+
+        monkeypatch.setattr(cli, "build_problem", no_work)
+        monkeypatch.setattr("feasikit.theory.get_curve", no_work)
+        for argv in (["run", "--problem", "circle-line"], ["probe", "ratio", "quad"]):
+            assert main([*argv, "--out", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"feasikit: cannot write {tmp_path}: Is a directory\n"
+            assert captured.out == ""
+
+    def test_write_error_after_the_run_is_one_line(self, tmp_path, capsys):
+        # a dangling link passes the up-front checks; opening it fails
+        out = tmp_path / "link.csv"
+        out.symlink_to(tmp_path / "missing" / "x.csv")
+        assert main(["run", "--problem", "circle-line", "--max-iter", "3",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"feasikit: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""
+
     def test_failed_write_is_one_line(self, tmp_path, capsys):
         # --out names an existing directory, so only the write itself fails
         code = main(["run", "--problem", "circle-line", "--max-iter", "3",

@@ -17,7 +17,7 @@ from mpmath.libmp import (
     mpf_sub, round_nearest,
 )
 
-from conftest import TWO_CPUS, examples, helper_allowed, needs_helper
+from conftest import TWO_CPUS, examples, helper_allowed, needs_helper, point
 from feasikit import cli, helper, numerics
 from feasikit.numerics import (
     FeasikitError,
@@ -44,7 +44,7 @@ from feasikit.numerics import (
     eig_sym,
     solve2x2,
 )
-from feasikit.sets import project_circle, project_psd
+from feasikit.sets import UnitCircle, project_psd
 
 
 def sym_random(n, rng, ctx):
@@ -110,9 +110,9 @@ class TestPrecisionContext:
 
 class TestPoint2:
     def test_arithmetic(self, ctx):
-        p = Point2.of(ctx, 1, 2)
-        q = Point2.of(ctx, 3, -1)
-        assert p * ctx.mpf(2) == Point2.of(ctx, 2, 4)
+        p = point(ctx, 1, 2)
+        q = point(ctx, 3, -1)
+        assert p * ctx.mpf(2) == point(ctx, 2, 4)
         assert dist(p, q, ctx) == ctx.mp.sqrt(13)
 
     def test_views_hold_the_given_bits(self, ctx):
@@ -125,17 +125,17 @@ class TestPoint2:
 
     def test_equality_by_value(self, ctx):
         low = PrecisionContext(decimal_digits=40)
-        assert Point2.of(ctx, "0.5", 3) == Point2.of(low, "0.5", 3)
-        assert hash(Point2.of(ctx, "0.5", 3)) == hash(Point2.of(low, "0.5", 3))
-        assert Point2.of(ctx, "0.5", 3) != Point2.of(ctx, "0.5", -3)
-        assert Point2.of(ctx, 1, 2) != (ctx.mpf(1), ctx.mpf(2))
+        assert point(ctx, "0.5", 3) == point(low, "0.5", 3)
+        assert hash(point(ctx, "0.5", 3)) == hash(point(low, "0.5", 3))
+        assert point(ctx, "0.5", 3) != point(ctx, "0.5", -3)
+        assert point(ctx, 1, 2) != (ctx.mpf(1), ctx.mpf(2))
 
     def test_coordinates_are_read_only(self, ctx):
-        p = Point2.of(ctx, 1, 2)
+        p = point(ctx, 1, 2)
         for name in ("x", "z"):
             with pytest.raises(AttributeError):
                 setattr(p, name, ctx.mpf(5))
-        assert p == Point2.of(ctx, 1, 2)
+        assert p == point(ctx, 1, 2)
 
     def test_rounds_at_the_precision_of_x(self, ctx):
         # z from the 120-digit context keeps its bits in the point, and the
@@ -176,11 +176,11 @@ class TestVec:
 
     def test_point_never_equals_matrix(self, ctx):
         # the matrices lead with the point's entries
-        p = Point2.of(ctx, 1, 0)
-        for m in (SymMatrix.diag([1], ctx), SymMatrix.diag([1, 0], ctx)):
+        p = point(ctx, 1, 0)
+        for m in (mat(ctx, [[1]]), mat(ctx, [[1, 0], [0, 0]])):
             assert p != m and m != p
             assert not (p == m or m == p)
-        assert SymMatrix.diag([1], ctx) != SymMatrix.diag([1, 0], ctx)
+        assert mat(ctx, [[1]]) != mat(ctx, [[1, 0], [0, 0]])
 
 
 class TestSymMatrix:
@@ -221,7 +221,7 @@ class TestSymMatrix:
 
 class TestEig:
     def test_already_diagonal(self, ctx):
-        s = eig_sym(SymMatrix.diag([2, -1], ctx), ctx)
+        s = eig_sym(mat(ctx, [[2, 0], [0, -1]]), ctx)
         assert s.eigenvalues == (ctx.mpf(-1), ctx.mpf(2))
         # columns are the permuted identity
         assert s.basis == ((ctx.mpf(0), ctx.mpf(1)), (ctx.mpf(1), ctx.mpf(0)))
@@ -241,7 +241,7 @@ class TestEig:
                 assert abs(s.basis[i][j] - expected[i][j]) <= tol
 
     def test_identity(self, ctx):
-        identity = SymMatrix.diag([1, 1, 1], ctx)
+        identity = mat(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         s = eig_sym(identity, ctx)
         assert s.eigenvalues == (ctx.mpf(1),) * 3
         assert s.basis == identity.entries
@@ -397,12 +397,16 @@ def mpf_reconstruct(spectrum):
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 
+def mat(ctx, rows):
+    return SymMatrix.from_rows([[ctx.mpf(v) for v in row] for row in rows])
+
+
 def raw(rows):
     return tuple(tuple(x._mpf_ for x in row) for row in rows)
 
 
 def spectrum_bits(s):
-    return tuple(x._mpf_ for x in s.eigenvalues), raw(s.basis)
+    return s.raw_eigenvalues, s.raw_basis
 
 
 def differential_matrix(kind, n, seed, scale_exp, ctx):
@@ -413,9 +417,9 @@ def differential_matrix(kind, n, seed, scale_exp, ctx):
     shrink = (1 - ctx.mpf(1) / 999983) * ctx.pow10(scale_exp)
     vals = [ctx.mpf(rng.uniform(-1.0, 1.0)) * shrink for _ in range(n * n + 1)]
     if kind == "zero":
-        return SymMatrix.diag([0] * n, ctx)
+        return mat(ctx, [[0] * n] * n)
     if kind == "diagonal":
-        return SymMatrix.diag(vals[:n], ctx)
+        return mat(ctx, [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
     if kind == "repeated":
         # c I + u u^T: eigenvalue c with multiplicity n - 1
         c, u = vals[0], vals[1:n + 1]
@@ -818,7 +822,7 @@ def mpf_norm(a, ctx):
 
 
 def mpf_project_circle(p, ctx):
-    """``sets.project_circle`` written with ``mpf`` operators; its oracle."""
+    """``UnitCircle.project`` written with ``mpf`` operators; its oracle."""
     r = ctx.mp.sqrt(p.x * p.x + p.z * p.z)
     if r == 0:
         return Point2(ctx.mp.one, ctx.mp.zero)
@@ -826,7 +830,7 @@ def mpf_project_circle(p, ctx):
 
 
 def point_bits(p):
-    return p.x._mpf_, p.z._mpf_
+    return p.raw
 
 
 def differential_point(kind, seed, scale_exp, ctx):
@@ -844,7 +848,7 @@ def differential_point(kind, seed, scale_exp, ctx):
 
 class TestRawPlaneMatchesMpf:
     """The raw-tuple vector layer (scaling by an ``mpf``, ``dist``,
-    ``project_circle``) against its ``mpf`` oracles above."""
+    ``UnitCircle.project``) against its ``mpf`` oracles above."""
 
     @given(
         kinds=st.tuples(*[st.sampled_from(("random", "axis", "origin"))] * 2),
@@ -860,11 +864,11 @@ class TestRawPlaneMatchesMpf:
         s = differential_point("random", seed + 2, 0, ctx).x
         assert point_bits(p * s) == point_bits(Point2(p.x * s, p.z * s))
         assert dist(p, q, ctx)._mpf_ == mpf_norm(mpf_sub_points(p, q), ctx)._mpf_
-        assert point_bits(project_circle(p, ctx)) == point_bits(mpf_project_circle(p, ctx))
+        assert point_bits(UnitCircle().project(p, ctx)) == point_bits(mpf_project_circle(p, ctx))
 
     def test_circle_selector_at_origin(self, ctx):
         origin = Point2(ctx.mp.zero, ctx.mp.zero)
-        assert point_bits(project_circle(origin, ctx)) == point_bits(Point2.of(ctx, 1, 0))
+        assert point_bits(UnitCircle().project(origin, ctx)) == point_bits(point(ctx, 1, 0))
 
     @given(
         n=st.sampled_from((3, 5, 2, 1, 4)),

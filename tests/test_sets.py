@@ -32,9 +32,6 @@ from feasikit.sets import (
     PsdBoundary,
     PsdCone,
     UnitCircle,
-    project_circle,
-    project_diag_ones,
-    project_entry11,
     project_graph,
     project_psd,
     project_psd_boundary,
@@ -43,16 +40,12 @@ from feasikit.sets import (
 )
 from feasikit.theory import _quad_jet, get_curve
 
-from conftest import TWO_CPUS, examples, helper_allowed, needs_helper
+from conftest import TWO_CPUS, examples, helper_allowed, needs_helper, point
 from test_numerics import (
-    DIGITS, differential_matrix, differential_point, mpf_eig_sym, mpf_entrywise, mpf_norm,
+    DIGITS, differential_matrix, differential_point, mat, mpf_eig_sym, mpf_entrywise, mpf_norm,
     mpf_project_circle, mpf_reconstruct, mpf_spectrum, odd_mantissa, point_bits, raw, raw_operand,
     spectrum_bits, sym_random,
 )
-
-
-def mat(ctx, rows):
-    return SymMatrix.from_rows([[ctx.mpf(v) for v in row] for row in rows])
 
 
 def reflect(s, p, ctx):
@@ -70,21 +63,21 @@ def assert_mat_close(ctx, got, expected_rows, tol):
 class TestPlaneProjections:
     def test_horizontal_line(self, ctx):
         half, zero = HorizontalLine(ctx.mpf("0.5")), HorizontalLine(ctx.mpf(0))
-        assert half.project(Point2.of(ctx, "0.3", "0.9"), ctx) == Point2.of(ctx, "0.3", "0.5")
-        assert half.project(Point2.of(ctx, 7, "0.5"), ctx) == Point2.of(ctx, 7, "0.5")
-        assert zero.project(Point2.of(ctx, -1, -2), ctx) == Point2.of(ctx, -1, 0)
+        assert half.project(point(ctx, "0.3", "0.9"), ctx) == point(ctx, "0.3", "0.5")
+        assert half.project(point(ctx, 7, "0.5"), ctx) == point(ctx, 7, "0.5")
+        assert zero.project(point(ctx, -1, -2), ctx) == point(ctx, -1, 0)
 
     def test_circle(self, ctx):
-        assert project_circle(Point2.of(ctx, 2, 0), ctx) == Point2.of(ctx, 1, 0)
+        assert UnitCircle().project(point(ctx, 2, 0), ctx) == point(ctx, 1, 0)
         # selector at the set-valued point
-        assert project_circle(Point2.of(ctx, 0, 0), ctx) == Point2.of(ctx, 1, 0)
-        p = project_circle(Point2.of(ctx, 3, 4), ctx)
+        assert UnitCircle().project(point(ctx, 0, 0), ctx) == point(ctx, 1, 0)
+        p = UnitCircle().project(point(ctx, 3, 4), ctx)
         assert abs(p.x - ctx.mpf("0.6")) <= ctx.pow10(-110)
         assert abs(p.z - ctx.mpf("0.8")) <= ctx.pow10(-110)
 
     def test_graph_line_45deg(self, ctx):
         curve = get_curve("linear:1", ctx)
-        p = project_graph(Point2.of(ctx, 1, 0), curve, ctx)
+        p = project_graph(point(ctx, 1, 0), curve, ctx)
         assert abs(p.x - ctx.mpf("0.5")) <= ctx.pow10(-100)
         assert abs(p.z - ctx.mpf("0.5")) <= ctx.pow10(-100)
 
@@ -97,7 +90,7 @@ class TestPlaneProjections:
 
     def test_graph_stationarity_residual(self, ctx):
         curve = get_curve("quad", ctx)
-        p = Point2.of(ctx, "0.4", "1.3")
+        p = point(ctx, "0.4", "1.3")
         q = project_graph(p, curve, ctx)
         residual = (q.x - p.x) + (curve.jet(q.x)[0] - p.z) * curve.jet(q.x)[1]
         assert abs(residual) <= ctx.pow10(-(ctx.decimal_digits - 15))
@@ -105,7 +98,7 @@ class TestPlaneProjections:
     def test_graph_against_grid_scan(self, ctx):
         # independent oracle: brute-force scan of the squared distance
         curve = get_curve("quad", ctx)
-        p = Point2.of(ctx, 0, 1)
+        p = point(ctx, 0, 1)
         q = project_graph(p, curve, ctx)
         ts = np.linspace(-3.0, 3.0, 1_000_001)
         obj = ts**2 + (ts + ts**2 - 1.0) ** 2
@@ -207,7 +200,7 @@ def check_selector(ident, seed, far):
     for digits in DIGITS:
         ctx = PrecisionContext(decimal_digits=digits)
         if far is None:
-            p = sample_disk(Point2.of(ctx, 0, 0), "0.05", 1, seed, ctx)[0]
+            p = sample_disk(point(ctx, 0, 0), "0.05", 1, seed, ctx)[0]
         else:
             shrink = 1 - ctx.mpf(1) / 999983
             p = Point2(ctx.mpf(far[0]) * shrink, ctx.mpf(far[1]) * shrink)
@@ -253,7 +246,7 @@ class TestGraphJet:
             assert helper._helper is None
 
     def test_curve_from_another_precision_rejected(self, ctx):
-        p = Point2.of(ctx, "0.01", "0.02")
+        p = point(ctx, "0.01", "0.02")
         with pytest.raises(ValueError, match="built at 40 digits, not 120"):
             project_graph(p, get_curve("quad", PrecisionContext(decimal_digits=40)), ctx)
 
@@ -410,8 +403,8 @@ class TestGraphHelper:
 
     @staticmethod
     def points(ctx):
-        return [*sample_disk(Point2.of(ctx, 0, 0), "0.05", 4, 11, ctx),
-                Point2.of(ctx, "1.5", "-2"), Point2.of(ctx, "-3", "0.25")]
+        return [*sample_disk(point(ctx, 0, 0), "0.05", 4, 11, ctx),
+                point(ctx, "1.5", "-2"), point(ctx, "-3", "0.25")]
 
     @staticmethod
     def in_process(p, curve, ctx):
@@ -435,7 +428,7 @@ class TestGraphHelper:
         # the helper is still on a request that an exception cut off when
         # the next one comes, so the caller claims all 33 starts first
         curve = get_curve("quad", ctx)
-        p, q = Point2.of(ctx, "2", "1"), Point2.of(ctx, "0.01", "-0.02")
+        p, q = point(ctx, "2", "1"), point(ctx, "0.01", "-0.02")
         project_graph(p, curve, ctx)  # the helper is up
         jet = functools.partial(_quad_jet_late_in, helper._helper.pid, 0.1, ctx.mp.prec)
         slow = AnalyticCurve.checked(jet, ctx, "quad")
@@ -458,7 +451,7 @@ class TestGraphHelper:
         curve = get_curve("quad", ctx)
         jet = functools.partial(_quad_jet_late_in, os.getpid(), 0.05, ctx.mp.prec)
         slow = AnalyticCurve.checked(jet, ctx, "quad")
-        for p in (Point2.of(ctx, "0.01", "-0.02"), Point2.of(ctx, "-3", "0.25")):
+        for p in (point(ctx, "0.01", "-0.02"), point(ctx, "-3", "0.25")):
             want = self.in_process(p, curve, ctx)
             del spy.calls[:]
             assert project_graph(p, slow, ctx).raw == want
@@ -475,7 +468,7 @@ class TestGraphHelper:
 
     def test_projection_error_text_unchanged(self, spy, ctx):
         big, bend = (0, 1, 1000, 1), (1, 1, -999, 1)
-        p = Point2.of(ctx, "0.25", "-0.5")
+        p = point(ctx, "0.25", "-0.5")
         show = functools.partial(ctx.mp.nstr, n=17)
         span = 2 * (1 + abs(p.z))
         want = (f"graph projection of ({show(p.x)}, {show(p.z)}): Newton failed from all 33 "
@@ -530,7 +523,7 @@ class TestGraphHelper:
     def test_drop_and_stay_serial_close_the_claim_table(self, ctx):
         # no mapping outlives its helper, in a ``bench`` pool worker either
         curve = get_curve("quad", ctx)
-        p = Point2.of(ctx, "0.01", "-0.02")
+        p = point(ctx, "0.01", "-0.02")
         for drop in (helper._drop_helper, helper.stay_serial):
             project_graph(p, curve, ctx)
             dropped = helper._helper
@@ -543,7 +536,7 @@ class TestGraphHelper:
                              ids=["base", "error"])
     def test_no_stale_reply_after_an_exception(self, spy, ctx, exc):
         curve = get_curve("quad", ctx)
-        p, q = Point2.of(ctx, "2", "1"), Point2.of(ctx, "0.01", "-0.02")
+        p, q = point(ctx, "2", "1"), point(ctx, "0.01", "-0.02")
         project_graph(p, curve, ctx)  # the helper is up
         spy.fail = exc
         if isinstance(exc, Exception):
@@ -564,7 +557,7 @@ class TestGraphHelper:
         # failed graph request a reply nobody reads; the next eigensolve
         # and graph projection each read their own
         curve = get_curve("quad", ctx)
-        p, q = Point2.of(ctx, "2", "1"), Point2.of(ctx, "0.01", "-0.02")
+        p, q = point(ctx, "2", "1"), point(ctx, "0.01", "-0.02")
         x = differential_matrix("random", 5, 3, 0, ctx)
         with monkeypatch.context() as serial:
             serial.setattr(helper, "_live_helper", lambda: None)
@@ -704,7 +697,7 @@ class TestGraphFastPaths:
         ctx = PrecisionContext(decimal_digits=digits)
         rng = random.Random(seed)
         tol = ctx.pow10(-(digits - 20))
-        p = Point2.of(ctx, 0, 0) if mirrored else Point2.of(ctx, rng.uniform(-1, 1), rng.uniform(-1, 1))
+        p = point(ctx, 0, 0) if mirrored else point(ctx, rng.uniform(-1, 1), rng.uniform(-1, 1))
         roots = []
         for _ in range(heads):
             head = ctx.mpf(rng.uniform(-3, 3)) / 7
@@ -723,7 +716,7 @@ class TestGraphFastPaths:
         for digits in DIGITS:
             ctx = PrecisionContext(decimal_digits=digits)
             merge_tol, prec = _graph_levels(ctx)[1], ctx.mp.prec
-            origin = Point2.of(ctx, 0, 0)
+            origin = point(ctx, 0, 0)
             t, ft = ctx.mpf("0.25"), ctx.mpf("0.5")
             # equal squared distances: the smaller t wins
             tie = [(t, ft), (-t, ft)]
@@ -742,11 +735,11 @@ class TestGraphFastPaths:
 class TestReflection:
     def test_mirror(self, ctx):
         axis = HorizontalLine(ctx.mp.zero)
-        assert reflect(axis, Point2.of(ctx, 1, 3), ctx) == Point2.of(ctx, 1, -3)
+        assert reflect(axis, point(ctx, 1, 3), ctx) == point(ctx, 1, -3)
 
     def test_fixed_on_set(self, ctx):
         line = HorizontalLine(height=ctx.mpf("0.5"))
-        p = Point2.of(ctx, "2.5", "0.5")
+        p = point(ctx, "2.5", "0.5")
         assert reflect(line, p, ctx) == p
 
     @given(
@@ -779,7 +772,7 @@ class TestReflection:
     )
     @settings(max_examples=200)
     def test_circle_matches_mpf_oracle(self, kind, seed, scale_exp, digits):
-        # the raw reflection against project_circle(p) * 2 - p in mpf; the
+        # the raw reflection against UnitCircle().project(p) * 2 - p in mpf; the
         # origin reflects through the selector (1, 0)
         ctx = PrecisionContext(decimal_digits=digits)
         p = differential_point(kind, seed, scale_exp, ctx)
@@ -798,14 +791,14 @@ class TestReflection:
             assert got.raw[0] != x._mpf_
 
     def test_circle_outside(self, ctx):
-        r = reflect(UnitCircle(), Point2.of(ctx, 2, 0), ctx)
+        r = reflect(UnitCircle(), point(ctx, 2, 0), ctx)
         assert abs(r.x) <= ctx.pow10(-110) and abs(r.z) <= ctx.pow10(-110)
 
     def test_involution_on_affine_sets(self, ctx):
         rng = random.Random(3)
         line = HorizontalLine(height=ctx.mpf("0.5"))
         for _ in range(50):
-            p = Point2.of(ctx, rng.uniform(-5, 5), rng.uniform(-5, 5))
+            p = point(ctx, rng.uniform(-5, 5), rng.uniform(-5, 5))
             rr = reflect(line, reflect(line, p, ctx), ctx)
             assert dist(rr, p, ctx) <= ctx.pow10(-(ctx.decimal_digits - 15))
         for aff in (DiagOnes(), EntryOne()):
@@ -864,10 +857,10 @@ class TestRawReflectionMatchesProjection:
         for digits in DIGITS:
             ctx = PrecisionContext(decimal_digits=digits)
             circle = UnitCircle()
-            assert circle.raw_reflect(Point2.of(ctx, 0, 0).raw, ctx) == Point2.of(ctx, 2, 0).raw
+            assert circle.raw_reflect(point(ctx, 0, 0).raw, ctx) == point(ctx, 2, 0).raw
             for x, z, want in ((3, 0, (-1, 0)), (0, -3, (0, 1)), (1, 0, (1, 0)), (0, 1, (0, 1))):
-                p = Point2.of(ctx, x, z)
-                assert circle.raw_reflect(p.raw, ctx) == Point2.of(ctx, *want).raw
+                p = point(ctx, x, z)
+                assert circle.raw_reflect(p.raw, ctx) == point(ctx, *want).raw
                 assert circle.raw_reflect(p.raw, ctx) == projected_reflection(circle, p, ctx)
 
     @given(
@@ -900,7 +893,7 @@ class TestRawReflectionMatchesProjection:
 
 class TestMatrixProjections:
     def test_psd_diagonal_clip(self, ctx):
-        got = project_psd(SymMatrix.diag([1, -2], ctx), ctx)
+        got = project_psd(mat(ctx, [[1, 0], [0, -2]]), ctx)
         assert_mat_close(ctx, got, [[1, 0], [0, 0]], 10 * ctx.floor)
 
     def test_psd_identity_on_cone(self, ctx):
@@ -913,15 +906,15 @@ class TestMatrixProjections:
         assert_mat_close(ctx, got, [["0.5", "0.5"], ["0.5", "0.5"]], 10 * ctx.floor)
 
     def test_boundary_positive_branch(self, ctx):
-        got = project_psd_boundary(SymMatrix.diag([3, 1], ctx), ctx)
+        got = project_psd_boundary(mat(ctx, [[3, 0], [0, 1]]), ctx)
         assert_mat_close(ctx, got, [[3, 0], [0, 0]], 10 * ctx.floor)
 
     def test_boundary_cone_branch(self, ctx):
-        got = project_psd_boundary(SymMatrix.diag([-1, 2], ctx), ctx)
+        got = project_psd_boundary(mat(ctx, [[-1, 0], [0, 2]]), ctx)
         assert_mat_close(ctx, got, [[0, 0], [0, 2]], 10 * ctx.floor)
 
     def test_boundary_tie_zeroes_first_index(self, ctx):
-        x = SymMatrix.diag([2, 2], ctx)
+        x = mat(ctx, [[2, 0], [0, 2]])
         got = project_psd_boundary(x, ctx)
         spectrum = eig_sym(x, ctx)
         raw_eigs = (ctx.mp.zero._mpf_, spectrum.raw_eigenvalues[1])
@@ -938,20 +931,20 @@ class TestMatrixProjections:
             assert abs(lam_min) <= 10 * ctx.floor
 
     def test_diag_ones_examples(self, ctx):
-        got = project_diag_ones(mat(ctx, [[0, 2], [2, 0]]), ctx)
+        got = DiagOnes().project(mat(ctx, [[0, 2], [2, 0]]), ctx)
         assert got == mat(ctx, [[1, 2], [2, 1]])
         member = mat(ctx, [[1, "0.3"], ["0.3", 1]])
-        assert project_diag_ones(member, ctx) == member
+        assert DiagOnes().project(member, ctx) == member
 
     def test_entry11_examples(self, ctx):
-        assert project_entry11(mat(ctx, [[0, 2], [2, 5]]), ctx) == mat(ctx, [[1, 2], [2, 5]])
+        assert EntryOne().project(mat(ctx, [[0, 2], [2, 5]]), ctx) == mat(ctx, [[1, 2], [2, 5]])
         member = mat(ctx, [[1, "0.2"], ["0.2", 9]])
-        assert project_entry11(member, ctx) == member
-        assert project_entry11(SymMatrix.diag([4, 7], ctx), ctx) == SymMatrix.diag([1, 7], ctx)
+        assert EntryOne().project(member, ctx) == member
+        assert EntryOne().project(mat(ctx, [[4, 0], [0, 7]]), ctx) == mat(ctx, [[1, 0], [0, 7]])
 
 
 def averaging_diag_ones(x, ctx):
-    """``project_diag_ones`` as it was, averaging each off-diagonal pair;
+    """``DiagOnes.project`` as it was, averaging each off-diagonal pair;
     the oracle for the version that keeps the entries."""
     rows = x.entries
     n = len(rows)
@@ -966,7 +959,7 @@ def averaging_diag_ones(x, ctx):
 
 
 def averaging_entry11(x, ctx):
-    """``project_entry11`` as it was, averaging each off-diagonal pair."""
+    """``EntryOne.project`` as it was, averaging each off-diagonal pair."""
     rows = x.entries
     n = len(rows)
     out = [[None] * n for _ in range(n)]
@@ -995,8 +988,8 @@ class TestAffineProjectionsMatchAveraging:
         x = sym_random(n, random.Random(seed), ctx) * (
             (1 - ctx.mpf(1) / 999983) * ctx.pow10(scale_exp)
         )
-        for new, old in ((project_diag_ones, averaging_diag_ones),
-                         (project_entry11, averaging_entry11)):
+        for new, old in ((DiagOnes().project, averaging_diag_ones),
+                         (EntryOne().project, averaging_entry11)):
             assert raw(new(x, ctx).entries) == raw(old(x, ctx).entries)
 
 
@@ -1021,7 +1014,7 @@ def mpf_project_psd_boundary(x, ctx):
 
 
 def mpf_project_diag_ones(x, ctx):
-    """``project_diag_ones`` on ``mpf`` entries; its oracle."""
+    """``DiagOnes.project`` on ``mpf`` entries; its oracle."""
     rows = [list(row) for row in x.entries]
     for i in range(x.n):
         rows[i][i] = ctx.mp.one
@@ -1029,7 +1022,7 @@ def mpf_project_diag_ones(x, ctx):
 
 
 def mpf_project_entry11(x, ctx):
-    """``project_entry11`` on ``mpf`` entries; its oracle."""
+    """``EntryOne.project`` on ``mpf`` entries; its oracle."""
     rows = [list(row) for row in x.entries]
     rows[0][0] = ctx.mp.one
     return SymMatrix.from_rows(rows)
@@ -1038,8 +1031,8 @@ def mpf_project_entry11(x, ctx):
 MPF_MATRIX_PROJECTIONS = (
     (project_psd, mpf_project_psd),
     (project_psd_boundary, mpf_project_psd_boundary),
-    (project_diag_ones, mpf_project_diag_ones),
-    (project_entry11, mpf_project_entry11),
+    (DiagOnes().project, mpf_project_diag_ones),
+    (EntryOne().project, mpf_project_entry11),
 )
 
 
@@ -1049,7 +1042,8 @@ def differential_psd_input(kind, n, seed, scale_exp, ctx):
     if kind != "psd":
         return differential_matrix(kind, n, seed, scale_exp, ctx)
     x = differential_matrix("random", n, seed, scale_exp, ctx)
-    return mpf_entrywise(x, SymMatrix.diag([n] * n, ctx) * ctx.pow10(scale_exp), operator.add)
+    shift = mat(ctx, [[n if i == j else 0 for j in range(n)] for i in range(n)])
+    return mpf_entrywise(x, shift * ctx.pow10(scale_exp), operator.add)
 
 
 class TestMatrixProjectionsMatchMpf:
@@ -1092,7 +1086,7 @@ class TestIdempotenceAndNonexpansiveness:
         for s, kind in self.make_sets(ctx):
             for _ in range(10):
                 p = (
-                    Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
+                    point(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
                     if kind == "plane"
                     else sym_random(3, rng, ctx)
                 )
@@ -1111,8 +1105,8 @@ class TestIdempotenceAndNonexpansiveness:
         for s, kind in convex:
             for _ in range(25):
                 if kind == "plane":
-                    p = Point2.of(ctx, rng.uniform(-3, 3), rng.uniform(-3, 3))
-                    q = Point2.of(ctx, rng.uniform(-3, 3), rng.uniform(-3, 3))
+                    p = point(ctx, rng.uniform(-3, 3), rng.uniform(-3, 3))
+                    q = point(ctx, rng.uniform(-3, 3), rng.uniform(-3, 3))
                 else:
                     p, q = sym_random(3, rng, ctx), sym_random(3, rng, ctx)
                 assert dist(s.project(p, ctx), s.project(q, ctx), ctx) <= dist(p, q, ctx) + slack
@@ -1147,8 +1141,8 @@ class TestOptimalityOracle:
         project = {
             "psd": project_psd,
             "psd-boundary": project_psd_boundary,
-            "diag-ones": project_diag_ones,
-            "entry11": project_entry11,
+            "diag-ones": DiagOnes().project,
+            "entry11": EntryOne().project,
         }[target]
         rng = np.random.default_rng(101)
         mrng = random.Random(101)

@@ -31,6 +31,7 @@ from feasikit.solvers import (
 )
 from feasikit.theory import get_curve, graph_operator
 
+from conftest import point
 from test_numerics import (
     DIGITS, differential_matrix, differential_point, mpf_entrywise, mpf_inner, mpf_norm,
     mpf_project_circle, mpf_solve2x2, mpf_sub_points, point_bits, raw, solve_mpf, sym_random,
@@ -54,11 +55,11 @@ def circle_line(ctx):
 
 class TestDrStep:
     def test_hand_composition(self, ctx, two_lines):
-        got = dr_step(two_lines, Point2.of(ctx, 1, 0), ctx)
-        assert dist(got, Point2.of(ctx, "0.5", "0.5"), ctx) <= ctx.pow10(-100)
+        got = dr_step(two_lines, point(ctx, 1, 0), ctx)
+        assert dist(got, point(ctx, "0.5", "0.5"), ctx) <= ctx.pow10(-100)
 
     def test_fixed_point_of_two_lines(self, ctx, two_lines):
-        origin = Point2.of(ctx, 0, 0)
+        origin = point(ctx, 0, 0)
         assert dist(dr_step(two_lines, origin, ctx), origin, ctx) <= ctx.pow10(-100)
 
     def test_circle_line_intersection_fixed(self, ctx, circle_line):
@@ -158,10 +159,10 @@ def mpf_lt_step(t, p, ctx):
 
 class TestLtStep:
     def test_worked_example(self, ctx, two_lines):
-        p = Point2.of(ctx, 1, 0)
+        p = point(ctx, 1, 0)
         v1, v2 = dr_pair(two_lines, p, ctx)
-        assert dist(v1, Point2.of(ctx, "0.5", "0.5"), ctx) <= ctx.pow10(-100)
-        assert dist(v2, Point2.of(ctx, 0, "0.5"), ctx) <= ctx.pow10(-100)
+        assert dist(v1, point(ctx, "0.5", "0.5"), ctx) <= ctx.pow10(-100)
+        assert dist(v2, point(ctx, 0, "0.5"), ctx) <= ctx.pow10(-100)
         rec = lt_step(two_lines, p, ctx)
         assert not rec.collinear
         assert mpf_norm(rec.result, ctx) <= ctx.pow10(-100)
@@ -170,7 +171,7 @@ class TestLtStep:
         # T is the x-axis projection composed with itself through the half sum
         axis = HorizontalLine(ctx.mp.zero)
         t = DrOperator(first=axis, second=axis)
-        p = Point2.of(ctx, "1.3", "-0.2")
+        p = point(ctx, "1.3", "-0.2")
         rec = lt_step(t, p, ctx)
         assert rec.collinear
         assert rec.result == dr_step(t, p, ctx)
@@ -178,14 +179,14 @@ class TestLtStep:
     def test_one_step_on_any_slope(self, ctx):
         for a in ("0.5", "-3", "7"):
             t = graph_operator(get_curve(f"linear:{a}", ctx), ctx)
-            rec = lt_step(t, Point2.of(ctx, "0.8", "0.6"), ctx)
+            rec = lt_step(t, point(ctx, "0.8", "0.6"), ctx)
             assert mpf_norm(rec.result, ctx) <= ctx.pow10(-(ctx.decimal_digits - 20))
 
     def test_orthogonality_conditions(self, ctx, circle_line):
         rng = random.Random(31)
         bound = ctx.pow10(-(ctx.decimal_digits - 15))
         for _ in range(50):
-            p = Point2.of(ctx, rng.uniform(0.4, 1.3), rng.uniform(0.1, 0.9))
+            p = point(ctx, rng.uniform(0.4, 1.3), rng.uniform(0.1, 0.9))
             rec = lt_step(circle_line, p, ctx)
             if rec.collinear:
                 continue
@@ -254,8 +255,8 @@ class TestLtStep:
         rng = random.Random(37)
         bound = ctx.pow10(-(ctx.decimal_digits - 15))
         for _ in range(1000):
-            u1 = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
-            u2 = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
+            u1 = point(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
+            u2 = point(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
             n1, n2 = mpf_inner(u1, u1), mpf_inner(u2, u2)
             g = mpf_inner(u1, u2)
             eta = n1 * n2 - g * g
@@ -283,14 +284,14 @@ class TestLtStep:
                 first=CurveGraph(get_curve(f"linear:{a1}", ctx)),
                 second=CurveGraph(get_curve(f"linear:{a2}", ctx)),
             )
-            p = Point2.of(ctx, rng.uniform(0.2, 2), rng.uniform(0.2, 2))
+            p = point(ctx, rng.uniform(0.2, 2), rng.uniform(0.2, 2))
             rec = lt_step(t, p, ctx)
             assert mpf_norm(rec.result, ctx) <= bound
 
 
 class TestPltStep:
     def test_identity_on_affine(self, ctx, circle_line):
-        p = Point2.of(ctx, "0.7", "0.5")  # already on the line
+        p = point(ctx, "0.7", "0.5")  # already on the line
         assert plt_step(circle_line, p, ctx) == lt_step(circle_line, p, ctx).result
 
     def test_compositional_oracle_matrix(self, ctx):
@@ -303,7 +304,7 @@ class TestPltStep:
             assert via_plt == lt_step(t, projected, ctx).result
 
     def test_plane_composition(self, ctx, two_lines):
-        p = Point2.of(ctx, 1, "0.7")
+        p = point(ctx, 1, "0.7")
         got = plt_step(two_lines, p, ctx)
         assert mpf_norm(got, ctx) <= ctx.pow10(-100)
 
@@ -317,8 +318,8 @@ class TestFirmNonexpansiveness:
             second=CurveGraph(get_curve("linear:2", ctx)),
         )
         for _ in range(25):
-            p = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
-            q = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
+            p = point(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
+            q = point(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
             tp, tq = dr_step(t, p, ctx), dr_step(t, q, ctx)
             residuals = mpf_sub_points(p, tp), mpf_sub_points(q, tq)
             lhs = dist(tp, tq, ctx) ** 2 + dist(*residuals, ctx) ** 2
@@ -347,22 +348,22 @@ class TestRun:
     def test_dr_two_lines_halves_error(self, ctx, two_lines):
         # DR on two lines at 45 degrees contracts by 1/sqrt(2) rotation,
         # giving error ratio 1/2 every two steps and exactly 1/sqrt(2) each
-        origin = Point2.of(ctx, 0, 0)
-        trace = run("dr", two_lines, Point2.of(ctx, 1, 0), StopRule(max_iter=40), origin, ctx)
+        origin = point(ctx, 0, 0)
+        trace = run("dr", two_lines, point(ctx, 1, 0), StopRule(max_iter=40), origin, ctx)
         inv_sqrt2 = 1 / ctx.mp.sqrt(ctx.mpf(2))
         for e_prev, e_next in zip(trace.errors[:10], trace.errors[1:11]):
             assert abs(e_next / e_prev - inv_sqrt2) <= ctx.pow10(-50)
 
     def test_lt_two_lines_one_step(self, ctx, two_lines):
-        origin = Point2.of(ctx, 0, 0)
-        trace = run("lt", two_lines, Point2.of(ctx, 1, 0), StopRule(), origin, ctx)
+        origin = point(ctx, 0, 0)
+        trace = run("lt", two_lines, point(ctx, 1, 0), StopRule(), origin, ctx)
         assert trace.iterations == 1
         assert trace.solved
         assert trace.errors[-1] <= ctx.pow10(-(ctx.decimal_digits - 20))
 
     def test_max_iter(self, ctx, circle_line):
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
-        trace = run("dr", circle_line, Point2.of(ctx, "0.9", "0.6"), StopRule(max_iter=5), ref, ctx)
+        trace = run("dr", circle_line, point(ctx, "0.9", "0.6"), StopRule(max_iter=5), ref, ctx)
         assert trace.terminated_by is Termination.MAX_ITER
         assert trace.iterations == 5
         assert len(trace.errors) == 6
@@ -370,18 +371,18 @@ class TestRun:
 
     def test_dr_errors_eventually_monotone(self, ctx, circle_line):
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
-        trace = run("dr", circle_line, Point2.of(ctx, "0.95", "0.3"), StopRule(max_iter=80), ref, ctx)
+        trace = run("dr", circle_line, point(ctx, "0.95", "0.3"), StopRule(max_iter=80), ref, ctx)
         tail = trace.errors[5:]
         assert all(b <= a for a, b in zip(tail, tail[1:]))
 
     def test_unknown_method(self, ctx, circle_line):
         with pytest.raises(ValueError):
-            run("newton", circle_line, Point2.of(ctx, 1, 1), StopRule(), Point2.of(ctx, 0, 0), ctx)
+            run("newton", circle_line, point(ctx, 1, 1), StopRule(), point(ctx, 0, 0), ctx)
 
     def test_auto_reference_matches_known(self, ctx):
         # tol below the floor: the trace runs on to its own reference
         problem = build_problem("circle-line", ctx)
-        p0 = Point2.of(ctx, "0.9", "0.6")
+        p0 = point(ctx, "0.9", "0.6")
         stop = StopRule(tol="1e-200")
         trace = run("lt", problem.operator, p0, stop, None, ctx)
         assert trace.terminated_by is Termination.EXACT_ZERO
@@ -393,7 +394,7 @@ class TestRun:
 
     def test_known_reference_has_no_gap(self, ctx, circle_line):
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
-        trace = run("dr", circle_line, Point2.of(ctx, "0.9", "0.6"), StopRule(max_iter=3), ref, ctx)
+        trace = run("dr", circle_line, point(ctx, "0.9", "0.6"), StopRule(max_iter=3), ref, ctx)
         assert trace.reference_gap is None
 
 
@@ -525,11 +526,11 @@ class TestAutoReference:
 
 class TestTraceCsv:
     def test_structure_and_determinism(self, ctx, two_lines):
-        origin = Point2.of(ctx, 0, 0)
+        origin = point(ctx, 0, 0)
         meta = [("method", "lt"), ("problem", "graph:linear:1"), ("precision", 120)]
 
         def make():
-            trace = run("lt", two_lines, Point2.of(ctx, 1, 0), StopRule(), origin, ctx)
+            trace = run("lt", two_lines, point(ctx, 1, 0), StopRule(), origin, ctx)
             return trace_to_csv(trace, ctx, meta, include_times=False)
 
         text = make()
@@ -541,7 +542,7 @@ class TestTraceCsv:
 
     def test_times_column(self, ctx, circle_line):
         ref = Point2(ctx.mp.sqrt(3) / 2, ctx.mpf("0.5"))
-        trace = run("dr", circle_line, Point2.of(ctx, "0.9", "0.6"), StopRule(max_iter=3), ref, ctx)
+        trace = run("dr", circle_line, point(ctx, "0.9", "0.6"), StopRule(max_iter=3), ref, ctx)
         text = trace_to_csv(trace, ctx, [("method", "dr")])
         rows = text.strip().splitlines()[2:]
         assert len(rows) == 4
@@ -556,7 +557,7 @@ class TestTraceCsv:
         trace = run(
             "lt",
             circle_line,
-            Point2.of(ctx, "0.9", "0.6"),
+            point(ctx, "0.9", "0.6"),
             StopRule(tol="1e-200", max_iter=60),
             ref,
             ctx,

@@ -21,6 +21,7 @@ from feasikit.theory import (
     zeta_terms,
 )
 
+from conftest import point
 from test_numerics import mpf_inner, mpf_norm, mpf_sub_points, solve_mpf
 
 
@@ -53,10 +54,10 @@ class TestClosedForms:
 
             rng = random.Random(61)
             for _ in range(10):
-                w = Point2.of(ctx, rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
+                w = point(ctx, rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
                 back = dr_step(t, t_inverse(w), ctx)
                 assert dist(back, w, ctx) <= ctx.pow10(-100)
-                y = Point2.of(ctx, rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
+                y = point(ctx, rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
                 again = t_inverse(dr_step(t, y, ctx))
                 assert dist(again, y, ctx) <= ctx.pow10(-100)
 
@@ -70,7 +71,7 @@ class TestClosedForms:
                 fx, dfx, _ = curve.jet(w.x)
                 return Point2(fx / dfx, w.z)
 
-            w = Point2.of(ctx, "0.01", "0.005")
+            w = point(ctx, "0.01", "0.005")
             for _ in range(10):
                 step = dr_step(t, w, ctx)
                 assert mpf_inner(lyapunov_grad(w), mpf_sub_points(step, w)) < 0
@@ -81,7 +82,7 @@ class TestClosedForms:
         for a in ("1", "-2", "0.3"):
             curve = get_curve(f"linear:{a}", ctx)
             for _ in range(10):
-                w = Point2.of(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
+                w = point(ctx, rng.uniform(-2, 2), rng.uniform(-2, 2))
                 if mpf_norm(w, ctx) < ctx.mpf("0.01"):
                     continue
                 assert abs(h_coeff(w, curve, ctx) - 1) <= ctx.pow10(-100)
@@ -116,7 +117,7 @@ class TestClosedForms:
 
     def test_h_degenerate_at_origin(self, ctx):
         with pytest.raises(DegenerateDenominatorError):
-            h_coeff(Point2.of(ctx, 0, 0), get_curve("quad", ctx), ctx)
+            h_coeff(point(ctx, 0, 0), get_curve("quad", ctx), ctx)
 
     def test_gamma_matches_h(self, ctx):
         # h(x, z) is gamma1 of the 2x2 system tying the two expressions for
@@ -125,7 +126,7 @@ class TestClosedForms:
         for ident in ("quad", "cubic"):
             curve = get_curve(ident, ctx)
             for _ in range(25):
-                w = Point2.of(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+                w = point(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
                 if mpf_norm(w, ctx) < ctx.mpf("1e-4"):
                     continue
                 z = w.z
@@ -142,12 +143,12 @@ class TestClosedForms:
 class TestLtClosedForm:
     def test_linear_kills_both_coordinates(self, ctx):
         curve = get_curve("linear:2", ctx)
-        got = lt_closed_form(Point2.of(ctx, "0.3", "-0.1"), curve, ctx)
+        got = lt_closed_form(point(ctx, "0.3", "-0.1"), curve, ctx)
         assert mpf_norm(got, ctx) <= ctx.pow10(-100)
 
     def test_fixed_point(self, ctx):
         curve = get_curve("quad", ctx)
-        origin = Point2.of(ctx, 0, 0)
+        origin = point(ctx, 0, 0)
         assert lt_closed_form(origin, curve, ctx) == origin
 
     def test_matches_geometric_lt(self, ctx):
@@ -157,7 +158,7 @@ class TestLtClosedForm:
             curve = get_curve(ident, ctx)
             t = graph_operator(curve, ctx)
             for _ in range(10):
-                y = Point2.of(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.02, 0.02))
+                y = point(ctx, rng.uniform(-0.05, 0.05), rng.uniform(-0.02, 0.02))
                 geometric = lt_step(t, y, ctx).result
                 closed = lt_closed_form(y, curve, ctx)
                 assert dist(geometric, closed, ctx) <= bound * max(mpf_norm(y, ctx), ctx.mpf(1))
@@ -294,7 +295,7 @@ class TestProbes:
         # hand-assembled ratio from the polar LT coordinate expressions
         curve = get_curve("quad", ctx)
         t = graph_operator(curve, ctx)
-        y = Point2.of(ctx, "0.001", "0.0004")
+        y = point(ctx, "0.001", "0.0004")
         w = dr_step(t, dr_step(t, y, ctx), ctx)
         r_w = ctx.mp.sqrt(w.x * w.x + w.z * w.z)
         theta_w = ctx.mp.atan2(w.z, w.x)
